@@ -49,19 +49,9 @@ def select_graph_landmarks(view, L, mode="kmeans", seed=0, kmeans_iters=25):
     raise ValueError(f"unknown landmark mode {mode!r}")
 
 
-def _sq_dists(points, landmarks):
-    # points (N, d), landmarks (L, d) -> (N, L)
-    d2 = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ landmarks.T
-        + np.sum(landmarks ** 2, axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
-
-
 def default_bandwidth(view, landmarks, k):
     """Mean squared distance from samples to their k-th nearest landmark."""
-    d2 = _sq_dists(np.asarray(view, dtype=float).T, landmarks)
+    d2 = core_math.sq_dists(np.asarray(view, dtype=float).T, landmarks)
     kth = np.sort(d2, axis=1)[:, k - 1]
     t = float(np.mean(kth))
     return t if t > 0 else 1.0
@@ -86,7 +76,7 @@ def build_truncated_affinity(view, landmarks, k, t=None):
     if t <= 0:
         raise ValueError(f"bandwidth must be positive, got {t}")
 
-    d2 = _sq_dists(view.T, landmarks)
+    d2 = core_math.sq_dists(view.T, landmarks)
     # stable sort: equal distances resolve to the lower landmark index
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     sel = np.take_along_axis(d2, order, axis=1)

@@ -8,12 +8,17 @@ the long option names with dashes replaced by underscores.
 """
 
 import argparse
+import dataclasses
+import inspect
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset, evaluation, hash_trainer, kernel_sim, lowrank_alm, model_io
+from .hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
+from .lowrank_alm import ALMConfig
 
 
 def _load_config(path):
@@ -49,68 +54,88 @@ def _dims(text):
     return tuple(int(x) for x in str(text).split(","))
 
 
-_TRAIN_SPEC = {
-    "bits": (int, 32),
-    "gamma": (float, 1e-4),
-    "delta": (float, 1e-6),
-    "alpha": (float, 0.1),
-    "beta": (float, 1.0),
-    "lam": (float, 1e-3),
-    "outer_iters": (int, 60),
-    "graph_l": (int, 300),
-    "graph_k": (int, 3),
-    "kernel_r": (int, 0),          # 0: same as graph_l
-    "kernel_mode": (str, "kmeans"),
-    "self_tuning_k": (int, 7),
-    "alm_tol": (float, 1e-6),
-    "alm_max_iters": (int, 300),
-    "alm_rho": (float, 1.3),
-    "constraint_mode": (str, "nonneg"),
-    "shrink_mode": (str, "column-l21"),
-    "oos_z": (int, 300),
-    "k_oos": (int, 25),
-    "seed": (int, 0),
-    "no_recovery": (bool, False),
-    "query_mode": (str, "concat"),
+# Each training key names one field of a config dataclass, which holds its
+# type and its default. alpha and lam also set the ALM's alpha and lam.
+_TRAIN_FIELDS = {
+    "bits": (HyperParams, "P"),
+    "gamma": (HyperParams, "gamma"),
+    "delta": (HyperParams, "delta"),
+    "alpha": (HyperParams, "alpha"),
+    "beta": (HyperParams, "beta"),
+    "lam": (HyperParams, "lam"),
+    "outer_iters": (HyperParams, "outer_iters"),
+    "graph_l": (GraphConfig, "L"),
+    "graph_k": (GraphConfig, "k"),
+    "kernel_r": (KernelSelectConfig, "R"),
+    "kernel_mode": (KernelSelectConfig, "mode"),
+    "self_tuning_k": (KernelSelectConfig, "self_tuning_k"),
+    "alm_tol": (ALMConfig, "tol"),
+    "alm_max_iters": (ALMConfig, "max_iters"),
+    "alm_rho": (ALMConfig, "rho"),
+    "oos_z": (OosConfig, "Z"),
+    "k_oos": (OosConfig, "k_oos"),
+}
+
+
+def _field_spec(cls, name):
+    """(cast, default) of a dataclass field; an `int | None` field casts as int."""
+    f = next(f for f in dataclasses.fields(cls) if f.name == name)
+    cast = next((a for a in typing.get_args(f.type) if a is not type(None)), f.type)
+    return cast, f.default
+
+
+_TRAIN_ARGS = inspect.signature(hash_trainer.train).parameters
+_TRAIN_SPEC = {key: _field_spec(*target) for key, target in _TRAIN_FIELDS.items()}
+_TRAIN_SPEC["seed"] = (int, _TRAIN_ARGS["seed"].default)
+_TRAIN_SPEC["no_recovery"] = (bool, not _TRAIN_ARGS["recovery"].default)
+
+# Switches older models may have been trained with, at the value this version
+# still implements.
+_REMOVED_SWITCHES = {
+    "constraint_mode": "nonneg",
+    "shrink_mode": "column-l21",
+    "query_mode": "concat",
 }
 
 
 def _train_configs(p):
-    hp = hash_trainer.HyperParams(
-        P=p["bits"], gamma=p["gamma"], delta=p["delta"], alpha=p["alpha"],
-        beta=p["beta"], lam=p["lam"], outer_iters=p["outer_iters"],
+    """HyperParams, ALMConfig, GraphConfig, KernelSelectConfig and OosConfig
+    from training values keyed as in _TRAIN_SPEC."""
+    kwargs = {cls: {} for cls, _ in _TRAIN_FIELDS.values()}
+    for key, (cls, name) in _TRAIN_FIELDS.items():
+        kwargs[cls][name] = p[key]
+    hp = HyperParams(**kwargs[HyperParams])
+    alm_cfg = ALMConfig(alpha=hp.alpha, lam=hp.lam, **kwargs[ALMConfig])
+    return (
+        hp, alm_cfg, GraphConfig(**kwargs[GraphConfig]),
+        KernelSelectConfig(**kwargs[KernelSelectConfig]), OosConfig(**kwargs[OosConfig]),
     )
-    alm_cfg = lowrank_alm.ALMConfig(
-        alpha=p["alpha"], lam=p["lam"], tol=p["alm_tol"],
-        max_iters=p["alm_max_iters"], rho=p["alm_rho"],
-        constraint_mode=p["constraint_mode"], shrink_mode=p["shrink_mode"],
-    )
-    graph_cfg = hash_trainer.GraphConfig(L=p["graph_l"], k=p["graph_k"])
-    kernel_cfg = hash_trainer.KernelSelectConfig(
-        R=p["kernel_r"] or None, mode=p["kernel_mode"],
-        self_tuning_k=p["self_tuning_k"],
-    )
-    oos_cfg = hash_trainer.OosConfig(Z=p["oos_z"], k_oos=p["k_oos"])
-    return hp, alm_cfg, graph_cfg, kernel_cfg, oos_cfg
 
 
-def _encode_db(model, ds, snapshot, recovery=True):
+def _trained_values(snapshot):
+    """The training values stored with a model, with defaults for keys an
+    older snapshot lacks. Rejects a removed switch at a non-default value."""
+    for key, kept in _REMOVED_SWITCHES.items():
+        if snapshot.get(key, kept) != kept:
+            raise ValueError(
+                f"model was trained with {key}={snapshot[key]}, which is no "
+                "longer supported; retrain it"
+            )
+    return {
+        key: snapshot.get(key, default) for key, (_, default) in _TRAIN_SPEC.items()
+    }
+
+
+def _encode_db(model, ds, snapshot):
     """Database codes for a dataset using the model's landmarks and bandwidths,
-    with the consensus similarity recovered on that database."""
+    with the consensus similarity recovered on that database as in training."""
+    p = _trained_values(snapshot)
+    _, alm_cfg, _, _, _ = _train_configs(p)
     K_list = kernel_sim.build_view_kernels(ds, model.landmarks, model.kernel_config)
-    if recovery:
-        alm_cfg = lowrank_alm.ALMConfig(
-            alpha=snapshot.get("alpha", 0.1),
-            lam=snapshot.get("lam", 1e-3),
-            tol=snapshot.get("alm_tol", 1e-6),
-            max_iters=snapshot.get("alm_max_iters", 300),
-            rho=snapshot.get("alm_rho", 1.3),
-            constraint_mode=snapshot.get("constraint_mode", "nonneg"),
-            shrink_mode=snapshot.get("shrink_mode", "column-l21"),
-        )
-        Khat, _, _ = lowrank_alm.recover(K_list, alm_cfg)
-    else:
+    if p["no_recovery"]:
         Khat = hash_trainer.mean_kernel_baseline(K_list)
+    else:
+        Khat, _, _ = lowrank_alm.recover(K_list, alm_cfg)
     return hash_trainer.encode_database(model, Khat)
 
 
@@ -155,7 +180,6 @@ def cmd_train(args):
     model, _, _, diag = hash_trainer.train(
         ds, hp, alm_cfg=alm_cfg, graph_cfg=graph_cfg, kernel_cfg=kernel_cfg,
         oos_cfg=oos_cfg, seed=p["seed"], recovery=not p["no_recovery"],
-        query_mode=p["query_mode"],
     )
     model_io.save_model(model, args.model, config_snapshot=p)
     prefix = args.trace_prefix or str(Path(args.model).with_suffix(""))
@@ -175,20 +199,18 @@ def _write_codes(codes, path):
 
 
 def cmd_encode(args):
-    p = _resolve(args, {"no_recovery": (bool, False)})
     model, snapshot = model_io.load_model(args.model)
     ds = dataset.load_dataset(args.manifest)
-    codes = _encode_db(model, ds, snapshot, recovery=not p["no_recovery"])
+    codes = _encode_db(model, ds, snapshot)
     _write_codes(codes, args.out)
     print(f"wrote {args.out} ({codes.shape[0]} codes of {codes.shape[1]} bits)")
     return 0
 
 
 def cmd_query(args):
-    p = _resolve(args, {"mode": (str, "")})
     model, _ = model_io.load_model(args.model)
     ds = dataset.load_dataset(args.manifest)
-    codes = hash_trainer.encode_queries(model, ds, mode=p["mode"] or None)
+    codes = hash_trainer.encode_queries(model, ds)
     _write_codes(codes, args.out)
     print(f"wrote {args.out} ({codes.shape[0]} codes of {codes.shape[1]} bits)")
     return 0
@@ -198,7 +220,6 @@ def cmd_eval(args):
     p = _resolve(args, {
         "top_k": (int, 100),
         "radius": (int, 2),
-        "no_recovery": (bool, False),
     })
     model, snapshot = model_io.load_model(args.model)
     db = dataset.load_dataset(args.db)
@@ -210,7 +231,7 @@ def cmd_eval(args):
             raise ValueError(
                 f"view {m} dimension mismatch: database {dd}, queries {qd}"
             )
-    db_codes = _encode_db(model, db, snapshot, recovery=not p["no_recovery"])
+    db_codes = _encode_db(model, db, snapshot)
     query_codes = hash_trainer.encode_queries(model, queries)
     relevant = evaluation.relevance_matrix(queries.labels, db.labels)
     report = evaluation.evaluate(
@@ -234,7 +255,6 @@ def cmd_inspect(args):
     print(f"view dims: {[b.shape[1] for b in model.landmarks.blocks]}")
     print(f"sigmas: {[round(s, 6) for s in model.kernel_config.sigmas]}")
     print(f"sigma_concat: {model.kernel_config.sigma_concat:.6g}")
-    print(f"query mode: {model.query_mode}")
     if model.base_set is not None:
         print(f"base set: Z={model.base_set.Z}, k_oos={model.base_set.k_oos}")
     print(f"meta: {model.meta}")
@@ -279,29 +299,13 @@ def build_parser():
     s.add_argument("--manifest", required=True)
     s.add_argument("--model", required=True, help="output model file")
     s.add_argument("--trace-prefix", dest="trace_prefix")
-    s.add_argument("--bits", type=int)
-    s.add_argument("--gamma", type=float)
-    s.add_argument("--delta", type=float)
-    s.add_argument("--alpha", type=float)
-    s.add_argument("--beta", type=float)
-    s.add_argument("--lam", type=float)
-    s.add_argument("--outer-iters", dest="outer_iters", type=int)
-    s.add_argument("--graph-l", dest="graph_l", type=int)
-    s.add_argument("--graph-k", dest="graph_k", type=int)
-    s.add_argument("--kernel-r", dest="kernel_r", type=int)
-    s.add_argument("--kernel-mode", dest="kernel_mode")
-    s.add_argument("--self-tuning-k", dest="self_tuning_k", type=int)
-    s.add_argument("--alm-tol", dest="alm_tol", type=float)
-    s.add_argument("--alm-max-iters", dest="alm_max_iters", type=int)
-    s.add_argument("--alm-rho", dest="alm_rho", type=float)
-    s.add_argument("--constraint-mode", dest="constraint_mode",
-                   choices=["nonneg", "simplex"])
-    s.add_argument("--shrink-mode", dest="shrink_mode",
-                   choices=["column-l21", "elementwise"])
-    s.add_argument("--oos-z", dest="oos_z", type=int)
-    s.add_argument("--k-oos", dest="k_oos", type=int)
+    for key, (cls, name) in _TRAIN_FIELDS.items():
+        cast, default = _TRAIN_SPEC[key]
+        s.add_argument(
+            "--" + key.replace("_", "-"), dest=key, type=cast,
+            help=f"{cls.__name__}.{name} (default {default})",
+        )
     s.add_argument("--no-recovery", dest="no_recovery", action="store_const", const=True)
-    s.add_argument("--query-mode", dest="query_mode", choices=["concat", "view-sum"])
     s.set_defaults(func=cmd_train)
 
     s = subs.add_parser("encode", help="encode a database with a trained model")
@@ -309,7 +313,6 @@ def build_parser():
     s.add_argument("--model", required=True)
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--no-recovery", dest="no_recovery", action="store_const", const=True)
     s.set_defaults(func=cmd_encode)
 
     s = subs.add_parser("query", help="encode query samples with a trained model")
@@ -317,7 +320,6 @@ def build_parser():
     s.add_argument("--model", required=True)
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--mode", choices=["concat", "view-sum"])
     s.set_defaults(func=cmd_query)
 
     s = subs.add_parser("eval", help="retrieval metrics for a model on db/query sets")
@@ -328,7 +330,6 @@ def build_parser():
     s.add_argument("--out-prefix", dest="out_prefix", required=True)
     s.add_argument("--top-k", dest="top_k", type=int)
     s.add_argument("--radius", type=int)
-    s.add_argument("--no-recovery", dest="no_recovery", action="store_const", const=True)
     s.set_defaults(func=cmd_eval)
 
     s = subs.add_parser("inspect", help="print model metadata")

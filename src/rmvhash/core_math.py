@@ -9,18 +9,6 @@ class NumericError(RuntimeError):
     """A numerical routine (SVD, linear solve) failed to produce a result."""
 
 
-def scalar_shrink(x, rho):
-    """Soft-thresholding S_rho(x) = max(x - rho, 0) + min(x + rho, 0).
-
-    Applies elementwise when x is an array.
-    """
-    if rho < 0:
-        raise ValueError(f"shrinkage threshold must be nonnegative, got {rho}")
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(x - rho, 0.0) + np.minimum(x + rho, 0.0)
-    return out if out.ndim else float(out)
-
-
 def svt(mtx, tau):
     """Singular value thresholding: U S_tau(Sigma) V^T, the prox of tau*||.||_*."""
     if tau < 0:
@@ -72,13 +60,15 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def project_simplex_columns(mtx):
-    """Project each column of a matrix onto the probability simplex."""
-    mtx = np.asarray(mtx, dtype=float)
-    out = np.empty_like(mtx)
-    for i in range(mtx.shape[1]):
-        out[:, i] = project_simplex(mtx[:, i])
-    return out
+def sq_dists(points, centers):
+    """(n, L) squared Euclidean distances between the rows of points (n, d)
+    and centers (L, d), clamped at 0 against cancellation."""
+    d2 = (
+        np.sum(points ** 2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers ** 2, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass
@@ -122,11 +112,7 @@ def kmeans(points, L, max_iters=50, seed=0):
     centers = _kmeanspp_init(points, L, rng)
     assignments = np.zeros(n, dtype=int)
     for _ in range(max_iters):
-        d2 = (
-            np.sum(points ** 2, axis=1)[:, None]
-            - 2.0 * points @ centers.T
-            + np.sum(centers ** 2, axis=1)[None, :]
-        )
+        d2 = sq_dists(points, centers)
         new_assign = np.argmin(d2, axis=1)
         for j in range(L):
             mask = new_assign == j

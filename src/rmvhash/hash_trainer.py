@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import anchor_graph, kernel_sim, lowrank_alm, oos_encoder
+from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError
 
 
@@ -22,9 +22,9 @@ class HyperParams:
     P: int = 32
     gamma: float = 1e-4
     delta: float = 1e-6
-    alpha: float = 0.1
+    alpha: float = lowrank_alm.ALMConfig.alpha
     beta: float = 1.0
-    lam: float = 1e-3
+    lam: float = lowrank_alm.ALMConfig.lam
     outer_iters: int = 60
     outer_tol: float = 1e-4
     orthogonalize: bool = True
@@ -40,13 +40,11 @@ class HyperParams:
 class GraphConfig:
     L: int = 300
     k: int = 3
-    landmark_mode: str = "kmeans"
-    bandwidth: float | None = None
 
 
 @dataclass
 class KernelSelectConfig:
-    R: int | None = None        # default: same as graph L
+    R: int | None = None        # None or 0: same as graph L
     mode: str = "kmeans"
     self_tuning_k: int = 7
 
@@ -72,7 +70,6 @@ class HashModel:
     b: np.ndarray               # (P,)
     landmarks: kernel_sim.KernelLandmarks
     kernel_config: kernel_sim.KernelConfig
-    query_mode: str = "concat"
     base_set: object = None     # oos_encoder.BaseSet
     meta: dict = field(default_factory=dict)
 
@@ -212,10 +209,10 @@ def spectral_code_init(graphs, p, seed=0):
     return U / norms * np.sqrt(n)
 
 
-def mean_kernel_baseline(K_list, constraint_mode="nonneg"):
-    """No-recovery consensus: the plain view average of the kernel matrices."""
-    Kbar = sum(K_list) / len(K_list)
-    return lowrank_alm._project(Kbar, constraint_mode)
+def mean_kernel_baseline(K_list):
+    """No-recovery consensus: the plain view average of the kernel matrices,
+    projected onto Khat >= 0 like the recovered one."""
+    return core_math.project_nonneg(sum(K_list) / len(K_list))
 
 
 def train(
@@ -227,7 +224,6 @@ def train(
     oos_cfg=None,
     seed=0,
     recovery=True,
-    query_mode="concat",
 ):
     """Full training pipeline.
 
@@ -243,20 +239,16 @@ def train(
     alm_cfg = alm_cfg or lowrank_alm.ALMConfig(alpha=hp.alpha, lam=hp.lam)
 
     n = ds.n_samples
-    R = kernel_cfg.R if kernel_cfg.R is not None else graph_cfg.L
+    R = kernel_cfg.R or graph_cfg.L
     if n < R or n < graph_cfg.L:
         raise ValueError(f"need at least max(R, L) samples, got N={n}")
 
     graphs = []
     for m, view in enumerate(ds.views):
         landmarks = anchor_graph.select_graph_landmarks(
-            view, graph_cfg.L, mode=graph_cfg.landmark_mode, seed=seed + 1000 * m
+            view, graph_cfg.L, seed=seed + 1000 * m
         )
-        graphs.append(
-            anchor_graph.build_truncated_affinity(
-                view, landmarks, graph_cfg.k, t=graph_cfg.bandwidth
-            )
-        )
+        graphs.append(anchor_graph.build_truncated_affinity(view, landmarks, graph_cfg.k))
 
     klm = kernel_sim.select_kernel_landmarks(ds, R, mode=kernel_cfg.mode, seed=seed)
     kcfg = kernel_sim.tune_config(ds, klm, kernel_cfg.self_tuning_k)
@@ -267,7 +259,7 @@ def train(
         Khat, E_list, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
         diag.alm = alm_diag
     else:
-        Khat = mean_kernel_baseline(K_list, alm_cfg.constraint_mode)
+        Khat = mean_kernel_baseline(K_list)
         E_list = [K - Khat for K in K_list]
 
     Y0 = spectral_code_init(graphs, hp.P, seed=seed)
@@ -294,7 +286,6 @@ def train(
         b=b,
         landmarks=klm,
         kernel_config=kcfg,
-        query_mode=query_mode,
         meta={"P": hp.P, "N": n, "M": ds.n_views, "seed": seed, "recovery": recovery},
     )
     model.base_set = oos_encoder.build_base_set(
@@ -314,24 +305,21 @@ def encode_database(model, Khat):
     return np.where(pre >= 0, 1, -1).astype(np.int8)
 
 
-def embed_query(model, x_views, mode=None):
+def embed_query(model, x_views):
     """Pre-sign projection W^T k(x_q) + b of one query."""
-    mode = mode or model.query_mode
-    kvec = kernel_sim.query_kernel_vector(
-        x_views, model.landmarks, model.kernel_config, mode=mode
-    )
+    kvec = kernel_sim.query_kernel_vector(x_views, model.landmarks, model.kernel_config)
     return model.W.T @ kvec + model.b
 
 
-def encode_query(model, x_views, mode=None):
+def encode_query(model, x_views):
     """Length-P binary code of one query, sign(0) = +1."""
-    pre = embed_query(model, x_views, mode=mode)
+    pre = embed_query(model, x_views)
     return np.where(pre >= 0, 1, -1).astype(np.int8)
 
 
-def encode_queries(model, ds, mode=None):
+def encode_queries(model, ds):
     """Codes for every sample of a query dataset, one row per sample."""
     codes = np.empty((ds.n_samples, model.code_length), dtype=np.int8)
     for i in range(ds.n_samples):
-        codes[i] = encode_query(model, [v[:, i] for v in ds.views], mode=mode)
+        codes[i] = encode_query(model, [v[:, i] for v in ds.views])
     return codes

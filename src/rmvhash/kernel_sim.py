@@ -64,12 +64,7 @@ def select_kernel_landmarks(ds, R, mode="kmeans", seed=0, kmeans_iters=25):
 
 
 def _dists(points, landmarks):
-    d2 = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ landmarks.T
-        + np.sum(landmarks ** 2, axis=1)[None, :]
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
+    return np.sqrt(core_math.sq_dists(points, landmarks))
 
 
 def self_tuning_sigma(view, z_view, k_st=7):
@@ -122,12 +117,9 @@ def build_view_kernels(ds, landmarks, cfg):
     ]
 
 
-def query_kernel_vector(x_views, landmarks, cfg, mode="concat"):
-    """Length-R kernel vector for one query given as a list of M view vectors.
-
-    concat mode: RBF over the concatenated feature space with sigma_concat.
-    view-sum mode: sum of per-view kernels, matching K = sum_m K^(m).
-    """
+def query_kernel_vector(x_views, landmarks, cfg):
+    """Length-R kernel vector for one query given as a list of M view vectors:
+    the RBF over the concatenated feature space with sigma_concat."""
     if len(x_views) != len(landmarks.blocks):
         raise ValueError(
             f"query has {len(x_views)} views, expected {len(landmarks.blocks)}"
@@ -136,15 +128,8 @@ def query_kernel_vector(x_views, landmarks, cfg, mode="concat"):
     for m, (x, z) in enumerate(zip(x_views, landmarks.blocks)):
         if x.size != z.shape[1]:
             raise ValueError(f"view {m}: query dim {x.size} != landmark dim {z.shape[1]}")
-    if mode == "concat":
-        x = np.concatenate(x_views)
-        z = landmarks.concatenated()
-        d2 = np.sum((z - x) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * cfg.sigma_concat ** 2))
-    if mode == "view-sum":
-        out = np.zeros(landmarks.R)
-        for x, z, s in zip(x_views, landmarks.blocks, cfg.sigmas):
-            d2 = np.sum((z - x) ** 2, axis=1)
-            out += np.exp(-d2 / (2.0 * s ** 2))
-        return out
-    raise ValueError(f"unknown query kernel mode {mode!r}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError(f"view {m}: query has non-finite entries")
+    x = np.concatenate(x_views)
+    d2 = np.sum((landmarks.concatenated() - x) ** 2, axis=1)
+    return np.exp(-d2 / (2.0 * cfg.sigma_concat ** 2))

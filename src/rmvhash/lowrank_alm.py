@@ -18,15 +18,10 @@ from . import core_math
 class ALMConfig:
     alpha: float = 0.1
     lam: float = 1e-3
-    mu0: float | None = None      # default: 1 / ||mean(K)||_2
     rho: float = 1.3
     mu_max: float = 1e8
     tol: float = 1e-6
     max_iters: int = 300
-    constraint_mode: str = "nonneg"      # or "simplex"
-    shrink_mode: str = "column-l21"      # or "elementwise"
-    q_mode: str = "exact"                # or "paper-literal"
-    c_weight_mode: str = "exact"         # divide by M+1; "paper-literal" uses M
 
     def __post_init__(self):
         if self.rho <= 1:
@@ -66,14 +61,6 @@ class ALMDiagnostics:
             fh.write("\n".join(lines) + "\n")
 
 
-def _project(mtx, mode):
-    if mode == "nonneg":
-        return core_math.project_nonneg(mtx)
-    if mode == "simplex":
-        return core_math.project_simplex_columns(mtx)
-    raise ValueError(f"unknown constraint mode {mode!r}")
-
-
 def init_state(K_list, cfg):
     K_list = [np.asarray(K, dtype=float) for K in K_list]
     shape = K_list[0].shape
@@ -83,8 +70,8 @@ def init_state(K_list, cfg):
         if not np.all(np.isfinite(K)):
             raise ValueError(f"view {m} contains non-finite entries")
     Kbar = sum(K_list) / len(K_list)
-    mu = cfg.mu0 if cfg.mu0 is not None else 1.0 / max(np.linalg.norm(Kbar, 2), 1e-12)
-    Khat = _project(Kbar, cfg.constraint_mode)
+    mu = 1.0 / max(np.linalg.norm(Kbar, 2), 1e-12)
+    Khat = core_math.project_nonneg(Kbar)
     return ALMState(
         K_list=K_list,
         Khat=Khat,
@@ -97,40 +84,25 @@ def init_state(K_list, cfg):
 
 
 def update_Q(state, cfg):
-    """Nuclear-norm prox step on the auxiliary variable.
-
-    exact mode solves the Q-subproblem of the Lagrangian,
-    Q = svt(Khat + B/mu, alpha/mu); paper-literal mode applies
-    Q = svt(Khat + B/(mu*alpha), 1/(mu*alpha)) verbatim.
-    """
-    if cfg.q_mode == "exact":
-        return core_math.svt(state.Khat + state.B / state.mu, cfg.alpha / state.mu)
-    if cfg.q_mode == "paper-literal":
-        ma = state.mu * cfg.alpha
-        return core_math.svt(state.Khat + state.B / ma, 1.0 / ma)
-    raise ValueError(f"unknown q_mode {cfg.q_mode!r}")
+    """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
+    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu)."""
+    return core_math.svt(state.Khat + state.B / state.mu, cfg.alpha / state.mu)
 
 
 def update_E(state, cfg, m):
-    """Shrinkage step on the view-m error: prox of (lam/mu) * ||.||_{2,1}
-    (columnwise; elementwise mode replicates the scalar-shrink notation)."""
+    """Columnwise shrinkage step on the view-m error: prox of
+    (lam/mu) * ||.||_{2,1}."""
     resid = state.K_list[m] - state.Khat - state.A[m] / state.mu
-    kappa = cfg.lam / state.mu
-    if cfg.shrink_mode == "column-l21":
-        return core_math.col_l21_prox(resid, kappa)
-    if cfg.shrink_mode == "elementwise":
-        return core_math.scalar_shrink(resid, kappa)
-    raise ValueError(f"unknown shrink_mode {cfg.shrink_mode!r}")
+    return core_math.col_l21_prox(resid, cfg.lam / state.mu)
 
 
 def update_Khat(state, cfg):
-    """Average the M+1 quadratic pulls and project onto the constraint set."""
+    """Average the M+1 quadratic pulls and project onto Khat >= 0."""
     M = len(state.K_list)
     acc = state.Q - state.B / state.mu
     for m in range(M):
         acc = acc + state.K_list[m] - state.E[m] - state.A[m] / state.mu
-    denom = M + 1 if cfg.c_weight_mode == "exact" else M
-    return _project(acc / denom, cfg.constraint_mode)
+    return core_math.project_nonneg(acc / (M + 1))
 
 
 def update_multipliers(state, cfg):

@@ -50,7 +50,6 @@ class _Reader:
 def save_model(model, path, config_snapshot=None):
     """Serialize a HashModel (including its base set) to path."""
     meta = {
-        "query_mode": model.query_mode,
         "sigmas": list(model.kernel_config.sigmas),
         "sigma_concat": model.kernel_config.sigma_concat,
         "self_tuning_k": model.kernel_config.self_tuning_k,
@@ -96,6 +95,11 @@ def load_model(path):
         )
     (blob_len,) = struct.unpack("<Q", r.take(8))
     meta = json.loads(r.take(blob_len).decode("utf-8"))
+    if meta.get("query_mode", "concat") != "concat":
+        raise ModelFileError(
+            f"{path}: query mode {meta['query_mode']!r} is no longer supported; "
+            "retrain the model"
+        )
     W = r.matrix()
     b = r.matrix().ravel()
     blocks = tuple(r.matrix() for _ in range(meta["n_views"]))
@@ -120,7 +124,6 @@ def load_model(path):
         b=b,
         landmarks=landmarks,
         kernel_config=kcfg,
-        query_mode=meta["query_mode"],
         base_set=base_set,
         meta=meta["model_meta"],
     )

@@ -24,12 +24,7 @@ def _center_bandwidth(centers, k_st=7):
     z = centers.shape[0]
     if z == 1:
         return 1.0
-    d2 = (
-        np.sum(centers ** 2, axis=1)[:, None]
-        - 2.0 * centers @ centers.T
-        + np.sum(centers ** 2, axis=1)[None, :]
-    )
-    d = np.sqrt(np.maximum(d2, 0.0))
+    d = np.sqrt(core_math.sq_dists(centers, centers))
     # k-th nearest *other* center; column 0 is the center itself
     kth = np.sort(d, axis=1)[:, min(k_st, z - 1)]
     sigma = float(np.median(kth))

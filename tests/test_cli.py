@@ -1,13 +1,51 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from rmvhash import cli, dataset, model_io
+from rmvhash import cli, dataset, hash_trainer, kernel_sim, lowrank_alm, model_io
+from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
+
+TRAIN_FLAGS = [
+    "--bits", "8", "--graph-l", "12", "--kernel-r", "12",
+    "--outer-iters", "8", "--oos-z", "20", "--k-oos", "10",
+    "--seed", "0",
+]
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def train_model(root, path, *extra):
+    assert run([
+        "train", "--manifest", str(root / "db" / "db.manifest"),
+        "--model", str(path), *TRAIN_FLAGS, *extra,
+    ]) == 0
+    return path
+
+
+def encode_codes(root, model_path, out):
+    assert run([
+        "encode", "--model", str(model_path),
+        "--manifest", str(root / "db" / "db.manifest"), "--out", str(out),
+    ]) == 0
+    return dataset.load_view(out).T.astype(np.int8)
+
+
+def rewrite_meta(src, dst, edit):
+    """Copy a model file with its JSON metadata changed by edit(meta),
+    re-checksummed so only the metadata differs."""
+    body = src.read_bytes()[:-8]
+    (n,) = struct.unpack("<Q", body[8:16])
+    meta = json.loads(body[16:16 + n])
+    edit(meta)
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    body = body[:8] + struct.pack("<Q", len(blob)) + blob + body[16 + n:]
+    dst.write_bytes(body + hashlib.sha256(body).digest()[:8])
+    return dst
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +64,7 @@ def workspace(tmp_path_factory):
         "--clusters", "4", "--per-cluster", "5", "--dims", "10,12",
         "--seed", "0",
     ]) == 0
-    model_path = root / "model.rmvm"
-    assert run([
-        "train", "--manifest", str(db_dir / "db.manifest"),
-        "--model", str(model_path),
-        "--bits", "8", "--graph-l", "12", "--kernel-r", "12",
-        "--outer-iters", "8", "--oos-z", "20", "--k-oos", "10",
-        "--seed", "0",
-    ]) == 0
+    train_model(root, root / "model.rmvm")
     return root
 
 
@@ -118,6 +149,17 @@ class TestTrainArtifacts:
         assert snapshot["alpha"] == 0.25
         assert snapshot["outer_iters"] == 3
 
+    def test_cli_matches_library_defaults(self, workspace):
+        model, _ = model_io.load_model(workspace / "model.rmvm")
+        ds = dataset.load_dataset(workspace / "db" / "db.manifest")
+        lib, _, _, _ = hash_trainer.train(
+            ds, HyperParams(P=8, outer_iters=8),
+            graph_cfg=GraphConfig(L=12), kernel_cfg=KernelSelectConfig(R=12),
+            oos_cfg=OosConfig(Z=20, k_oos=10), seed=0,
+        )
+        np.testing.assert_array_equal(model.W, lib.W)
+        np.testing.assert_array_equal(model.b, lib.b)
+
 
 class TestEncodeQueryEval:
     def test_encode_shapes(self, workspace, tmp_path):
@@ -174,14 +216,80 @@ class TestEncodeQueryEval:
         ]) == 1
         assert "dimension mismatch" in capsys.readouterr().err
 
+    @staticmethod
+    def _db_kernels(workspace, model):
+        ds = dataset.load_dataset(workspace / "db" / "db.manifest")
+        return kernel_sim.build_view_kernels(ds, model.landmarks, model.kernel_config)
+
     def test_no_recovery_encode(self, workspace, tmp_path):
-        out = tmp_path / "codes_nr.mvh"
+        path = train_model(workspace, tmp_path / "nr.rmvm", "--no-recovery")
+        codes = encode_codes(workspace, path, tmp_path / "codes_nr.mvh")
+        model, _ = model_io.load_model(path)
+        K_list = self._db_kernels(workspace, model)
+        want = hash_trainer.encode_database(
+            model, hash_trainer.mean_kernel_baseline(K_list)
+        )
+        np.testing.assert_array_equal(codes, want)
+
+    def test_encode_recovers_as_trained(self, workspace, tmp_path):
+        path = train_model(workspace, tmp_path / "a.rmvm", "--alpha", "0.2", "--alm-rho", "1.5")
+        codes = encode_codes(workspace, path, tmp_path / "codes_a.mvh")
+        model, _ = model_io.load_model(path)
+        cfg = lowrank_alm.ALMConfig(alpha=0.2, lam=1e-3, rho=1.5)
+        Khat, _, _ = lowrank_alm.recover(self._db_kernels(workspace, model), cfg)
+        np.testing.assert_array_equal(codes, hash_trainer.encode_database(model, Khat))
+
+    def test_older_default_model_still_encodes(self, workspace, tmp_path):
+        # models written before the solver switches were removed carry them
+        # in the metadata and the snapshot, at their default values
+        def add_defaults(meta):
+            meta["query_mode"] = "concat"
+            meta["config"].update(
+                constraint_mode="nonneg", shrink_mode="column-l21",
+                query_mode="concat", kernel_r=12,
+            )
+
+        old = rewrite_meta(workspace / "model.rmvm", tmp_path / "old.rmvm", add_defaults)
+        np.testing.assert_array_equal(
+            encode_codes(workspace, old, tmp_path / "old.mvh"),
+            encode_codes(workspace, workspace / "model.rmvm", tmp_path / "new.mvh"),
+        )
+
+    @pytest.mark.parametrize("key, value", [
+        ("constraint_mode", "simplex"),
+        ("shrink_mode", "elementwise"),
+        ("query_mode", "view-sum"),
+    ])
+    @pytest.mark.parametrize("command", ["encode", "eval"])
+    def test_removed_switch_in_snapshot_rejected(
+        self, workspace, tmp_path, capsys, key, value, command
+    ):
+        bad = rewrite_meta(
+            workspace / "model.rmvm", tmp_path / "bad.rmvm",
+            lambda meta: meta["config"].update({key: value}),
+        )
+        db = str(workspace / "db" / "db.manifest")
+        if command == "encode":
+            argv = ["encode", "--manifest", db, "--out", str(tmp_path / "c.mvh")]
+        else:
+            argv = ["eval", "--db", db, "--out-prefix", str(tmp_path / "r"),
+                    "--queries", str(workspace / "queries" / "q.manifest")]
+        assert run([*argv, "--model", str(bad)]) == 1
+        assert f"{key}={value}" in capsys.readouterr().err
+
+    def test_view_sum_model_rejected(self, workspace, tmp_path, capsys):
+        bad = rewrite_meta(
+            workspace / "model.rmvm", tmp_path / "vs.rmvm",
+            lambda meta: meta.update(query_mode="view-sum"),
+        )
+        with pytest.raises(model_io.ModelFileError, match="view-sum"):
+            model_io.load_model(bad)
         assert run([
-            "encode", "--model", str(workspace / "model.rmvm"),
-            "--manifest", str(workspace / "db" / "db.manifest"),
-            "--out", str(out), "--no-recovery",
-        ]) == 0
-        assert dataset.load_view(out).shape == (8, 100)
+            "query", "--model", str(bad),
+            "--manifest", str(workspace / "queries" / "q.manifest"),
+            "--out", str(tmp_path / "q.mvh"),
+        ]) == 1
+        assert "view-sum" in capsys.readouterr().err
 
     def test_corrupt_model_file_reported(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken.rmvm"

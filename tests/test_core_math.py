@@ -4,32 +4,18 @@ import pytest
 from rmvhash import core_math
 
 
-class TestScalarShrink:
-    def test_positive_branch(self):
-        assert core_math.scalar_shrink(1.2, 0.5) == pytest.approx(0.7)
-
-    def test_dead_zone(self):
-        assert core_math.scalar_shrink(0.3, 0.5) == 0.0
-
-    def test_negative_branch(self):
-        assert core_math.scalar_shrink(-1.0, 0.5) == pytest.approx(-0.5)
-
-    def test_negative_rho_rejected(self):
-        with pytest.raises(ValueError):
-            core_math.scalar_shrink(1.0, -0.1)
-
-    def test_odd_function(self):
+class TestSqDists:
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            x = rng.normal() * 10
-            rho = abs(rng.normal())
-            assert core_math.scalar_shrink(-x, rho) == pytest.approx(
-                -core_math.scalar_shrink(x, rho), abs=1e-14
-            )
+        pts, ctr = rng.normal(size=(30, 5)), rng.normal(size=(7, 5))
+        want = ((pts[:, None, :] - ctr[None, :, :]) ** 2).sum(axis=2)
+        np.testing.assert_allclose(core_math.sq_dists(pts, ctr), want, atol=1e-12)
 
-    def test_elementwise_on_matrix(self):
-        out = core_math.scalar_shrink(np.array([[1.2, 0.3], [-1.0, 0.0]]), 0.5)
-        np.testing.assert_allclose(out, [[0.7, 0.0], [-0.5, 0.0]])
+    def test_clamped_at_zero(self):
+        # large-norm duplicates cancel to tiny negatives before the clamp
+        pts = np.full((4, 3), 1e8) + np.arange(4)[:, None]
+        d2 = core_math.sq_dists(pts, pts)
+        assert d2.min() >= 0.0
 
 
 class TestSvt:

@@ -253,23 +253,6 @@ class TestEncoding:
             assert code.shape == (8,)
             assert set(np.unique(code)) <= {-1, 1}
 
-    def test_query_matches_database_on_training_sample(self):
-        # same input path: view-sum query kernel vs. the summed training
-        # kernel column, with the raw kernel standing in for Khat
-        from rmvhash import kernel_sim
-
-        ds = dataset.synth_multiview(3, 15, (6, 7), seed=5)
-        model, _, _, _ = hash_trainer.train(
-            ds, HyperParams(P=8, outer_iters=5), seed=0, **small_train_kwargs()
-        )
-        K_list = kernel_sim.build_view_kernels(ds, model.landmarks, model.kernel_config)
-        Ksum = sum(K_list)
-        db_codes = hash_trainer.encode_database(model, Ksum)
-        i = 7
-        x_views = [v[:, i] for v in ds.views]
-        q_code = hash_trainer.encode_query(model, x_views, mode="view-sum")
-        np.testing.assert_array_equal(q_code, db_codes[i])
-
     def test_shape_mismatch_rejected(self):
         model = hash_trainer.HashModel(
             W=np.zeros((5, 4)), b=np.zeros(4), landmarks=None, kernel_config=None

@@ -111,29 +111,21 @@ class TestQueryKernelVector:
 
     def test_concat_landmark_query_peaks(self):
         x_views = [b[2] for b in self.lm.blocks]
-        v = kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg, mode="concat")
+        v = kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg)
         assert v[2] == pytest.approx(1.0)
         assert np.argmax(v) == 2
         assert np.all(np.delete(v, 2) < 1.0)
 
-    def test_view_sum_double_hit(self):
-        x_views = [b[4] for b in self.lm.blocks]
-        v = kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg, mode="view-sum")
-        assert v[4] == pytest.approx(2.0)
-
-    def test_view_sum_matches_training_column(self):
-        K_list = kernel_sim.build_view_kernels(self.ds, self.lm, self.cfg)
-        Ksum = sum(K_list)
-        i = 5
-        x_views = [v[:, i] for v in self.ds.views]
-        q = kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg, mode="view-sum")
-        np.testing.assert_allclose(q, Ksum[:, i], atol=1e-12)
-
     def test_missing_view_rejected(self):
         with pytest.raises(ValueError):
-            kernel_sim.query_kernel_vector(
-                [np.zeros(4)], self.lm, self.cfg, mode="concat"
-            )
+            kernel_sim.query_kernel_vector([np.zeros(4)], self.lm, self.cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        x_views = [b[0].copy() for b in self.lm.blocks]
+        x_views[1][2] = bad
+        with pytest.raises(ValueError, match="view 1"):
+            kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg)
 
 
 class TestInvariants:
