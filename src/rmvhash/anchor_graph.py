@@ -3,6 +3,8 @@
 The graph stores F (N x L, row-stochastic with exactly k nonzeros per row)
 and Lambda = diag(F^T 1), representing the approximate adjacency
 S_hat = F Lambda^{-1} F^T in factored form so applying it costs O(N k).
+It also holds the spectral factor H = F Lambda^{-1/2}, with S_hat = H H^T, and
+H^T H = V diag(sigma) V^T, the nonzero spectrum of S_hat (Liu et al., ICML 2011).
 """
 
 from dataclasses import dataclass
@@ -20,6 +22,9 @@ class AnchorGraph:
     lambda_diag: np.ndarray  # (L,), column sums of F, all positive
     bandwidth: float
     k: int
+    H: sp.csr_matrix         # (N, L), F Lambda^{-1/2}
+    sigma: np.ndarray        # (L,), eigenvalues of H^T H, clamped to [0, 1]
+    V: np.ndarray            # (L, L), orthonormal eigenvectors of H^T H
 
     @property
     def n_samples(self):
@@ -89,8 +94,11 @@ def build_truncated_affinity(view, landmarks, k, t=None):
     if np.any(col_mass <= 0):
         keep = col_mass > 0
         return build_truncated_affinity(view, landmarks[keep], k, t)
+    H = F @ sp.diags(1.0 / np.sqrt(col_mass))
+    sigma, V = np.linalg.eigh((H.T @ H).toarray())
     return AnchorGraph(
-        landmarks=landmarks, F=F, lambda_diag=col_mass, bandwidth=float(t), k=int(k)
+        landmarks=landmarks, F=F, lambda_diag=col_mass, bandwidth=float(t), k=int(k),
+        H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V,
     )
 
 

@@ -2,9 +2,10 @@
 
 Subcommands: synth, corrupt, train, encode, query, eval, inspect.
 
-Every option can also come from a flat UTF-8 key=value config file passed
-with --config; command-line flags win over config values. Config keys equal
-the long option names with dashes replaced by underscores.
+Every option of synth, corrupt, train and eval can also come from a flat
+UTF-8 key=value config file passed with --config; command-line flags win over
+config values. Config keys equal the long option names with dashes replaced
+by underscores; a key the command does not read is an error.
 """
 
 import argparse
@@ -37,6 +38,9 @@ def _load_config(path):
 def _resolve(args, spec):
     """Merge flag values over config-file values over defaults."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = ", ".join(sorted(set(cfg) - set(spec)))
+    if unknown:
+        raise ValueError(f"{args.command} does not read config key(s) {unknown}")
     out = {}
     for key, (cast, default) in spec.items():
         flag_val = getattr(args, key, None)
@@ -309,21 +313,19 @@ def build_parser():
     s.set_defaults(func=cmd_train)
 
     s = subs.add_parser("encode", help="encode a database with a trained model")
-    _add_common(s)
     s.add_argument("--model", required=True)
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_encode)
 
     s = subs.add_parser("query", help="encode query samples with a trained model")
-    _add_common(s)
     s.add_argument("--model", required=True)
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_query)
 
     s = subs.add_parser("eval", help="retrieval metrics for a model on db/query sets")
-    _add_common(s)
+    s.add_argument("--config", help="flat key=value config file")
     s.add_argument("--model", required=True)
     s.add_argument("--db", required=True)
     s.add_argument("--queries", required=True)

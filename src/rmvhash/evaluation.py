@@ -81,27 +81,25 @@ def hash_lookup_precision(query_codes, db_codes, relevant, radius=2):
     Queries with empty balls contribute precision 0 and reduce coverage.
     Returns (mean, std, coverage, mean_over_nonempty).
     """
+    return _lookup_precision(hamming_distances(query_codes, db_codes), relevant, radius)
+
+
+def _ball_counts(dist, relevant, radius):
+    """Per query: items, and relevant items, within the Hamming radius."""
+    ball = dist <= radius
+    return np.count_nonzero(ball, axis=1), np.count_nonzero(relevant & ball, axis=1)
+
+
+def _lookup_precision(dist, relevant, radius):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    db_codes = np.asarray(db_codes)
-    if db_codes.shape[0] == 0:
+    if dist.shape[1] == 0:
         raise ValueError("database is empty")
-    dist = hamming_distances(query_codes, db_codes)
-    relevant = np.asarray(relevant, dtype=bool)
-    precisions = []
-    nonempty = []
-    for i in range(dist.shape[0]):
-        ball = dist[i] <= radius
-        hits = int(np.count_nonzero(ball))
-        if hits == 0:
-            precisions.append(0.0)
-        else:
-            p = float(np.count_nonzero(relevant[i] & ball)) / hits
-            precisions.append(p)
-            nonempty.append(p)
-    precisions = np.array(precisions)
-    coverage = len(nonempty) / len(precisions)
-    mean_nonempty = float(np.mean(nonempty)) if nonempty else 0.0
+    hits, rel_hits = _ball_counts(dist, np.asarray(relevant, dtype=bool), radius)
+    precisions = np.where(hits > 0, rel_hits / np.maximum(hits, 1), 0.0)
+    nonempty = precisions[hits > 0]
+    coverage = nonempty.size / precisions.size
+    mean_nonempty = float(np.mean(nonempty)) if nonempty.size else 0.0
     return float(precisions.mean()), float(precisions.std()), coverage, mean_nonempty
 
 
@@ -126,21 +124,20 @@ def ranked_indices(dist_row):
 def mean_average_precision(query_codes, db_codes, relevant, top_k=100):
     """MAP over the top_k Hamming-ranked items per query; each AP is
     normalized by the query's total neighbor count in the database."""
+    dist = hamming_distances(query_codes, db_codes)
+    return _mean_average_precision(dist, relevant, top_k)
+
+
+def _mean_average_precision(dist, relevant, top_k):
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
-    query_codes = np.asarray(query_codes)
-    if query_codes.shape[0] == 0:
+    if dist.shape[0] == 0:
         raise ValueError("query set is empty")
-    dist = hamming_distances(query_codes, db_codes)
     relevant = np.asarray(relevant, dtype=bool)
-    aps = []
-    for i in range(dist.shape[0]):
-        l_q = int(np.count_nonzero(relevant[i]))
-        if l_q == 0:
-            aps.append(0.0)
-            continue
-        order = ranked_indices(dist[i])[:top_k]
-        aps.append(average_precision(relevant[i][order], l_q))
+    aps = [
+        average_precision(rel[ranked_indices(row)[:top_k]], l_q) if l_q else 0.0
+        for row, rel, l_q in zip(dist, relevant, np.count_nonzero(relevant, axis=1))
+    ]
     return float(np.mean(aps))
 
 
@@ -149,40 +146,36 @@ def pr_curve(query_codes, db_codes, relevant):
 
     Radii with no retrieved item for any query get precision 0.
     """
-    query_codes = np.asarray(query_codes)
-    db_codes = np.asarray(db_codes)
-    if query_codes.shape[0] == 0 or db_codes.shape[0] == 0:
+    p = np.shape(query_codes)[1]
+    return _pr_curve(hamming_distances(query_codes, db_codes), relevant, p)
+
+
+def _pr_curve(dist, relevant, p):
+    if 0 in dist.shape:
         raise ValueError("query and database must be non-empty")
-    p = query_codes.shape[1]
-    dist = hamming_distances(query_codes, db_codes)
     relevant = np.asarray(relevant, dtype=bool)
+    l_q = np.count_nonzero(relevant, axis=1)
     curve = []
     for radius in range(p + 1):
-        precisions = []
-        recalls = []
-        for i in range(dist.shape[0]):
-            ball = dist[i] <= radius
-            hits = int(np.count_nonzero(ball))
-            rel_hits = int(np.count_nonzero(relevant[i] & ball))
-            l_q = int(np.count_nonzero(relevant[i]))
-            precisions.append(rel_hits / hits if hits else 0.0)
-            recalls.append(rel_hits / l_q if l_q else 0.0)
+        hits, rel_hits = _ball_counts(dist, relevant, radius)
+        precisions = np.where(hits > 0, rel_hits / np.maximum(hits, 1), 0.0)
+        recalls = np.where(l_q > 0, rel_hits / np.maximum(l_q, 1), 0.0)
         curve.append((float(np.mean(recalls)), float(np.mean(precisions))))
     return curve
 
 
 def evaluate(query_codes, db_codes, relevant, top_k=100, radius=2):
-    """Full report: MAP@top_k, radius lookup stats, PR curve."""
-    mean, std, coverage, mean_nonempty = hash_lookup_precision(
-        query_codes, db_codes, relevant, radius=radius
-    )
+    """Full report from one distance matrix: MAP@top_k, lookup stats, PR curve."""
+    dist = hamming_distances(query_codes, db_codes)
+    relevant = np.asarray(relevant, dtype=bool)
+    mean, std, coverage, mean_nonempty = _lookup_precision(dist, relevant, radius)
     return EvalReport(
-        map=mean_average_precision(query_codes, db_codes, relevant, top_k=top_k),
+        map=_mean_average_precision(dist, relevant, top_k),
         lookup_precision_mean=mean,
         lookup_precision_std=std,
         lookup_precision_nonempty=mean_nonempty,
         lookup_coverage=coverage,
-        pr_curve=pr_curve(query_codes, db_codes, relevant),
+        pr_curve=_pr_curve(dist, relevant, np.shape(query_codes)[1]),
         top_k=top_k,
         radius=radius,
     )

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError
@@ -121,25 +120,13 @@ def update_Wb(Khat, Y, delta):
     return W, b
 
 
-def _solve_view_codes(graph, Y, gamma, tol=1e-8, maxiter=500):
-    """Solve (2 L^(m) + gamma I) Y^(m) = gamma Y column by column with CG."""
-    n, p = Y.shape
-
-    def matvec(v):
-        return 2.0 * anchor_graph.laplacian_apply(graph, v) + gamma * v
-
-    op = spla.LinearOperator((n, n), matvec=matvec)
-    out = np.empty_like(Y)
-    for j in range(p):
-        rhs = gamma * Y[:, j]
-        x, info = spla.cg(op, rhs, rtol=tol, atol=0.0, maxiter=maxiter)
-        if info != 0:
-            resid = np.linalg.norm(matvec(x) - rhs)
-            raise NumericError(
-                f"code solve failed on column {j}: CG info={info}, residual={resid:.3e}"
-            )
-        out[:, j] = x
-    return out
+def _solve_view_codes(graph, Y, gamma):
+    """Solve (2 L^(m) + gamma I) Y^(m) = gamma Y exactly. With S = H H^T and
+    c = 2 + gamma, Woodbury gives (c I - 2 H H^T)^{-1} =
+    (I + H V diag(2 / (c - 2 sigma)) V^T H^T) / c."""
+    c = 2.0 + gamma
+    coef = (graph.V.T @ (graph.H.T @ Y)) * (2.0 / (c - 2.0 * graph.sigma))[:, None]
+    return (gamma / c) * (Y + graph.H @ (graph.V @ coef))
 
 
 def _orthogonalize(Y):
@@ -154,31 +141,42 @@ def _orthogonalize(Y):
 def update_codes(state, graphs, Khat, W, b, hp):
     """One sweep over the code blocks: per-view smoothing solves, consensus
     averaging against the regression output, optional orthogonalization."""
+    reg = Khat.T @ W + b
     if hp.gamma > 0:
         y_view = [_solve_view_codes(g, state.Y, hp.gamma) for g in graphs]
-    else:
-        y_view = [state.Y.copy() for _ in graphs]
-    reg = Khat.T @ W + b
-    m = len(graphs)
-    if hp.gamma > 0:
+        m = len(graphs)
         Y = (hp.gamma * np.sum(y_view, axis=0) + hp.beta * reg) / (hp.gamma * m + hp.beta)
     else:
+        y_view = [state.Y.copy() for _ in graphs]
         Y = reg.copy()
     if hp.orthogonalize:
         Y = _orthogonalize(Y)
     return CodeState(Y=Y, Y_view=y_view)
 
 
+def _recovery_penalty(Khat, E_list, hp):
+    """The nuclear and l21 terms, which stay fixed while the codes change."""
+    return (
+        hp.alpha * float(np.sum(np.linalg.svd(Khat, compute_uv=False))),
+        hp.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
+    )
+
+
 def objective(state, graphs, Khat, E_list, W, b, hp):
     """Full relaxed objective: graph smoothness + code consensus + nuclear
     and l21 recovery penalties + regression fit with ridge."""
+    penalty = _recovery_penalty(Khat, E_list, hp)
+    return _objective(state, graphs, Khat, W, b, hp, penalty)
+
+
+def _objective(state, graphs, Khat, W, b, hp, penalty):
     total = 0.0
     for g, yv in zip(graphs, state.Y_view):
         lap = anchor_graph.laplacian_apply(g, yv)
         total += 2.0 * float(np.sum(yv * lap))
         total += hp.gamma * float(np.sum((state.Y - yv) ** 2))
-    total += hp.alpha * float(np.sum(np.linalg.svd(Khat, compute_uv=False)))
-    total += hp.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list)
+    for term in penalty:
+        total += term
     resid = Khat.T @ W + b - state.Y
     total += hp.beta * (float(np.sum(resid ** 2)) + hp.delta * float(np.sum(W ** 2)))
     return total
@@ -190,12 +188,8 @@ def spectral_code_init(graphs, p, seed=0):
     seeded random orthonormal basis when the spectrum is too flat."""
     m = len(graphs)
     n = graphs[0].n_samples
-    blocks = [
-        (g.F @ sp.diags(1.0 / np.sqrt(g.lambda_diag))) / np.sqrt(m) for g in graphs
-    ]
-    H = sp.hstack(blocks, format="csr")
-    T = (H.T @ H).toarray()
-    evals, evecs = np.linalg.eigh(T)
+    H = sp.hstack([g.H / np.sqrt(m) for g in graphs], format="csr")
+    evals, evecs = np.linalg.eigh((H.T @ H).toarray())
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     good = evals > 1e-10 * evals[0]
@@ -267,12 +261,13 @@ def train(
     W = np.zeros((R, hp.P))
     b = np.zeros(hp.P)
 
+    penalty = _recovery_penalty(Khat, E_list, hp)
     prev_obj = None
     for it in range(1, hp.outer_iters + 1):
         t0 = time.perf_counter()
         W, b = update_Wb(Khat, state.Y, hp.delta)
         state = update_codes(state, graphs, Khat, W, b, hp)
-        obj = objective(state, graphs, Khat, E_list, W, b, hp)
+        obj = _objective(state, graphs, Khat, W, b, hp, penalty)
         diag.outer_iter_seconds.append(time.perf_counter() - t0)
         diag.objective_trace.append(obj)
         diag.outer_iterations = it

@@ -137,6 +137,16 @@ class TestApply:
         lap = anchor_graph.laplacian_apply(self.g, v)
         assert brute == pytest.approx(2.0 * np.sum(v * lap), abs=1e-10)
 
+    def test_spectral_factor(self):
+        H = self.g.H.toarray()
+        np.testing.assert_allclose(H @ H.T, self.S, atol=1e-12)
+        V, sigma = self.g.V, self.g.sigma
+        np.testing.assert_allclose(V @ np.diag(sigma) @ V.T, H.T @ H, atol=1e-12)
+        np.testing.assert_allclose(V.T @ V, np.eye(V.shape[0]), atol=1e-12)
+        assert sigma.min() >= 0.0 and sigma.max() <= 1.0
+        # the constant vector is an eigenvector of S with eigenvalue 1
+        assert sigma.max() == pytest.approx(1.0, abs=1e-12)
+
     def test_materialized_symmetric_doubly_stochastic(self):
         np.testing.assert_allclose(self.S, self.S.T, atol=1e-10)
         assert self.S.min() >= 0

@@ -149,6 +149,31 @@ class TestTrainArtifacts:
         assert snapshot["alpha"] == 0.25
         assert snapshot["outer_iters"] == 3
 
+    def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("bits=4\nalhpa=0.5\n")
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), "--config", str(cfg),
+        ]) == 1
+        assert "alhpa" in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["encode", "--seed", "1"],
+        ["encode", "--config", "f"],
+        ["query", "--config", "f"],
+        ["query", "--seed", "1"],
+        ["eval", "--seed", "1", "--db", "d", "--queries", "q", "--out-prefix", "r"],
+    ])
+    def test_ignored_flags_rejected(self, argv, capsys):
+        if argv[0] != "eval":
+            argv = [*argv, "--manifest", "m", "--out", "o"]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([*argv, "--model", "x.rmvm"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_cli_matches_library_defaults(self, workspace):
         model, _ = model_io.load_model(workspace / "model.rmvm")
         ds = dataset.load_dataset(workspace / "db" / "db.manifest")
@@ -201,6 +226,18 @@ class TestEncodeQueryEval:
         pr = (tmp_path / "run_pr.csv").read_text().splitlines()
         assert pr[0] == "radius,recall,precision"
         assert len(pr) == 1 + 9  # radii 0..8 for 8-bit codes
+
+    def test_eval_reads_config(self, workspace, tmp_path):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("top_k=7\nradius=1\n")
+        assert run([
+            "eval", "--model", str(workspace / "model.rmvm"),
+            "--db", str(workspace / "db" / "db.manifest"),
+            "--queries", str(workspace / "queries" / "q.manifest"),
+            "--out-prefix", str(tmp_path / "run"), "--config", str(cfg),
+        ]) == 0
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        assert (report["top_k"], report["radius"]) == (7, 1)
 
     def test_eval_dim_mismatch(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad"

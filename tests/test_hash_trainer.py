@@ -109,6 +109,26 @@ class TestUpdateCodes:
         after = hash_trainer.objective(out, graphs, Khat, E_list, W, b, hp)
         assert after <= before + 1e-8
 
+    def test_view_solves_exact_against_dense_operator(self):
+        rng = np.random.default_rng(12)
+        n, p, gamma = 1200, 8, 1e-4
+        graphs = []
+        for m in range(2):
+            view = rng.normal(size=(6, n))
+            lm = anchor_graph.select_graph_landmarks(view, 60, seed=m)
+            graphs.append(anchor_graph.build_truncated_affinity(view, lm, k=3))
+        Y = rng.normal(size=(n, p))
+        state = CodeState(Y=Y, Y_view=[Y.copy() for _ in graphs])
+        Khat = np.abs(rng.normal(size=(8, n)))
+        hp = HyperParams(P=p, gamma=gamma, orthogonalize=False)
+        out = hash_trainer.update_codes(
+            state, graphs, Khat, rng.normal(size=(8, p)), np.zeros(p), hp
+        )
+        for g, yv in zip(graphs, out.Y_view):
+            A = (2.0 + gamma) * np.eye(n) - 2.0 * anchor_graph.materialize(g)
+            resid = np.linalg.norm(A @ yv - gamma * Y) / np.linalg.norm(gamma * Y)
+            assert resid <= 1e-10
+
     def test_orthogonalized_codes_decorrelated(self):
         graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=8)
         hp = HyperParams(P=4, gamma=0.1)
