@@ -71,7 +71,6 @@ _TRAIN_FIELDS = {
     "graph_l": (GraphConfig, "L"),
     "graph_k": (GraphConfig, "k"),
     "kernel_r": (KernelSelectConfig, "R"),
-    "kernel_mode": (KernelSelectConfig, "mode"),
     "self_tuning_k": (KernelSelectConfig, "self_tuning_k"),
     "alm_tol": (ALMConfig, "tol"),
     "alm_max_iters": (ALMConfig, "max_iters"),
@@ -255,7 +254,7 @@ def cmd_eval(args):
 def cmd_inspect(args):
     model, snapshot = model_io.load_model(args.model)
     print(f"code length P: {model.code_length}")
-    print(f"kernel landmarks R: {model.landmarks.R} ({model.landmarks.mode})")
+    print(f"kernel landmarks R: {model.landmarks.R}")
     print(f"view dims: {[b.shape[1] for b in model.landmarks.blocks]}")
     print(f"sigmas: {[round(s, 6) for s in model.kernel_config.sigmas]}")
     print(f"sigma_concat: {model.kernel_config.sigma_concat:.6g}")

@@ -15,6 +15,9 @@ import scipy.sparse as sp
 from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError
 
+# Columns per kernel block in embed: 1024 x R float64 stays a few MB.
+_CHUNK = 1024
+
 
 @dataclass
 class HyperParams:
@@ -44,7 +47,6 @@ class GraphConfig:
 @dataclass
 class KernelSelectConfig:
     R: int | None = None        # None or 0: same as graph L
-    mode: str = "kmeans"
     self_tuning_k: int = 7
 
 
@@ -244,7 +246,7 @@ def train(
         )
         graphs.append(anchor_graph.build_truncated_affinity(view, landmarks, graph_cfg.k))
 
-    klm = kernel_sim.select_kernel_landmarks(ds, R, mode=kernel_cfg.mode, seed=seed)
+    klm = kernel_sim.select_kernel_landmarks(ds, R, seed=seed)
     kcfg = kernel_sim.tune_config(ds, klm, kernel_cfg.self_tuning_k)
     K_list = kernel_sim.build_view_kernels(ds, klm, kcfg)
 
@@ -300,21 +302,27 @@ def encode_database(model, Khat):
     return np.where(pre >= 0, 1, -1).astype(np.int8)
 
 
-def embed_query(model, x_views):
-    """Pre-sign projection W^T k(x_q) + b of one query."""
-    kvec = kernel_sim.query_kernel_vector(x_views, model.landmarks, model.kernel_config)
-    return model.W.T @ kvec + model.b
-
-
-def encode_query(model, x_views):
-    """Length-P binary code of one query, sign(0) = +1."""
-    pre = embed_query(model, x_views)
-    return np.where(pre >= 0, 1, -1).astype(np.int8)
+def embed(model, points):
+    """(n, P) pre-sign projections W^T k(x) + b of the columns of a (d, n)
+    block of concatenated points, with k(x) the RBF similarities to the
+    landmarks, built _CHUNK columns at a time so memory stays bounded."""
+    landmarks = model.landmarks.concatenated()
+    sigma = model.kernel_config.sigma_concat
+    out = np.empty((points.shape[1], model.code_length))
+    for start in range(0, points.shape[1], _CHUNK):
+        K = kernel_sim.build_kernel_matrix(points[:, start:start + _CHUNK], landmarks, sigma)
+        out[start:start + _CHUNK] = K.T @ model.W + model.b
+    return out
 
 
 def encode_queries(model, ds):
-    """Codes for every sample of a query dataset, one row per sample."""
-    codes = np.empty((ds.n_samples, model.code_length), dtype=np.int8)
-    for i in range(ds.n_samples):
-        codes[i] = encode_query(model, [v[:, i] for v in ds.views])
-    return codes
+    """(n, P) codes sign(W^T k(x) + b), sign(0) = +1, of every sample of ds."""
+    blocks = model.landmarks.blocks
+    if ds.n_views != len(blocks):
+        raise ValueError(f"dataset has {ds.n_views} views, expected {len(blocks)}")
+    for m, (v, z) in enumerate(zip(ds.views, blocks)):
+        if v.shape[0] != z.shape[1]:
+            raise ValueError(f"view {m}: dim {v.shape[0]} != landmark dim {z.shape[1]}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"view {m}: query has non-finite entries")
+    return np.where(embed(model, ds.concatenated()) >= 0, 1, -1).astype(np.int8)

@@ -4,7 +4,7 @@ A kernelized similarity matrix K^(m) is the rectangular R x N matrix of RBF
 similarities between R landmark objects and the N samples of view m.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class KernelLandmarks:
     """
 
     blocks: tuple            # M arrays, each (R, d_m)
-    mode: str = "kmeans"
 
     @property
     def R(self):
@@ -36,31 +35,16 @@ class KernelConfig:
     self_tuning_k: int = 7
 
 
-def select_kernel_landmarks(ds, R, mode="kmeans", seed=0, kmeans_iters=25):
-    """Pick R landmark objects from a dataset.
-
-    uniform-sample mode takes R training samples (all views of each);
-    kmeans mode clusters the concatenated feature space and splits the
-    centers back into per-view blocks.
-    """
+def select_kernel_landmarks(ds, R, seed=0, kmeans_iters=25):
+    """Pick R landmark objects from a dataset: k-means centers of the
+    concatenated feature space, split back into per-view blocks."""
     n = ds.n_samples
     if R > n:
         raise ValueError(f"cannot select {R} landmarks from {n} samples")
-    if mode in ("uniform", "uniform-sample"):
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, size=R, replace=False)
-        blocks = tuple(v[:, idx].T.copy() for v in ds.views)
-        return KernelLandmarks(blocks=blocks, mode="uniform-sample")
-    if mode == "kmeans":
-        concat = ds.concatenated().T                     # (N, d)
-        centers = core_math.kmeans(concat, R, max_iters=kmeans_iters, seed=seed).centers
-        blocks = []
-        offset = 0
-        for d in ds.dims:
-            blocks.append(centers[:, offset:offset + d].copy())
-            offset += d
-        return KernelLandmarks(blocks=tuple(blocks), mode="kmeans")
-    raise ValueError(f"unknown kernel landmark mode {mode!r}")
+    concat = ds.concatenated().T                     # (N, d)
+    centers = core_math.kmeans(concat, R, max_iters=kmeans_iters, seed=seed).centers
+    blocks = np.split(centers, np.cumsum(ds.dims)[:-1], axis=1)
+    return KernelLandmarks(blocks=tuple(b.copy() for b in blocks))
 
 
 def _dists(points, landmarks):
@@ -115,21 +99,3 @@ def build_view_kernels(ds, landmarks, cfg):
         build_kernel_matrix(v, z, s)
         for v, z, s in zip(ds.views, landmarks.blocks, cfg.sigmas)
     ]
-
-
-def query_kernel_vector(x_views, landmarks, cfg):
-    """Length-R kernel vector for one query given as a list of M view vectors:
-    the RBF over the concatenated feature space with sigma_concat."""
-    if len(x_views) != len(landmarks.blocks):
-        raise ValueError(
-            f"query has {len(x_views)} views, expected {len(landmarks.blocks)}"
-        )
-    x_views = [np.asarray(x, dtype=float).ravel() for x in x_views]
-    for m, (x, z) in enumerate(zip(x_views, landmarks.blocks)):
-        if x.size != z.shape[1]:
-            raise ValueError(f"view {m}: query dim {x.size} != landmark dim {z.shape[1]}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError(f"view {m}: query has non-finite entries")
-    x = np.concatenate(x_views)
-    d2 = np.sum((landmarks.concatenated() - x) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * cfg.sigma_concat ** 2))

@@ -9,6 +9,7 @@ everything before it).
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -22,6 +23,26 @@ FORMAT_VERSION = 1
 
 class ModelFileError(ValueError):
     """Raised for corrupt, truncated, or incompatible model files."""
+
+
+# The JSON type of each metadata key load_model reads; others are ignored.
+_META_TYPES = dict(
+    n_views=int, sigmas=list, sigma_concat=float, self_tuning_k=int, has_base_set=bool,
+    base_k_oos=int, base_sigma=float, model_meta=dict, config=dict,
+)
+
+
+def _check_meta(meta, path):
+    if not isinstance(meta, dict):
+        raise ModelFileError(f"{path}: metadata is not a JSON object")
+    for key, kind in _META_TYPES.items():
+        if type(meta.get(key)) is not kind:
+            raise ModelFileError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
+    sigmas = meta["sigmas"] + [meta["sigma_concat"]]
+    if meta["n_views"] < 1 or len(sigmas) != meta["n_views"] + 1 or not all(
+        type(s) is float and 0 < s < math.inf for s in sigmas
+    ):
+        raise ModelFileError(f"{path}: metadata needs one positive finite sigma per view")
 
 
 def _pack_matrix(arr):
@@ -44,7 +65,10 @@ class _Reader:
     def matrix(self):
         rows, cols = struct.unpack("<QQ", self.take(16))
         data = self.take(rows * cols * 8)
-        return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+        try:
+            return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
+        except ValueError as exc:     # a dimension numpy cannot represent
+            raise ModelFileError(f"bad matrix shape ({rows}, {cols})") from exc
 
 
 def save_model(model, path, config_snapshot=None):
@@ -53,7 +77,6 @@ def save_model(model, path, config_snapshot=None):
         "sigmas": list(model.kernel_config.sigmas),
         "sigma_concat": model.kernel_config.sigma_concat,
         "self_tuning_k": model.kernel_config.self_tuning_k,
-        "landmark_mode": model.landmarks.mode,
         "n_views": len(model.landmarks.blocks),
         "has_base_set": model.base_set is not None,
         "base_k_oos": model.base_set.k_oos if model.base_set is not None else 0,
@@ -94,7 +117,11 @@ def load_model(path):
             f"version {FORMAT_VERSION}"
         )
     (blob_len,) = struct.unpack("<Q", r.take(8))
-    meta = json.loads(r.take(blob_len).decode("utf-8"))
+    try:
+        meta = json.loads(r.take(blob_len).decode("utf-8"))
+    except ValueError as exc:     # JSONDecodeError and UnicodeDecodeError
+        raise ModelFileError(f"{path}: metadata is not UTF-8 JSON: {exc}") from exc
+    _check_meta(meta, path)
     if meta.get("query_mode", "concat") != "concat":
         raise ModelFileError(
             f"{path}: query mode {meta['query_mode']!r} is no longer supported; "
@@ -103,7 +130,9 @@ def load_model(path):
     W = r.matrix()
     b = r.matrix().ravel()
     blocks = tuple(r.matrix() for _ in range(meta["n_views"]))
-    landmarks = kernel_sim.KernelLandmarks(blocks=blocks, mode=meta["landmark_mode"])
+    if b.shape != (W.shape[1],) or any(z.shape[0] != W.shape[0] for z in blocks):
+        raise ModelFileError(f"{path}: W, b and landmark shapes disagree")
+    landmarks = kernel_sim.KernelLandmarks(blocks=blocks)
     kcfg = kernel_sim.KernelConfig(
         sigmas=tuple(meta["sigmas"]),
         sigma_concat=meta["sigma_concat"],

@@ -33,7 +33,7 @@ def _center_bandwidth(centers, k_st=7):
 
 def build_base_set(ds, model, Z, seed=0, k_oos=25, kmeans_iters=25):
     """Cluster the concatenated features into Z centers and store each
-    center's pre-sign projection through the model's query kernel path."""
+    center's pre-sign projection through the model's kernel map."""
     from . import hash_trainer  # local import: model embedding path
 
     n = ds.n_samples
@@ -44,15 +44,9 @@ def build_base_set(ds, model, Z, seed=0, k_oos=25, kmeans_iters=25):
         centers = concat.copy()
     else:
         centers = core_math.kmeans(concat, Z, max_iters=kmeans_iters, seed=seed).centers
-    dims = ds.dims
-    offsets = np.cumsum((0,) + dims)
-    embeddings = np.empty((Z, model.W.shape[1]))
-    for j in range(Z):
-        x_views = [centers[j, offsets[m]:offsets[m + 1]] for m in range(len(dims))]
-        embeddings[j] = hash_trainer.embed_query(model, x_views)
     return BaseSet(
         centers=centers,
-        embeddings=embeddings,
+        embeddings=hash_trainer.embed(model, centers.T),
         sigma=_center_bandwidth(centers),
         k_oos=min(k_oos, Z),
     )
@@ -60,6 +54,8 @@ def build_base_set(ds, model, Z, seed=0, k_oos=25, kmeans_iters=25):
 
 def _weighted_embed(x_q, points, embeddings, k, sigma):
     x_q = np.asarray(x_q, dtype=float).ravel()
+    if not np.all(np.isfinite(x_q)):
+        raise ValueError("query has non-finite entries")
     d2 = np.sum((points - x_q) ** 2, axis=1)
     order = np.argsort(d2, kind="stable")[:k]
     w = np.exp(-d2[order] / sigma ** 2)

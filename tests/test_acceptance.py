@@ -219,6 +219,7 @@ def _benchmark_run(seed, recovery):
     return mapk, db, queries, model, rel
 
 
+@pytest.mark.slow
 def test_criterion_6_robustness_ablation():
     wins = 0
     both_beat_random = 0
@@ -248,6 +249,7 @@ def _scaling_per_iter(n, seed):
     return float(np.median(diag.outer_iter_seconds))
 
 
+@pytest.mark.slow
 def test_criterion_7_linear_scaling():
     t_small = np.median([_scaling_per_iter(10000, s) for s in range(5)])
     t_large = np.median([_scaling_per_iter(20000, s) for s in range(5)])

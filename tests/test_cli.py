@@ -292,6 +292,28 @@ class TestEncodeQueryEval:
             encode_codes(workspace, workspace / "model.rmvm", tmp_path / "new.mvh"),
         )
 
+    def test_older_uniform_landmark_model_still_encodes(self, workspace, tmp_path, capsys):
+        # models written before the kernel-landmark mode was removed record
+        # it; the landmarks themselves are stored, so codes do not change
+        def add_mode(meta):
+            meta["landmark_mode"] = "uniform-sample"
+            meta["config"]["kernel_mode"] = "uniform-sample"
+
+        old = rewrite_meta(workspace / "model.rmvm", tmp_path / "old.rmvm", add_mode)
+        np.testing.assert_array_equal(
+            encode_codes(workspace, old, tmp_path / "old.mvh"),
+            encode_codes(workspace, workspace / "model.rmvm", tmp_path / "new.mvh"),
+        )
+        q = str(workspace / "queries" / "q.manifest")
+        for name, path in (("old", old), ("new", workspace / "model.rmvm")):
+            assert run(["query", "--model", str(path), "--manifest", q,
+                        "--out", str(tmp_path / f"q_{name}.mvh")]) == 0
+        np.testing.assert_array_equal(
+            dataset.load_view(tmp_path / "q_old.mvh"), dataset.load_view(tmp_path / "q_new.mvh")
+        )
+        assert run(["inspect", "--model", str(old)]) == 0
+        assert "kernel landmarks R: 12\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("key, value", [
         ("constraint_mode", "simplex"),
         ("shrink_mode", "elementwise"),

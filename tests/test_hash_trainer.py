@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rmvhash import anchor_graph, dataset, hash_trainer
+from rmvhash import anchor_graph, dataset, hash_trainer, kernel_sim
+from rmvhash.dataset import MultiViewDataset
 from rmvhash.hash_trainer import (
     CodeState,
     GraphConfig,
@@ -267,11 +268,10 @@ class TestEncoding:
             ds, HyperParams(P=8, outer_iters=5), seed=0, **small_train_kwargs()
         )
         rng = np.random.default_rng(16)
-        for _ in range(20):
-            x_views = [rng.normal(size=d) for d in ds.dims]
-            code = hash_trainer.encode_query(model, x_views)
-            assert code.shape == (8,)
-            assert set(np.unique(code)) <= {-1, 1}
+        queries = MultiViewDataset(views=tuple(rng.normal(size=(d, 20)) for d in ds.dims))
+        codes = hash_trainer.encode_queries(model, queries)
+        assert codes.shape == (20, 8)
+        assert set(np.unique(codes)) <= {-1, 1}
 
     def test_shape_mismatch_rejected(self):
         model = hash_trainer.HashModel(
@@ -279,3 +279,64 @@ class TestEncoding:
         )
         with pytest.raises(ValueError):
             hash_trainer.encode_database(model, np.zeros((6, 10)))
+
+
+class TestEncodeQueries:
+    """encode_queries and embed against a model whose kernel landmarks are
+    sample columns of a random dataset, with random W and b."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(17)
+        self.ds = MultiViewDataset(views=(rng.normal(size=(4, 60)), rng.normal(size=(5, 60))))
+        lm = kernel_sim.KernelLandmarks(
+            blocks=tuple(v[:, :12].T.copy() for v in self.ds.views)
+        )
+        cfg = kernel_sim.tune_config(self.ds, lm, self_tuning_k=3)
+        self.model = hash_trainer.HashModel(
+            W=rng.normal(size=(12, 6)), b=rng.normal(size=6) * 0.1,
+            landmarks=lm, kernel_config=cfg,
+        )
+
+    def test_matches_per_item_oracle(self):
+        Z = self.model.landmarks.concatenated()
+        sigma = self.model.kernel_config.sigma_concat
+        codes = hash_trainer.encode_queries(self.model, self.ds)
+        for i, x in enumerate(self.ds.concatenated().T):
+            k = np.exp(-np.sum((Z - x) ** 2, axis=1) / (2.0 * sigma ** 2))
+            pre = self.model.W.T @ k + self.model.b
+            np.testing.assert_array_equal(codes[i], np.where(pre >= 0, 1, -1))
+
+    def test_subset_rows_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(hash_trainer, "_CHUNK", 7)
+        full = hash_trainer.encode_queries(self.model, self.ds)
+        idx = np.random.default_rng(18).permutation(60)[:23]
+        np.testing.assert_array_equal(
+            hash_trainer.encode_queries(self.model, self.ds.subset(idx)), full[idx]
+        )
+
+    def test_landmark_peaks(self):
+        # with W = I and b = 0 the projection is the kernel vector itself
+        model = hash_trainer.HashModel(
+            W=np.eye(12), b=np.zeros(12),
+            landmarks=self.model.landmarks, kernel_config=self.model.kernel_config,
+        )
+        v = hash_trainer.embed(model, self.model.landmarks.concatenated()[2][:, None])[0]
+        assert v[2] == pytest.approx(1.0)
+        assert np.argmax(v) == 2
+        assert np.all(np.delete(v, 2) < 1.0)
+
+    def test_missing_view_rejected(self):
+        with pytest.raises(ValueError, match="1 views, expected 2"):
+            hash_trainer.encode_queries(self.model, MultiViewDataset(views=(self.ds.views[0],)))
+
+    def test_wrong_view_dim_rejected(self):
+        ds = MultiViewDataset(views=(self.ds.views[0], self.ds.views[1][:4]))
+        with pytest.raises(ValueError, match="view 1"):
+            hash_trainer.encode_queries(self.model, ds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        views = [v.copy() for v in self.ds.views]
+        views[1][2, 5] = bad
+        with pytest.raises(ValueError, match="view 1"):
+            hash_trainer.encode_queries(self.model, MultiViewDataset(views=tuple(views)))

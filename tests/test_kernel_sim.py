@@ -11,25 +11,16 @@ def make_ds(seed=0, dims=(6, 9), n=30):
 
 
 class TestSelectKernelLandmarks:
-    def test_uniform_full_is_permutation(self):
-        ds = make_ds(seed=1, n=12)
-        lm = kernel_sim.select_kernel_landmarks(ds, 12, mode="uniform", seed=0)
-        concat = np.hstack(lm.blocks)
-        data = ds.concatenated().T
-        np.testing.assert_allclose(
-            concat[np.lexsort(concat.T)], data[np.lexsort(data.T)]
-        )
-
     def test_block_shapes(self):
         ds = make_ds(seed=2, dims=(4, 7, 3), n=50)
-        lm = kernel_sim.select_kernel_landmarks(ds, 10, mode="kmeans", seed=1)
+        lm = kernel_sim.select_kernel_landmarks(ds, 10, seed=1)
         assert lm.R == 10
         assert tuple(b.shape for b in lm.blocks) == ((10, 4), (10, 7), (10, 3))
 
     def test_deterministic(self):
         ds = make_ds(seed=3, n=40)
-        a = kernel_sim.select_kernel_landmarks(ds, 8, mode="kmeans", seed=5)
-        b = kernel_sim.select_kernel_landmarks(ds, 8, mode="kmeans", seed=5)
+        a = kernel_sim.select_kernel_landmarks(ds, 8, seed=5)
+        b = kernel_sim.select_kernel_landmarks(ds, 8, seed=5)
         for ba, bb in zip(a.blocks, b.blocks):
             np.testing.assert_array_equal(ba, bb)
 
@@ -101,37 +92,10 @@ class TestBuildKernelMatrix:
             kernel_sim.build_kernel_matrix(np.zeros((3, 5)), np.zeros((2, 4)), 1.0)
 
 
-class TestQueryKernelVector:
-    def setup_method(self):
-        self.ds = make_ds(seed=7, dims=(4, 5), n=20)
-        self.lm = kernel_sim.select_kernel_landmarks(
-            self.ds, 6, mode="uniform", seed=2
-        )
-        self.cfg = kernel_sim.tune_config(self.ds, self.lm, self_tuning_k=3)
-
-    def test_concat_landmark_query_peaks(self):
-        x_views = [b[2] for b in self.lm.blocks]
-        v = kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg)
-        assert v[2] == pytest.approx(1.0)
-        assert np.argmax(v) == 2
-        assert np.all(np.delete(v, 2) < 1.0)
-
-    def test_missing_view_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_sim.query_kernel_vector([np.zeros(4)], self.lm, self.cfg)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_query_rejected(self, bad):
-        x_views = [b[0].copy() for b in self.lm.blocks]
-        x_views[1][2] = bad
-        with pytest.raises(ValueError, match="view 1"):
-            kernel_sim.query_kernel_vector(x_views, self.lm, self.cfg)
-
-
 class TestInvariants:
     def test_column_permutation_equivariance(self):
         ds = make_ds(seed=8, n=15)
-        lm = kernel_sim.select_kernel_landmarks(ds, 5, mode="uniform", seed=0)
+        lm = kernel_sim.KernelLandmarks(blocks=tuple(v[:, ::3].T.copy() for v in ds.views))
         cfg = kernel_sim.tune_config(ds, lm, self_tuning_k=2)
         K = kernel_sim.build_kernel_matrix(ds.views[0], lm.blocks[0], cfg.sigmas[0])
         perm = np.random.default_rng(9).permutation(15)
@@ -142,7 +106,7 @@ class TestInvariants:
 
     def test_stored_sum_consistency(self):
         ds = make_ds(seed=10, dims=(3, 4, 5), n=25)
-        lm = kernel_sim.select_kernel_landmarks(ds, 7, mode="kmeans", seed=3)
+        lm = kernel_sim.select_kernel_landmarks(ds, 7, seed=3)
         cfg = kernel_sim.tune_config(ds, lm)
         K_list = kernel_sim.build_view_kernels(ds, lm, cfg)
         total = sum(K_list)

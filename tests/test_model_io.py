@@ -1,7 +1,11 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmvhash import dataset, hash_trainer, model_io
 from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
@@ -49,10 +53,9 @@ class TestRoundTrip:
             hash_trainer.encode_database(back, Khat),
             hash_trainer.encode_database(model, Khat),
         )
-        x_views = [v[:, 3] for v in ds.views]
         np.testing.assert_array_equal(
-            hash_trainer.encode_query(back, x_views),
-            hash_trainer.encode_query(model, x_views),
+            hash_trainer.encode_queries(back, ds),
+            hash_trainer.encode_queries(model, ds),
         )
 
     def test_save_is_deterministic(self, tmp_path):
@@ -115,3 +118,137 @@ class TestCorruption:
         path.write_bytes(b"RM")
         with pytest.raises(ModelFileError, match="short"):
             model_io.load_model(path)
+
+
+def resum(body):
+    return body + hashlib.sha256(body).digest()[:8]
+
+
+def with_meta_blob(raw, blob):
+    """raw with its metadata replaced by blob, re-checksummed."""
+    body = raw[:-8]
+    (n,) = struct.unpack("<Q", body[8:16])
+    return resum(body[:8] + struct.pack("<Q", len(blob)) + blob + body[16 + n:])
+
+
+def edit_meta(raw, edit):
+    """raw with its metadata replaced by edit(metadata), re-checksummed."""
+    body = raw[:-8]
+    (n,) = struct.unpack("<Q", body[8:16])
+    meta = edit(json.loads(body[16:16 + n]))
+    return with_meta_blob(raw, json.dumps(meta).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """(bytes of a valid model file, a path to write variants to)."""
+    _, model, _ = trained(seed=8)
+    path = tmp_path_factory.mktemp("fuzz") / "m.rmvm"
+    model_io.save_model(model, path, config_snapshot={"bits": 8})
+    return path.read_bytes(), path
+
+
+def loads_or_rejects(path, data):
+    """A variant either loads or raises ModelFileError, nothing else."""
+    path.write_bytes(data)
+    try:
+        model_io.load_model(path)
+    except ModelFileError:
+        pass
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+META_KEYS = st.sampled_from([
+    "n_views", "sigmas", "sigma_concat", "self_tuning_k", "has_base_set",
+    "base_k_oos", "base_sigma", "model_meta", "config", "query_mode",
+])
+
+
+class TestMalformedMetadata:
+    @pytest.mark.parametrize("edit", [
+        lambda m: {k: v for k, v in m.items() if k != "n_views"},
+        lambda m: {**m, "n_views": "2"},
+        lambda m: {**m, "n_views": True},
+        lambda m: {**m, "n_views": 0, "sigmas": []},
+        lambda m: {**m, "sigmas": m["sigmas"][:1]},
+        lambda m: {**m, "sigma_concat": -1.0},
+        lambda m: list(m),
+        lambda m: None,
+    ], ids=[
+        "no-n_views", "str-n_views", "bool-n_views", "zero-views", "short-sigmas",
+        "negative-sigma", "list", "null",
+    ])
+    def test_rejected(self, model_file, edit):
+        raw, path = model_file
+        path.write_bytes(edit_meta(raw, edit))
+        with pytest.raises(ModelFileError, match="metadata"):
+            model_io.load_model(path)
+
+    @pytest.mark.parametrize("blob", [b"{", b"\xff\xfe", b""], ids=["open", "not-utf8", "empty"])
+    def test_not_json_rejected(self, model_file, blob):
+        raw, path = model_file
+        path.write_bytes(with_meta_blob(raw, blob))
+        with pytest.raises(ModelFileError, match="JSON"):
+            model_io.load_model(path)
+
+    def test_zero_row_matrix_with_huge_width_rejected(self, model_file):
+        raw, path = model_file
+        body = bytearray(raw[:-8])
+        (n,) = struct.unpack("<Q", body[8:16])
+        body[16 + n:32 + n] = struct.pack("<QQ", 0, 2 ** 62)   # W's header
+        path.write_bytes(resum(bytes(body)))
+        with pytest.raises(ModelFileError):
+            model_io.load_model(path)
+
+    def test_landmark_rows_must_match_w(self, model_file):
+        raw, path = model_file
+        # a third view reads the base-set centres as its landmark block
+        path.write_bytes(edit_meta(
+            raw, lambda m: {**m, "n_views": 3, "sigmas": m["sigmas"] + m["sigmas"][:1]}
+        ))
+        with pytest.raises(ModelFileError, match="shapes"):
+            model_io.load_model(path)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(key=META_KEYS, value=JSON, delete=st.booleans())
+    def test_metadata_value(self, model_file, key, value, delete):
+        raw, path = model_file
+
+        def edit(meta):
+            if delete:
+                meta.pop(key, None)
+            else:
+                meta[key] = value
+            return meta
+
+        loads_or_rejects(path, edit_meta(raw, edit))
+
+    @settings(max_examples=100, deadline=None)
+    @given(meta=JSON, blob=st.binary(max_size=40), raw_blob=st.booleans())
+    def test_whole_metadata(self, model_file, meta, blob, raw_blob):
+        raw, path = model_file
+        new = blob if raw_blob else json.dumps(meta).encode("utf-8")
+        loads_or_rejects(path, with_meta_blob(raw, new))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), recheck=st.booleans())
+    def test_truncated_or_flipped(self, model_file, data, recheck):
+        raw, path = model_file
+        body = bytearray(raw[:-8])
+        if data.draw(st.booleans(), label="truncate"):
+            body = body[:data.draw(st.integers(0, len(body) - 1), label="length")]
+        else:
+            flips = data.draw(st.lists(
+                st.tuples(st.integers(0, len(body) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4,
+            ), label="flips")
+            for pos, mask in flips:
+                body[pos] ^= mask
+        out = resum(bytes(body)) if recheck else bytes(body) + raw[-8:]
+        loads_or_rejects(path, out)

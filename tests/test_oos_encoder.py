@@ -62,6 +62,15 @@ class TestInductiveEmbed:
             assert np.all(out >= Y.min(axis=0) - 1e-12)
             assert np.all(out <= Y.max(axis=0) + 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        X = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        base = oos_encoder.BaseSet(centers=X, embeddings=np.eye(2), sigma=1.0, k_oos=2)
+        with pytest.raises(ValueError, match="non-finite"):
+            oos_encoder.inductive_embed([bad, 0.0], X, np.eye(2), k=2, sigma=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            oos_encoder.prototype_encode([0.0, bad], base)
+
     def test_bad_arguments(self):
         X = np.zeros((3, 2))
         Y = np.zeros((3, 1))
@@ -89,9 +98,9 @@ class TestBaseSet:
         x_views = [v[:, i] for v in ds.views]
         concat = np.concatenate(x_views)
         j = int(np.argmin(np.sum((base.centers - concat) ** 2, axis=1)))
-        np.testing.assert_allclose(
-            base.embeddings[j], hash_trainer.embed_query(model, x_views), atol=1e-10
-        )
+        Z = model.landmarks.concatenated()
+        k = np.exp(-np.sum((Z - concat) ** 2, axis=1) / (2.0 * model.kernel_config.sigma_concat ** 2))
+        np.testing.assert_allclose(base.embeddings[j], model.W.T @ k + model.b, atol=1e-10)
 
     def test_too_many_centers_rejected(self):
         ds, model, _, _ = trained_model(seed=5)
