@@ -92,14 +92,6 @@ _TRAIN_SPEC = {key: _field_spec(*target) for key, target in _TRAIN_FIELDS.items(
 _TRAIN_SPEC["seed"] = (int, _TRAIN_ARGS["seed"].default)
 _TRAIN_SPEC["no_recovery"] = (bool, not _TRAIN_ARGS["recovery"].default)
 
-# Switches older models may have been trained with, at the value this version
-# still implements.
-_REMOVED_SWITCHES = {
-    "constraint_mode": "nonneg",
-    "shrink_mode": "column-l21",
-    "query_mode": "concat",
-}
-
 
 def _train_configs(p):
     """HyperParams, ALMConfig, GraphConfig, KernelSelectConfig and OosConfig
@@ -116,14 +108,7 @@ def _train_configs(p):
 
 
 def _trained_values(snapshot):
-    """The training values stored with a model, with defaults for keys an
-    older snapshot lacks. Rejects a removed switch at a non-default value."""
-    for key, kept in _REMOVED_SWITCHES.items():
-        if snapshot.get(key, kept) != kept:
-            raise ValueError(
-                f"model was trained with {key}={snapshot[key]}, which is no "
-                "longer supported; retrain it"
-            )
+    """The training values stored with a model, defaulting keys it lacks."""
     return {
         key: snapshot.get(key, default) for key, (_, default) in _TRAIN_SPEC.items()
     }
@@ -257,7 +242,6 @@ def cmd_inspect(args):
     print(f"kernel landmarks R: {model.landmarks.R}")
     print(f"view dims: {[b.shape[1] for b in model.landmarks.blocks]}")
     print(f"sigmas: {[round(s, 6) for s in model.kernel_config.sigmas]}")
-    print(f"sigma_concat: {model.kernel_config.sigma_concat:.6g}")
     if model.base_set is not None:
         print(f"base set: Z={model.base_set.Z}, k_oos={model.base_set.k_oos}")
     print(f"meta: {model.meta}")

@@ -11,6 +11,12 @@ class NumericError(RuntimeError):
 
 def svt(mtx, tau):
     """Singular value thresholding: U S_tau(Sigma) V^T, the prox of tau*||.||_*."""
+    return svt_with_basis(mtx, tau)[0]
+
+
+def svt_with_basis(mtx, tau):
+    """svt(mtx, tau) and the columns of U with nonzero S_tau(Sigma), an
+    orthonormal basis of its column space, from one SVD."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     mtx = np.asarray(mtx, dtype=float)
@@ -21,7 +27,7 @@ def svt(mtx, tau):
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"SVD did not converge on a {mtx.shape} matrix: {exc}") from exc
     s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt
+    return (u * s) @ vt, u[:, s > 0]
 
 
 def col_l21_prox(c, kappa):

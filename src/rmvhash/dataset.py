@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,20 +108,27 @@ def save_view(path, view):
 
 
 def load_view(path):
+    """Read one MVH1 view; raises DatasetFormatError unless the file holds
+    exactly the header's rows x cols values, with at least one row."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"view file not found: {path}")
-    with _opener(path, "rb") as f:
-        magic = f.read(4)
-        if magic != MAGIC:
-            raise DatasetFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        header = f.read(16)
-        if len(header) != 16:
-            raise DatasetFormatError(f"{path}: truncated header")
-        rows, cols = struct.unpack("<QQ", header)
-        payload = f.read(rows * cols * 4)
-        if len(payload) != rows * cols * 4:
-            raise DatasetFormatError(f"{path}: truncated payload")
+    try:
+        with _opener(path, "rb") as f:
+            raw = f.read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DatasetFormatError(f"{path}: corrupt compressed file: {exc}") from exc
+    if raw[:4] != MAGIC:
+        raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < 20:
+        raise DatasetFormatError(f"{path}: truncated header")
+    rows, cols = struct.unpack("<QQ", raw[4:20])
+    payload, need = raw[20:], rows * cols * 4
+    if rows < 1:
+        raise DatasetFormatError(f"{path}: header claims no rows")
+    if len(payload) != need:
+        kind = "truncated payload" if len(payload) < need else "trailing bytes"
+        raise DatasetFormatError(f"{path}: {kind}, {len(payload)} bytes for {rows} x {cols}")
     view = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
     bad = np.argwhere(~np.isfinite(view))
     if bad.size:
@@ -151,10 +159,14 @@ def save_dataset(ds, out_dir, name=None):
 def load_dataset(manifest_path):
     """Load a dataset from a manifest of view files (see save_dataset)."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
+    try:
+        text = manifest_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"{manifest_path}: not UTF-8 text: {exc}") from exc
     kv = {}
-    for line in manifest_path.read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -173,9 +185,12 @@ def load_dataset(manifest_path):
     labels = None
     if "labels" in kv:
         lpath = base / kv["labels"]
-        if not lpath.exists():
+        if not lpath.is_file():
             raise FileNotFoundError(f"label file not found: {lpath}")
-        labels = np.array([int(x) for x in lpath.read_text().split()])
+        try:
+            labels = np.array([int(x) for x in lpath.read_bytes().split()])
+        except ValueError as exc:
+            raise DatasetFormatError(f"{lpath}: labels must be integers: {exc}") from exc
     n = views[0].shape[1]
     for m, v in enumerate(views):
         if v.shape[1] != n:

@@ -61,9 +61,6 @@ class CodeState:
     Y: np.ndarray               # (N, P) relaxed consensus codes
     Y_view: list                # M arrays (N, P)
 
-    def binary_codes(self):
-        return np.where(self.Y >= 0, 1, -1).astype(np.int8)
-
 
 @dataclass
 class HashModel:
@@ -185,9 +182,11 @@ def _objective(state, graphs, Khat, W, b, hp, penalty):
 
 
 def spectral_code_init(graphs, p, seed=0):
-    """Warm-start codes from the top eigenvectors of the averaged anchor
+    """Warm-start codes spanning the top eigenvectors of the averaged anchor
     adjacency, computed through the reduced L x L factor; falls back to a
-    seeded random orthonormal basis when the spectrum is too flat."""
+    seeded random orthonormal basis when the spectrum is too flat. The top
+    eigenvalues are degenerate, so the codes are rotated to the canonical basis
+    Y Q_c of their span, Q_c the sign-fixed QR factor of Y^T G, G seeded."""
     m = len(graphs)
     n = graphs[0].n_samples
     H = sp.hstack([g.H / np.sqrt(m) for g in graphs], format="csr")
@@ -201,8 +200,9 @@ def spectral_code_init(graphs, p, seed=0):
         return q * np.sqrt(n)
     U = H @ evecs[:, :p]
     U /= np.sqrt(evals[:p])
-    norms = np.linalg.norm(U, axis=0)
-    return U / norms * np.sqrt(n)
+    Y = U / np.linalg.norm(U, axis=0) * np.sqrt(n)
+    q, r = np.linalg.qr(Y.T @ np.random.default_rng(seed).normal(size=(n, p)))
+    return Y @ (q * np.where(np.diag(r) < 0, -1.0, 1.0))
 
 
 def mean_kernel_baseline(K_list):
@@ -226,7 +226,9 @@ def train(
     Builds per-view anchor graphs and kernelized similarities, recovers the
     consensus Khat by inexact ALM (or the plain view average when recovery is
     off), then alternates the closed-form (W, b) solve with the code sweep
-    until the relative objective change drops below hp.outer_tol.
+    until the relative objective change drops below hp.outer_tol. With
+    recovery, W is finally projected onto the column space U of the ALM's
+    low-rank Q, W <- U U^T W, so the served map is the recovered latent kernel.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
@@ -277,6 +279,8 @@ def train(
             diag.converged = True
             break
         prev_obj = obj
+    if recovery:
+        W = alm_diag.U @ (alm_diag.U.T @ W)
 
     model = HashModel(
         W=W,
@@ -304,13 +308,16 @@ def encode_database(model, Khat):
 
 def embed(model, points):
     """(n, P) pre-sign projections W^T k(x) + b of the columns of a (d, n)
-    block of concatenated points, with k(x) the RBF similarities to the
-    landmarks, built _CHUNK columns at a time so memory stays bounded."""
-    landmarks = model.landmarks.concatenated()
-    sigma = model.kernel_config.sigma_concat
+    block of concatenated points, k(x) the mean over views of the kernel vectors
+    that Khat is recovered from, built _CHUNK columns at a time."""
+    blocks = model.landmarks.blocks
+    views = np.split(points, np.cumsum([z.shape[1] for z in blocks])[:-1])
     out = np.empty((points.shape[1], model.code_length))
     for start in range(0, points.shape[1], _CHUNK):
-        K = kernel_sim.build_kernel_matrix(points[:, start:start + _CHUNK], landmarks, sigma)
+        K = sum(
+            kernel_sim.build_kernel_matrix(v[:, start:start + _CHUNK], z, s)
+            for v, z, s in zip(views, blocks, model.kernel_config.sigmas)
+        ) / len(blocks)
         out[start:start + _CHUNK] = K.T @ model.W + model.b
     return out
 

@@ -24,14 +24,10 @@ class KernelLandmarks:
     def R(self):
         return self.blocks[0].shape[0]
 
-    def concatenated(self):
-        return np.hstack(self.blocks)
-
 
 @dataclass
 class KernelConfig:
     sigmas: tuple = ()            # one per view
-    sigma_concat: float = 0.0
     self_tuning_k: int = 7
 
 
@@ -80,17 +76,12 @@ def build_kernel_matrix(view, z_view, sigma):
 
 
 def tune_config(ds, landmarks, self_tuning_k=7):
-    """Per-view self-tuned bandwidths plus a concatenated-space bandwidth."""
+    """Per-view self-tuned bandwidths."""
     sigmas = tuple(
         self_tuning_sigma(v, z, self_tuning_k)
         for v, z in zip(ds.views, landmarks.blocks)
     )
-    sigma_concat = self_tuning_sigma(
-        ds.concatenated(), landmarks.concatenated(), self_tuning_k
-    )
-    return KernelConfig(
-        sigmas=sigmas, sigma_concat=sigma_concat, self_tuning_k=self_tuning_k
-    )
+    return KernelConfig(sigmas=sigmas, self_tuning_k=self_tuning_k)
 
 
 def build_view_kernels(ds, landmarks, cfg):

@@ -41,6 +41,7 @@ class ALMState:
     A: list                       # multipliers for K = Khat + E
     B: np.ndarray                 # multiplier for Khat = Q
     mu: float
+    U: np.ndarray | None = None   # (R, rank Q), orthonormal basis of range(Q)
 
 
 @dataclass
@@ -50,6 +51,7 @@ class ALMDiagnostics:
     objectives: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
+    U: np.ndarray | None = None   # basis of range(Q) at the last sweep
 
     def to_csv(self, path):
         lines = ["iteration,fit_residual,gap_residual,objective"]
@@ -85,8 +87,9 @@ def init_state(K_list, cfg):
 
 def update_Q(state, cfg):
     """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
-    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu)."""
-    return core_math.svt(state.Khat + state.B / state.mu, cfg.alpha / state.mu)
+    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu); state.U spans range(Q)."""
+    Q, state.U = core_math.svt_with_basis(state.Khat + state.B / state.mu, cfg.alpha / state.mu)
+    return Q
 
 
 def update_E(state, cfg, m):
@@ -137,7 +140,7 @@ def recover(K_list, cfg=None):
     """Run the inexact-ALM sweep until both relative residuals fall below tol.
 
     Returns (Khat, E_list, diagnostics); non-convergence within max_iters is
-    reported via diagnostics.converged, not raised.
+    reported via diagnostics.converged, not raised; diagnostics.U spans the last Q.
     """
     cfg = cfg or ALMConfig()
     state = init_state(K_list, cfg)
@@ -156,4 +159,5 @@ def recover(K_list, cfg=None):
         if fit < cfg.tol and gap < cfg.tol:
             diag.converged = True
             break
+    diag.U = state.U
     return state.Khat, state.E, diag

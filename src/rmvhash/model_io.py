@@ -4,7 +4,7 @@ Layout (little-endian throughout, like the MVH1 data format):
 magic "RMVM", uint32 format version, uint64-length-prefixed UTF-8 JSON
 metadata, a sequence of float64 matrices (uint64 rows, uint64 cols, row-major
 payload), and a trailing 8-byte checksum (leading 8 bytes of the SHA-256 of
-everything before it).
+everything before it). Version 1 models fit a kernel no longer served.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ import numpy as np
 from . import hash_trainer, kernel_sim, oos_encoder
 
 MAGIC = b"RMVM"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFileError(ValueError):
@@ -27,9 +27,13 @@ class ModelFileError(ValueError):
 
 # The JSON type of each metadata key load_model reads; others are ignored.
 _META_TYPES = dict(
-    n_views=int, sigmas=list, sigma_concat=float, self_tuning_k=int, has_base_set=bool,
+    n_views=int, sigmas=list, self_tuning_k=int, has_base_set=bool,
     base_k_oos=int, base_sigma=float, model_meta=dict, config=dict,
 )
+
+
+def _positive(x):
+    return type(x) is float and 0 < x < math.inf
 
 
 def _check_meta(meta, path):
@@ -38,11 +42,11 @@ def _check_meta(meta, path):
     for key, kind in _META_TYPES.items():
         if type(meta.get(key)) is not kind:
             raise ModelFileError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
-    sigmas = meta["sigmas"] + [meta["sigma_concat"]]
-    if meta["n_views"] < 1 or len(sigmas) != meta["n_views"] + 1 or not all(
-        type(s) is float and 0 < s < math.inf for s in sigmas
-    ):
+    sigmas = meta["sigmas"]
+    if meta["n_views"] < 1 or len(sigmas) != meta["n_views"] or not all(map(_positive, sigmas)):
         raise ModelFileError(f"{path}: metadata needs one positive finite sigma per view")
+    if meta["has_base_set"] and not _positive(meta["base_sigma"]):
+        raise ModelFileError(f"{path}: metadata base_sigma is not positive and finite")
 
 
 def _pack_matrix(arr):
@@ -75,7 +79,6 @@ def save_model(model, path, config_snapshot=None):
     """Serialize a HashModel (including its base set) to path."""
     meta = {
         "sigmas": list(model.kernel_config.sigmas),
-        "sigma_concat": model.kernel_config.sigma_concat,
         "self_tuning_k": model.kernel_config.self_tuning_k,
         "n_views": len(model.landmarks.blocks),
         "has_base_set": model.base_set is not None,
@@ -99,7 +102,7 @@ def save_model(model, path, config_snapshot=None):
 
 
 def load_model(path):
-    """Load a HashModel; raises ModelFileError on corruption or a newer
+    """Load a HashModel; raises ModelFileError on corruption or another
     format version. Returns (model, config_snapshot)."""
     raw = Path(path).read_bytes()
     if len(raw) < 4 + 4 + 8 + 8:
@@ -111,10 +114,10 @@ def load_model(path):
     if r.take(4) != MAGIC:
         raise ModelFileError(f"{path}: bad magic, not a model container")
     (version,) = struct.unpack("<I", r.take(4))
-    if version > FORMAT_VERSION:
+    if version != FORMAT_VERSION:
         raise ModelFileError(
-            f"{path}: format version {version} is newer than supported "
-            f"version {FORMAT_VERSION}"
+            f"{path}: format version {version} is not the supported version {FORMAT_VERSION}"
+            + ("" if version > FORMAT_VERSION else "; it fits an older kernel, retrain the model")
         )
     (blob_len,) = struct.unpack("<Q", r.take(8))
     try:
@@ -122,38 +125,26 @@ def load_model(path):
     except ValueError as exc:     # JSONDecodeError and UnicodeDecodeError
         raise ModelFileError(f"{path}: metadata is not UTF-8 JSON: {exc}") from exc
     _check_meta(meta, path)
-    if meta.get("query_mode", "concat") != "concat":
-        raise ModelFileError(
-            f"{path}: query mode {meta['query_mode']!r} is no longer supported; "
-            "retrain the model"
-        )
     W = r.matrix()
     b = r.matrix().ravel()
     blocks = tuple(r.matrix() for _ in range(meta["n_views"]))
     if b.shape != (W.shape[1],) or any(z.shape[0] != W.shape[0] for z in blocks):
         raise ModelFileError(f"{path}: W, b and landmark shapes disagree")
-    landmarks = kernel_sim.KernelLandmarks(blocks=blocks)
-    kcfg = kernel_sim.KernelConfig(
-        sigmas=tuple(meta["sigmas"]),
-        sigma_concat=meta["sigma_concat"],
-        self_tuning_k=meta["self_tuning_k"],
-    )
     base_set = None
     if meta["has_base_set"]:
-        centers = r.matrix()
-        embeddings = r.matrix()
-        base_set = oos_encoder.BaseSet(
-            centers=centers,
-            embeddings=embeddings,
-            sigma=meta["base_sigma"],
-            k_oos=meta["base_k_oos"],
-        )
+        centers, embeddings = r.matrix(), r.matrix()
+        if embeddings.shape != (len(centers), W.shape[1]) or centers.shape[1] != sum(
+            z.shape[1] for z in blocks
+        ):
+            raise ModelFileError(f"{path}: base-set shapes disagree with the model")
+        if not 1 <= meta["base_k_oos"] <= len(centers):
+            raise ModelFileError(f"{path}: metadata base_k_oos is not in [1, Z]")
+        base_set = oos_encoder.BaseSet(centers, embeddings, meta["base_sigma"], meta["base_k_oos"])
+    if r.pos != len(body):
+        raise ModelFileError(f"{path}: {len(body) - r.pos} unread bytes before the checksum")
     model = hash_trainer.HashModel(
-        W=W,
-        b=b,
-        landmarks=landmarks,
-        kernel_config=kcfg,
-        base_set=base_set,
-        meta=meta["model_meta"],
+        W=W, b=b, landmarks=kernel_sim.KernelLandmarks(blocks=blocks),
+        kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"]), meta["self_tuning_k"]),
+        base_set=base_set, meta=meta["model_meta"],
     )
     return model, meta["config"]

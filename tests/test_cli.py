@@ -276,79 +276,27 @@ class TestEncodeQueryEval:
         Khat, _, _ = lowrank_alm.recover(self._db_kernels(workspace, model), cfg)
         np.testing.assert_array_equal(codes, hash_trainer.encode_database(model, Khat))
 
-    def test_older_default_model_still_encodes(self, workspace, tmp_path):
-        # models written before the solver switches were removed carry them
-        # in the metadata and the snapshot, at their default values
-        def add_defaults(meta):
-            meta["query_mode"] = "concat"
-            meta["config"].update(
-                constraint_mode="nonneg", shrink_mode="column-l21",
-                query_mode="concat", kernel_r=12,
-            )
-
-        old = rewrite_meta(workspace / "model.rmvm", tmp_path / "old.rmvm", add_defaults)
-        np.testing.assert_array_equal(
-            encode_codes(workspace, old, tmp_path / "old.mvh"),
-            encode_codes(workspace, workspace / "model.rmvm", tmp_path / "new.mvh"),
+    def test_version_1_model_rejected(self, workspace, tmp_path, capsys):
+        # version 1 served queries through a kernel on the concatenated
+        # features, with its own bandwidth; its W does not fit today's kernel
+        old = rewrite_meta(
+            workspace / "model.rmvm", tmp_path / "v1.rmvm",
+            lambda meta: meta.update(sigma_concat=1.0),
         )
-
-    def test_older_uniform_landmark_model_still_encodes(self, workspace, tmp_path, capsys):
-        # models written before the kernel-landmark mode was removed record
-        # it; the landmarks themselves are stored, so codes do not change
-        def add_mode(meta):
-            meta["landmark_mode"] = "uniform-sample"
-            meta["config"]["kernel_mode"] = "uniform-sample"
-
-        old = rewrite_meta(workspace / "model.rmvm", tmp_path / "old.rmvm", add_mode)
-        np.testing.assert_array_equal(
-            encode_codes(workspace, old, tmp_path / "old.mvh"),
-            encode_codes(workspace, workspace / "model.rmvm", tmp_path / "new.mvh"),
-        )
-        q = str(workspace / "queries" / "q.manifest")
-        for name, path in (("old", old), ("new", workspace / "model.rmvm")):
-            assert run(["query", "--model", str(path), "--manifest", q,
-                        "--out", str(tmp_path / f"q_{name}.mvh")]) == 0
-        np.testing.assert_array_equal(
-            dataset.load_view(tmp_path / "q_old.mvh"), dataset.load_view(tmp_path / "q_new.mvh")
-        )
-        assert run(["inspect", "--model", str(old)]) == 0
-        assert "kernel landmarks R: 12\n" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("key, value", [
-        ("constraint_mode", "simplex"),
-        ("shrink_mode", "elementwise"),
-        ("query_mode", "view-sum"),
-    ])
-    @pytest.mark.parametrize("command", ["encode", "eval"])
-    def test_removed_switch_in_snapshot_rejected(
-        self, workspace, tmp_path, capsys, key, value, command
-    ):
-        bad = rewrite_meta(
-            workspace / "model.rmvm", tmp_path / "bad.rmvm",
-            lambda meta: meta["config"].update({key: value}),
-        )
+        body = bytearray(old.read_bytes()[:-8])
+        body[4:8] = struct.pack("<I", 1)
+        old.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
+        with pytest.raises(model_io.ModelFileError, match="retrain"):
+            model_io.load_model(old)
         db = str(workspace / "db" / "db.manifest")
-        if command == "encode":
-            argv = ["encode", "--manifest", db, "--out", str(tmp_path / "c.mvh")]
-        else:
-            argv = ["eval", "--db", db, "--out-prefix", str(tmp_path / "r"),
-                    "--queries", str(workspace / "queries" / "q.manifest")]
-        assert run([*argv, "--model", str(bad)]) == 1
-        assert f"{key}={value}" in capsys.readouterr().err
-
-    def test_view_sum_model_rejected(self, workspace, tmp_path, capsys):
-        bad = rewrite_meta(
-            workspace / "model.rmvm", tmp_path / "vs.rmvm",
-            lambda meta: meta.update(query_mode="view-sum"),
-        )
-        with pytest.raises(model_io.ModelFileError, match="view-sum"):
-            model_io.load_model(bad)
-        assert run([
-            "query", "--model", str(bad),
-            "--manifest", str(workspace / "queries" / "q.manifest"),
-            "--out", str(tmp_path / "q.mvh"),
-        ]) == 1
-        assert "view-sum" in capsys.readouterr().err
+        q = str(workspace / "queries" / "q.manifest")
+        for argv in (
+            ["encode", "--manifest", db, "--out", str(tmp_path / "c.mvh")],
+            ["query", "--manifest", q, "--out", str(tmp_path / "q.mvh")],
+            ["eval", "--db", db, "--queries", q, "--out-prefix", str(tmp_path / "r")],
+        ):
+            assert run([*argv, "--model", str(old)]) == 1
+            assert "retrain" in capsys.readouterr().err
 
     def test_corrupt_model_file_reported(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken.rmvm"

@@ -68,6 +68,16 @@ class TestSvt:
         with pytest.raises(ValueError):
             core_math.svt(np.eye(2), -1.0)
 
+    def test_basis_spans_result(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(6, 9))
+        tau = 1.5
+        q, u = core_math.svt_with_basis(m, tau)
+        np.testing.assert_array_equal(q, core_math.svt(m, tau))
+        assert u.shape == (6, np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tau))
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
+        np.testing.assert_allclose(u @ (u.T @ q), q, atol=1e-12)
+
 
 class TestColL21Prox:
     def test_single_column(self):

@@ -1,5 +1,10 @@
+import gzip
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rmvhash import dataset
 from rmvhash.dataset import CorruptionSpec, DatasetFormatError, MultiViewDataset
@@ -181,3 +186,110 @@ class TestSplit:
         ds = make_random_ds(seed=16, n=10)
         with pytest.raises(ValueError):
             dataset.split(ds, 10, seed=0)
+
+
+def view_bytes(rows, cols, payload):
+    return b"MVH1" + struct.pack("<QQ", rows, cols) + payload
+
+
+class TestViewHeader:
+    """A 28-byte view file: a header and two float32 values."""
+
+    @pytest.mark.parametrize("rows, cols, match", [
+        (2 ** 62, 4, "truncated"),
+        (2 ** 36, 1, "truncated"),
+        (1, 1, "trailing"),
+        (0, 2, "no rows"),
+    ], ids=["huge-product", "huge-rows", "trailing-bytes", "zero-rows"])
+    def test_rejected(self, tmp_path, rows, cols, match):
+        path = tmp_path / "v.mvh"
+        path.write_bytes(view_bytes(rows, cols, np.ones(2, "<f4").tobytes()))
+        with pytest.raises(DatasetFormatError, match=match):
+            dataset.load_view(path)
+
+    def test_zero_columns_load(self, tmp_path):
+        path = tmp_path / "v.mvh"
+        path.write_bytes(view_bytes(3, 0, b""))
+        assert dataset.load_view(path).shape == (3, 0)
+
+    def test_truncated_gzip(self, tmp_path):
+        path = tmp_path / "v.mvh.gz"
+        dataset.save_view(path, np.ones((4, 5)))
+        path.write_bytes(path.read_bytes()[:-6])
+        with pytest.raises(DatasetFormatError, match="compressed"):
+            dataset.load_view(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with two 10-sample views, a 9-sample view, a gzip view
+    and a subdirectory; tests write their own manifest, labels and view."""
+    root = tmp_path_factory.mktemp("mvh_fuzz")
+    rng = np.random.default_rng(0)
+    dataset.save_view(root / "a.mvh", rng.normal(size=(3, 10)))
+    dataset.save_view(root / "b.mvh", rng.normal(size=(4, 10)))
+    dataset.save_view(root / "c.mvh", rng.normal(size=(4, 9)))
+    dataset.save_view(root / "d.mvh.gz", rng.normal(size=(2, 10)))
+    (root / "sub").mkdir()
+    return root
+
+
+def loads_or_rejects(load, path):
+    try:
+        load(path)
+    except (DatasetFormatError, FileNotFoundError):
+        pass
+
+
+NAMES = st.sampled_from([
+    "a.mvh", "b.mvh", "c.mvh", "d.mvh.gz", "f.mvh", "labels.txt", "missing.mvh",
+    "", ".", "..", "sub",
+]) | st.text(alphabet="ab.\x00 ", max_size=4)
+LINES = st.tuples(st.sampled_from(["name", "view0", "view1", "view2", "labels"]), NAMES).map(
+    lambda kv: "=".join(kv)
+) | st.text(st.characters(blacklist_characters="/\\"), max_size=8)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(0, 2 ** 64 - 1) | st.integers(0, 4),
+        cols=st.integers(0, 2 ** 64 - 1) | st.integers(0, 4),
+        payload=st.binary(max_size=40),
+        gz=st.booleans(),
+    )
+    def test_view_header_and_payload(self, fuzz_dir, rows, cols, payload, gz):
+        data = view_bytes(rows, cols, payload)
+        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
+        path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+        loads_or_rejects(dataset.load_view, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), gz=st.booleans())
+    def test_view_truncated_or_flipped(self, fuzz_dir, data, gz):
+        raw = bytearray(view_bytes(2, 3, np.arange(6, dtype="<f4").tobytes()))
+        if gz:
+            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for pos, mask in data.draw(st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4,
+            ), label="flips"):
+                raw[pos] ^= mask
+        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
+        path.write_bytes(bytes(raw))
+        loads_or_rejects(dataset.load_view, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(LINES, max_size=6),
+        manifest_tail=st.binary(max_size=3),
+        labels=st.text(max_size=30) | st.just(" ".join(["1"] * 10)),
+    )
+    def test_manifest(self, fuzz_dir, lines, manifest_tail, labels):
+        (fuzz_dir / "labels.txt").write_text(labels, encoding="utf-8")
+        manifest = fuzz_dir / "m.manifest"
+        manifest.write_bytes("\n".join(lines).encode("utf-8") + manifest_tail)
+        loads_or_rejects(dataset.load_dataset, manifest)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import anchor_graph, dataset, hash_trainer, kernel_sim
+from rmvhash import anchor_graph, dataset, hash_trainer, kernel_sim, model_io
 from rmvhash.dataset import MultiViewDataset
 from rmvhash.hash_trainer import (
     CodeState,
@@ -18,6 +18,17 @@ def small_train_kwargs():
         kernel_cfg=KernelSelectConfig(R=20),
         oos_cfg=OosConfig(Z=25, k_oos=10),
     )
+
+
+def mean_kernel_oracle(model, x):
+    """k(x) for one concatenated item: the mean over views of
+    exp(-||z - x_m||^2 / (2 sigma_m^2)) against that view's landmarks."""
+    blocks = model.landmarks.blocks
+    parts = np.split(x, np.cumsum([z.shape[1] for z in blocks])[:-1])
+    return np.mean([
+        np.exp(-np.sum((z - xm) ** 2, axis=1) / (2.0 * s ** 2))
+        for z, xm, s in zip(blocks, parts, model.kernel_config.sigmas)
+    ], axis=0)
 
 
 def toy_graphs_and_state(seed=0, n=30, p=4, m=2):
@@ -203,6 +214,16 @@ class TestTrain:
         np.testing.assert_array_equal(m1.b, m2.b)
         np.testing.assert_array_equal(k1, k2)
 
+    def test_w_in_recovered_range(self):
+        # with recovery, W is projected onto the column space of the ALM's Q
+        ds = dataset.synth_multiview(4, 25, (10, 12), seed=4)
+        model, _, _, diag = hash_trainer.train(
+            ds, HyperParams(P=8, outer_iters=5), seed=0, **small_train_kwargs()
+        )
+        U = diag.alm.U
+        assert U.shape[1] < model.W.shape[0]
+        np.testing.assert_allclose(U @ (U.T @ model.W), model.W, atol=1e-12)
+
     def test_single_bit(self):
         ds = dataset.synth_multiview(3, 20, (8, 8), seed=2)
         model, state, Khat, _ = hash_trainer.train(
@@ -298,12 +319,9 @@ class TestEncodeQueries:
         )
 
     def test_matches_per_item_oracle(self):
-        Z = self.model.landmarks.concatenated()
-        sigma = self.model.kernel_config.sigma_concat
         codes = hash_trainer.encode_queries(self.model, self.ds)
         for i, x in enumerate(self.ds.concatenated().T):
-            k = np.exp(-np.sum((Z - x) ** 2, axis=1) / (2.0 * sigma ** 2))
-            pre = self.model.W.T @ k + self.model.b
+            pre = self.model.W.T @ mean_kernel_oracle(self.model, x) + self.model.b
             np.testing.assert_array_equal(codes[i], np.where(pre >= 0, 1, -1))
 
     def test_subset_rows_across_chunks(self, monkeypatch):
@@ -320,7 +338,7 @@ class TestEncodeQueries:
             W=np.eye(12), b=np.zeros(12),
             landmarks=self.model.landmarks, kernel_config=self.model.kernel_config,
         )
-        v = hash_trainer.embed(model, self.model.landmarks.concatenated()[2][:, None])[0]
+        v = hash_trainer.embed(model, np.hstack(self.model.landmarks.blocks)[2][:, None])[0]
         assert v[2] == pytest.approx(1.0)
         assert np.argmax(v) == 2
         assert np.all(np.delete(v, 2) < 1.0)
@@ -340,3 +358,52 @@ class TestEncodeQueries:
         views[1][2, 5] = bad
         with pytest.raises(ValueError, match="view 1"):
             hash_trainer.encode_queries(self.model, MultiViewDataset(views=tuple(views)))
+
+
+class TestInvariance:
+    """Codes are a function of the data values and the model: not of memory
+    layout, feature scale or a save/load round trip. 160 training items and
+    40 queries from a corrupted four-cluster dataset."""
+
+    @staticmethod
+    def split(seed):
+        ds = dataset.synth_multiview(4, 50, (8, 12), seed=seed)
+        ds = dataset.corrupt(ds, dataset.CorruptionSpec("gaussian-fraction", 0.2, seed))
+        return dataset.split(ds, 40, seed=seed)
+
+    @staticmethod
+    def codes(db, queries, seed):
+        model, _, Khat, _ = hash_trainer.train(
+            db, HyperParams(P=8, outer_iters=20), seed=seed, **small_train_kwargs()
+        )
+        return model, hash_trainer.encode_database(model, Khat), hash_trainer.encode_queries(
+            model, queries
+        )
+
+    @staticmethod
+    def mapped(ds, fn):
+        return MultiViewDataset(views=tuple(fn(v) for v in ds.views), labels=ds.labels)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_memory_layout(self, seed):
+        db, queries = self.split(seed)
+        c, f = np.ascontiguousarray, np.asfortranarray
+        _, db_c, q_c = self.codes(self.mapped(db, c), self.mapped(queries, c), seed)
+        _, db_f, q_f = self.codes(self.mapped(db, f), self.mapped(queries, f), seed)
+        np.testing.assert_array_equal(db_c, db_f)
+        np.testing.assert_array_equal(q_c, q_f)
+
+    def test_feature_scale(self):
+        db, queries = self.split(0)
+        _, db_1, q_1 = self.codes(db, queries, 0)
+        db_8, queries_8 = (self.mapped(ds, lambda v: v * 2.0 ** 3) for ds in (db, queries))
+        _, db_8, q_8 = self.codes(db_8, queries_8, 0)
+        np.testing.assert_array_equal(db_1, db_8)
+        np.testing.assert_array_equal(q_1, q_8)
+
+    def test_save_load(self, tmp_path):
+        db, queries = self.split(0)
+        model, _, q_codes = self.codes(db, queries, 0)
+        model_io.save_model(model, tmp_path / "m.rmvm")
+        back, _ = model_io.load_model(tmp_path / "m.rmvm")
+        np.testing.assert_array_equal(hash_trainer.encode_queries(back, queries), q_codes)

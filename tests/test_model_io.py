@@ -36,7 +36,6 @@ class TestRoundTrip:
         for a, b in zip(back.landmarks.blocks, model.landmarks.blocks):
             np.testing.assert_array_equal(a, b)
         assert back.kernel_config.sigmas == model.kernel_config.sigmas
-        assert back.kernel_config.sigma_concat == model.kernel_config.sigma_concat
         np.testing.assert_array_equal(back.base_set.centers, model.base_set.centers)
         np.testing.assert_array_equal(
             back.base_set.embeddings, model.base_set.embeddings
@@ -110,7 +109,7 @@ class TestCorruption:
 
         body = bytes(raw[:-8])
         path.write_bytes(body + hashlib.sha256(body).digest()[:8])
-        with pytest.raises(ModelFileError, match=r"99.*1"):
+        with pytest.raises(ModelFileError, match=rf"99.*{model_io.FORMAT_VERSION}"):
             model_io.load_model(path)
 
     def test_tiny_file(self, tmp_path):
@@ -163,8 +162,8 @@ JSON = st.recursive(
     max_leaves=6,
 )
 META_KEYS = st.sampled_from([
-    "n_views", "sigmas", "sigma_concat", "self_tuning_k", "has_base_set",
-    "base_k_oos", "base_sigma", "model_meta", "config", "query_mode",
+    "n_views", "sigmas", "self_tuning_k", "has_base_set",
+    "base_k_oos", "base_sigma", "model_meta", "config",
 ])
 
 
@@ -175,12 +174,17 @@ class TestMalformedMetadata:
         lambda m: {**m, "n_views": True},
         lambda m: {**m, "n_views": 0, "sigmas": []},
         lambda m: {**m, "sigmas": m["sigmas"][:1]},
-        lambda m: {**m, "sigma_concat": -1.0},
+        lambda m: {**m, "sigmas": [-1.0] + m["sigmas"][1:]},
         lambda m: list(m),
         lambda m: None,
+        lambda m: {**m, "base_k_oos": 0},
+        lambda m: {**m, "base_k_oos": 21},
+        lambda m: {**m, "base_sigma": -1.0},
+        lambda m: {**m, "base_sigma": float("inf")},
     ], ids=[
         "no-n_views", "str-n_views", "bool-n_views", "zero-views", "short-sigmas",
-        "negative-sigma", "list", "null",
+        "negative-sigma", "list", "null", "zero-k_oos", "k_oos-above-Z",
+        "negative-base_sigma", "infinite-base_sigma",
     ])
     def test_rejected(self, model_file, edit):
         raw, path = model_file
@@ -202,6 +206,18 @@ class TestMalformedMetadata:
         body[16 + n:32 + n] = struct.pack("<QQ", 0, 2 ** 62)   # W's header
         path.write_bytes(resum(bytes(body)))
         with pytest.raises(ModelFileError):
+            model_io.load_model(path)
+
+    def test_unread_base_set_rejected(self, model_file):
+        raw, path = model_file
+        path.write_bytes(edit_meta(raw, lambda m: {**m, "has_base_set": False}))
+        with pytest.raises(ModelFileError, match="unread bytes"):
+            model_io.load_model(path)
+
+    def test_trailing_bytes_rejected(self, model_file):
+        raw, path = model_file
+        path.write_bytes(resum(raw[:-8] + b"\0" * 8))
+        with pytest.raises(ModelFileError, match="8 unread bytes"):
             model_io.load_model(path)
 
     def test_landmark_rows_must_match_w(self, model_file):

@@ -98,8 +98,11 @@ class TestBaseSet:
         x_views = [v[:, i] for v in ds.views]
         concat = np.concatenate(x_views)
         j = int(np.argmin(np.sum((base.centers - concat) ** 2, axis=1)))
-        Z = model.landmarks.concatenated()
-        k = np.exp(-np.sum((Z - concat) ** 2, axis=1) / (2.0 * model.kernel_config.sigma_concat ** 2))
+        # k(x): the mean over views of the RBF similarities to that view's landmarks
+        k = np.mean([
+            np.exp(-np.sum((z - x) ** 2, axis=1) / (2.0 * s ** 2))
+            for z, x, s in zip(model.landmarks.blocks, x_views, model.kernel_config.sigmas)
+        ], axis=0)
         np.testing.assert_allclose(base.embeddings[j], model.W.T @ k + model.b, atol=1e-10)
 
     def test_too_many_centers_rejected(self):
