@@ -35,7 +35,7 @@ class AnchorGraph:
         return self.F.shape[1]
 
 
-def select_graph_landmarks(view, L, mode="kmeans", seed=0, kmeans_iters=25):
+def select_graph_landmarks(view, L, mode="kmeans", seed=0):
     """Pick L landmark rows from a (d_m, N) view.
 
     kmeans mode runs Lloyd with capped iterations on the transposed view;
@@ -50,7 +50,7 @@ def select_graph_landmarks(view, L, mode="kmeans", seed=0, kmeans_iters=25):
         idx = rng.choice(n, size=L, replace=False)
         return view[:, idx].T.copy()
     if mode == "kmeans":
-        return core_math.kmeans(view.T, L, max_iters=kmeans_iters, seed=seed).centers
+        return core_math.kmeans(view.T, L, seed=seed).centers
     raise ValueError(f"unknown landmark mode {mode!r}")
 
 

@@ -17,9 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, evaluation, hash_trainer, kernel_sim, lowrank_alm, model_io
-from .hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
-from .lowrank_alm import ALMConfig
+from . import dataset, evaluation, hash_trainer, model_io
+from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfig, OosConfig
 
 
 def _load_config(path):
@@ -107,26 +106,6 @@ def _train_configs(p):
     )
 
 
-def _trained_values(snapshot):
-    """The training values stored with a model, defaulting keys it lacks."""
-    return {
-        key: snapshot.get(key, default) for key, (_, default) in _TRAIN_SPEC.items()
-    }
-
-
-def _encode_db(model, ds, snapshot):
-    """Database codes for a dataset using the model's landmarks and bandwidths,
-    with the consensus similarity recovered on that database as in training."""
-    p = _trained_values(snapshot)
-    _, alm_cfg, _, _, _ = _train_configs(p)
-    K_list = kernel_sim.build_view_kernels(ds, model.landmarks, model.kernel_config)
-    if p["no_recovery"]:
-        Khat = hash_trainer.mean_kernel_baseline(K_list)
-    else:
-        Khat, _, _ = lowrank_alm.recover(K_list, alm_cfg)
-    return hash_trainer.encode_database(model, Khat)
-
-
 def cmd_synth(args):
     p = _resolve(args, {
         "clusters": (int, 10),
@@ -187,15 +166,7 @@ def _write_codes(codes, path):
 
 
 def cmd_encode(args):
-    model, snapshot = model_io.load_model(args.model)
-    ds = dataset.load_dataset(args.manifest)
-    codes = _encode_db(model, ds, snapshot)
-    _write_codes(codes, args.out)
-    print(f"wrote {args.out} ({codes.shape[0]} codes of {codes.shape[1]} bits)")
-    return 0
-
-
-def cmd_query(args):
+    """Codes of every item of a manifest, for both encode and query."""
     model, _ = model_io.load_model(args.model)
     ds = dataset.load_dataset(args.manifest)
     codes = hash_trainer.encode_queries(model, ds)
@@ -209,17 +180,12 @@ def cmd_eval(args):
         "top_k": (int, 100),
         "radius": (int, 2),
     })
-    model, snapshot = model_io.load_model(args.model)
+    model, _ = model_io.load_model(args.model)
     db = dataset.load_dataset(args.db)
     queries = dataset.load_dataset(args.queries)
     if db.labels is None or queries.labels is None:
         raise ValueError("both database and query datasets need labels to evaluate")
-    for m, (dd, qd) in enumerate(zip(db.dims, queries.dims)):
-        if dd != qd:
-            raise ValueError(
-                f"view {m} dimension mismatch: database {dd}, queries {qd}"
-            )
-    db_codes = _encode_db(model, db, snapshot)
+    db_codes = hash_trainer.encode_queries(model, db)
     query_codes = hash_trainer.encode_queries(model, queries)
     relevant = evaluation.relevance_matrix(queries.labels, db.labels)
     report = evaluation.evaluate(
@@ -295,17 +261,12 @@ def build_parser():
     s.add_argument("--no-recovery", dest="no_recovery", action="store_const", const=True)
     s.set_defaults(func=cmd_train)
 
-    s = subs.add_parser("encode", help="encode a database with a trained model")
-    s.add_argument("--model", required=True)
-    s.add_argument("--manifest", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_encode)
-
-    s = subs.add_parser("query", help="encode query samples with a trained model")
-    s.add_argument("--model", required=True)
-    s.add_argument("--manifest", required=True)
-    s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_query)
+    for name in ("encode", "query"):
+        s = subs.add_parser(name, help="encode items with a trained model's kernel map")
+        s.add_argument("--model", required=True)
+        s.add_argument("--manifest", required=True)
+        s.add_argument("--out", required=True)
+        s.set_defaults(func=cmd_encode)
 
     s = subs.add_parser("eval", help="retrieval metrics for a model on db/query sets")
     s.add_argument("--config", help="flat key=value config file")

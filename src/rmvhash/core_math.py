@@ -102,8 +102,9 @@ def _kmeanspp_init(points, L, rng):
     return centers
 
 
-def kmeans(points, L, max_iters=50, seed=0):
-    """Lloyd iterations with k-means++ seeding; deterministic for a fixed seed.
+def kmeans(points, L, max_iters=25, seed=0):
+    """At most max_iters Lloyd iterations with k-means++ seeding; deterministic
+    for a fixed seed. Every landmark and base-set caller uses the default cap.
 
     Empty clusters are re-seeded at the point farthest from its assigned
     center (deterministic tie-break by lowest index).

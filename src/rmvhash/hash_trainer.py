@@ -2,8 +2,9 @@
 
 Couples the anchor-graph smoothness terms, the code-consensus terms, and the
 ridge regression from the recovered consensus similarity onto relaxed codes.
-Codes Y are held as (N, P); the database code of sample i is
-sign(W^T Khat_i + b).
+Codes Y are held as (N, P). Every item, in the database or a query, is served
+as sign(W^T k(x) + b), k(x) the mean over views of its kernel vectors, so a
+code depends only on the model and the item.
 """
 
 import time
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 
 from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError
+from .lowrank_alm import ALMConfig
 
 # Columns per kernel block in embed: 1024 x R float64 stays a few MB.
 _CHUNK = 1024
@@ -24,9 +26,9 @@ class HyperParams:
     P: int = 32
     gamma: float = 1e-4
     delta: float = 1e-6
-    alpha: float = lowrank_alm.ALMConfig.alpha
+    alpha: float = ALMConfig.alpha
     beta: float = 1.0
-    lam: float = lowrank_alm.ALMConfig.lam
+    lam: float = ALMConfig.lam
     outer_iters: int = 60
     outer_tol: float = 1e-4
     orthogonalize: bool = True
@@ -228,13 +230,14 @@ def train(
     off), then alternates the closed-form (W, b) solve with the code sweep
     until the relative objective change drops below hp.outer_tol. With
     recovery, W is finally projected onto the column space U of the ALM's
-    low-rank Q, W <- U U^T W, so the served map is the recovered latent kernel.
+    low-rank Q, W <- U U^T W, so the served map is the recovered latent kernel;
+    a Q of rank 0, which would give every item the same code, raises ValueError.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
     kernel_cfg = kernel_cfg or KernelSelectConfig()
     oos_cfg = oos_cfg or OosConfig()
-    alm_cfg = alm_cfg or lowrank_alm.ALMConfig(alpha=hp.alpha, lam=hp.lam)
+    alm_cfg = alm_cfg or ALMConfig(alpha=hp.alpha, lam=hp.lam)
 
     n = ds.n_samples
     R = kernel_cfg.R or graph_cfg.L
@@ -256,6 +259,11 @@ def train(
     if recovery:
         Khat, E_list, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
         diag.alm = alm_diag
+        if alm_diag.U.shape[1] == 0:
+            raise ValueError(
+                f"recovered consensus kernel has rank 0 at alpha={alm_cfg.alpha}, "
+                "so every item would get the same code; lower alpha"
+            )
     else:
         Khat = mean_kernel_baseline(K_list)
         E_list = [K - Khat for K in K_list]
@@ -329,7 +337,9 @@ def encode_queries(model, ds):
         raise ValueError(f"dataset has {ds.n_views} views, expected {len(blocks)}")
     for m, (v, z) in enumerate(zip(ds.views, blocks)):
         if v.shape[0] != z.shape[1]:
-            raise ValueError(f"view {m}: dim {v.shape[0]} != landmark dim {z.shape[1]}")
+            raise ValueError(
+                f"view {m}: dimension mismatch: {v.shape[0]} != landmark dim {z.shape[1]}"
+            )
         if not np.all(np.isfinite(v)):
             raise ValueError(f"view {m}: query has non-finite entries")
     return np.where(embed(model, ds.concatenated()) >= 0, 1, -1).astype(np.int8)

@@ -31,14 +31,14 @@ class KernelConfig:
     self_tuning_k: int = 7
 
 
-def select_kernel_landmarks(ds, R, seed=0, kmeans_iters=25):
+def select_kernel_landmarks(ds, R, seed=0):
     """Pick R landmark objects from a dataset: k-means centers of the
     concatenated feature space, split back into per-view blocks."""
     n = ds.n_samples
     if R > n:
         raise ValueError(f"cannot select {R} landmarks from {n} samples")
     concat = ds.concatenated().T                     # (N, d)
-    centers = core_math.kmeans(concat, R, max_iters=kmeans_iters, seed=seed).centers
+    centers = core_math.kmeans(concat, R, seed=seed).centers
     blocks = np.split(centers, np.cumsum(ds.dims)[:-1], axis=1)
     return KernelLandmarks(blocks=tuple(b.copy() for b in blocks))
 

@@ -31,7 +31,7 @@ def _center_bandwidth(centers, k_st=7):
     return sigma if sigma > 0 else 1.0
 
 
-def build_base_set(ds, model, Z, seed=0, k_oos=25, kmeans_iters=25):
+def build_base_set(ds, model, Z, seed=0, k_oos=25):
     """Cluster the concatenated features into Z centers and store each
     center's pre-sign projection through the model's kernel map."""
     from . import hash_trainer  # local import: model embedding path
@@ -43,7 +43,7 @@ def build_base_set(ds, model, Z, seed=0, k_oos=25, kmeans_iters=25):
     if Z == n:
         centers = concat.copy()
     else:
-        centers = core_math.kmeans(concat, Z, max_iters=kmeans_iters, seed=seed).centers
+        centers = core_math.kmeans(concat, Z, seed=seed).centers
     return BaseSet(
         centers=centers,
         embeddings=hash_trainer.embed(model, centers.T),

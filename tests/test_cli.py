@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from rmvhash import cli, dataset, hash_trainer, kernel_sim, lowrank_alm, model_io
+from rmvhash import cli, dataset, evaluation, hash_trainer, model_io
 from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
 
 TRAIN_FLAGS = [
@@ -27,10 +27,9 @@ def train_model(root, path, *extra):
     return path
 
 
-def encode_codes(root, model_path, out):
+def encode_codes(model_path, manifest, out, command="encode"):
     assert run([
-        "encode", "--model", str(model_path),
-        "--manifest", str(root / "db" / "db.manifest"), "--out", str(out),
+        command, "--model", str(model_path), "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     return dataset.load_view(out).T.astype(np.int8)
 
@@ -159,6 +158,14 @@ class TestTrainArtifacts:
         assert "alhpa" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
+    def test_rank_0_recovery_rejected(self, workspace, tmp_path, capsys):
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--alpha", "10",
+        ]) == 1
+        assert "alpha=10" in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
     @pytest.mark.parametrize("argv", [
         ["encode", "--seed", "1"],
         ["encode", "--config", "f"],
@@ -253,28 +260,40 @@ class TestEncodeQueryEval:
         ]) == 1
         assert "dimension mismatch" in capsys.readouterr().err
 
-    @staticmethod
-    def _db_kernels(workspace, model):
-        ds = dataset.load_dataset(workspace / "db" / "db.manifest")
-        return kernel_sim.build_view_kernels(ds, model.landmarks, model.kernel_config)
-
-    def test_no_recovery_encode(self, workspace, tmp_path):
-        path = train_model(workspace, tmp_path / "nr.rmvm", "--no-recovery")
-        codes = encode_codes(workspace, path, tmp_path / "codes_nr.mvh")
+    @pytest.mark.parametrize("extra", [(), ("--no-recovery",)], ids=["recovery", "no-recovery"])
+    def test_one_encoder(self, workspace, tmp_path, extra):
+        # encode, query and eval all sign the model's kernel map
+        path = train_model(workspace, tmp_path / "m.rmvm", *extra)
         model, _ = model_io.load_model(path)
-        K_list = self._db_kernels(workspace, model)
-        want = hash_trainer.encode_database(
-            model, hash_trainer.mean_kernel_baseline(K_list)
+        db_path, q_path = workspace / "db" / "db.manifest", workspace / "queries" / "q.manifest"
+        db, queries = dataset.load_dataset(db_path), dataset.load_dataset(q_path)
+        db_codes = hash_trainer.encode_queries(model, db)
+        for command in ("encode", "query"):
+            codes = encode_codes(path, db_path, tmp_path / f"{command}.mvh", command)
+            np.testing.assert_array_equal(codes, db_codes)
+        assert run([
+            "eval", "--model", str(path), "--db", str(db_path), "--queries", str(q_path),
+            "--out-prefix", str(tmp_path / "run"),
+        ]) == 0
+        want = evaluation.evaluate(
+            hash_trainer.encode_queries(model, queries), db_codes,
+            evaluation.relevance_matrix(queries.labels, db.labels),
         )
-        np.testing.assert_array_equal(codes, want)
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        assert report["map"] == want.map
+        assert report["lookup_precision_mean"] == want.lookup_precision_mean
 
-    def test_encode_recovers_as_trained(self, workspace, tmp_path):
-        path = train_model(workspace, tmp_path / "a.rmvm", "--alpha", "0.2", "--alm-rho", "1.5")
-        codes = encode_codes(workspace, path, tmp_path / "codes_a.mvh")
-        model, _ = model_io.load_model(path)
-        cfg = lowrank_alm.ALMConfig(alpha=0.2, lam=1e-3, rho=1.5)
-        Khat, _, _ = lowrank_alm.recover(self._db_kernels(workspace, model), cfg)
-        np.testing.assert_array_equal(codes, hash_trainer.encode_database(model, Khat))
+    def test_subset_encodes_as_rows_of_full(self, workspace, tmp_path):
+        # a code depends only on the model and the item, not on its batch
+        model_path = workspace / "model.rmvm"
+        db = dataset.load_dataset(workspace / "db" / "db.manifest")
+        half = dataset.MultiViewDataset(
+            views=tuple(v[:, :50] for v in db.views), labels=db.labels[:50]
+        )
+        manifest = dataset.save_dataset(half, tmp_path / "half", name="half")
+        full = encode_codes(model_path, workspace / "db" / "db.manifest", tmp_path / "full.mvh")
+        part = encode_codes(model_path, manifest, tmp_path / "half.mvh")
+        np.testing.assert_array_equal(part, full[:50])
 
     def test_version_1_model_rejected(self, workspace, tmp_path, capsys):
         # version 1 served queries through a kernel on the concatenated

@@ -224,6 +224,12 @@ class TestTrain:
         assert U.shape[1] < model.W.shape[0]
         np.testing.assert_allclose(U @ (U.T @ model.W), model.W, atol=1e-12)
 
+    def test_rank_0_recovery_rejected(self):
+        # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)
+        ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
+        with pytest.raises(ValueError, match="alpha=10"):
+            hash_trainer.train(ds, HyperParams(P=8, alpha=10), **small_train_kwargs())
+
     def test_single_bit(self):
         ds = dataset.synth_multiview(3, 20, (8, 8), seed=2)
         model, state, Khat, _ = hash_trainer.train(
