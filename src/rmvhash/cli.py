@@ -11,6 +11,7 @@ by underscores; a key the command does not read is an error.
 import argparse
 import dataclasses
 import inspect
+import json
 import sys
 import typing
 from pathlib import Path
@@ -149,14 +150,16 @@ def cmd_train(args):
         oos_cfg=oos_cfg, seed=p["seed"], recovery=not p["no_recovery"],
     )
     model_io.save_model(model, args.model, config_snapshot=p)
-    prefix = args.trace_prefix or str(Path(args.model).with_suffix(""))
-    diag.objective_csv(f"{prefix}_objective.csv")
-    if diag.alm is not None:
-        diag.alm.to_csv(f"{prefix}_alm_residuals.csv")
-    print(
-        f"wrote {args.model} (P={hp.P}, outer iterations={diag.outer_iterations}, "
-        f"converged={diag.converged})"
-    )
+    alm = diag.alm
+    print(json.dumps({
+        "model": str(args.model), "P": hp.P,
+        "outer_iterations": diag.outer_iterations, "converged": diag.converged,
+        "objective": diag.objective_trace, "seconds": diag.outer_iter_seconds,
+        "alm": None if alm is None else {
+            "sweeps": alm.iterations, "converged": alm.converged,
+            "fit_residual": alm.fit_residuals, "gap_residual": alm.gap_residuals,
+        },
+    }))
     return 0
 
 
@@ -251,7 +254,6 @@ def build_parser():
     _add_common(s)
     s.add_argument("--manifest", required=True)
     s.add_argument("--model", required=True, help="output model file")
-    s.add_argument("--trace-prefix", dest="trace_prefix")
     for key, (cls, name) in _TRAIN_FIELDS.items():
         cast, default = _TRAIN_SPEC[key]
         s.add_argument(

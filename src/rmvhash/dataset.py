@@ -129,6 +129,9 @@ def load_view(path):
     if len(payload) != need:
         kind = "truncated payload" if len(payload) < need else "trailing bytes"
         raise DatasetFormatError(f"{path}: {kind}, {len(payload)} bytes for {rows} x {cols}")
+    if rows > np.iinfo(np.intp).max // 8:
+        # only a zero-column header gets here past the payload-size check
+        raise DatasetFormatError(f"{path}: header claims {rows} rows, too many for an array")
     view = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
     bad = np.argwhere(~np.isfinite(view))
     if bad.size:

@@ -21,6 +21,15 @@ from .lowrank_alm import ALMConfig
 _CHUNK = 1024
 
 
+def _check_counts(cfg, *names):
+    """Reject a count field below 1, naming it."""
+    for name in names:
+        if getattr(cfg, name) < 1:
+            raise ValueError(
+                f"{type(cfg).__name__}.{name} must be at least 1, got {getattr(cfg, name)}"
+            )
+
+
 @dataclass
 class HyperParams:
     P: int = 32
@@ -34,8 +43,7 @@ class HyperParams:
     orthogonalize: bool = True
 
     def __post_init__(self):
-        if self.P < 1:
-            raise ValueError("code length P must be at least 1")
+        _check_counts(self, "P", "outer_iters")
         if min(self.gamma, self.delta, self.lam) < 0 or min(self.alpha, self.beta) <= 0:
             raise ValueError("hash hyperparameters out of range")
 
@@ -45,17 +53,26 @@ class GraphConfig:
     L: int = 300
     k: int = 3
 
+    def __post_init__(self):
+        _check_counts(self, "L", "k")
+
 
 @dataclass
 class KernelSelectConfig:
     R: int | None = None        # None or 0: same as graph L
     self_tuning_k: int = 7
 
+    def __post_init__(self):
+        _check_counts(self, "self_tuning_k")
+
 
 @dataclass
 class OosConfig:
     Z: int = 300
     k_oos: int = 25
+
+    def __post_init__(self):
+        _check_counts(self, "Z", "k_oos")
 
 
 @dataclass
@@ -85,15 +102,6 @@ class TrainDiagnostics:
     alm: lowrank_alm.ALMDiagnostics | None = None
     converged: bool = False
     outer_iterations: int = 0
-
-    def objective_csv(self, path):
-        lines = ["iteration,objective,seconds"]
-        for i, (o, s) in enumerate(
-            zip(self.objective_trace, self.outer_iter_seconds), start=1
-        ):
-            lines.append(f"{i},{o:.12g},{s:.6g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def update_Wb(Khat, Y, delta):
@@ -155,11 +163,12 @@ def update_codes(state, graphs, Khat, W, b, hp):
     return CodeState(Y=Y, Y_view=y_view)
 
 
-def _recovery_penalty(Khat, E_list, hp):
-    """The nuclear and l21 terms, which stay fixed while the codes change."""
+def _recovery_penalty(Khat, E_list, cfg):
+    """The nuclear and l21 terms, weighed by cfg.alpha and cfg.lam, which stay
+    fixed while the codes change."""
     return (
-        hp.alpha * float(np.sum(np.linalg.svd(Khat, compute_uv=False))),
-        hp.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
+        cfg.alpha * float(np.sum(np.linalg.svd(Khat, compute_uv=False))),
+        cfg.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
     )
 
 
@@ -228,10 +237,12 @@ def train(
     Builds per-view anchor graphs and kernelized similarities, recovers the
     consensus Khat by inexact ALM (or the plain view average when recovery is
     off), then alternates the closed-form (W, b) solve with the code sweep
-    until the relative objective change drops below hp.outer_tol. With
-    recovery, W is finally projected onto the column space U of the ALM's
-    low-rank Q, W <- U U^T W, so the served map is the recovered latent kernel;
-    a Q of rank 0, which would give every item the same code, raises ValueError.
+    until the relative objective change drops below hp.outer_tol; the
+    objective's recovery terms are weighed with alm_cfg.alpha and alm_cfg.lam,
+    the values the ALM runs with. With recovery, W is finally projected onto
+    the column space U of the ALM's low-rank Q, W <- U U^T W, so the served
+    map is the recovered latent kernel; a Q of rank 0, which would give every
+    item the same code, raises ValueError.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
@@ -273,7 +284,7 @@ def train(
     W = np.zeros((R, hp.P))
     b = np.zeros(hp.P)
 
-    penalty = _recovery_penalty(Khat, E_list, hp)
+    penalty = _recovery_penalty(Khat, E_list, alm_cfg)
     prev_obj = None
     for it in range(1, hp.outer_iters + 1):
         t0 = time.perf_counter()

@@ -30,6 +30,8 @@ class ALMConfig:
             raise ValueError("tol must be positive")
         if self.alpha <= 0 or self.lam < 0:
             raise ValueError("alpha must be positive and lam nonnegative")
+        if self.max_iters < 1:
+            raise ValueError(f"ALMConfig.max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass
@@ -48,19 +50,9 @@ class ALMState:
 class ALMDiagnostics:
     fit_residuals: list = field(default_factory=list)   # max_m ||Khat+E-K||/||K||
     gap_residuals: list = field(default_factory=list)   # ||Khat-Q||/||Khat||
-    objectives: list = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
     U: np.ndarray | None = None   # basis of range(Q) at the last sweep
-
-    def to_csv(self, path):
-        lines = ["iteration,fit_residual,gap_residual,objective"]
-        for i, (f, g, o) in enumerate(
-            zip(self.fit_residuals, self.gap_residuals, self.objectives), start=1
-        ):
-            lines.append(f"{i},{f:.12g},{g:.12g},{o:.12g}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def init_state(K_list, cfg):
@@ -109,30 +101,23 @@ def update_Khat(state, cfg):
 
 
 def update_multipliers(state, cfg):
-    """Gradient-ascent multiplier step and penalty growth (in place)."""
-    for m in range(len(state.K_list)):
-        state.A[m] = state.A[m] + state.mu * (state.Khat + state.E[m] - state.K_list[m])
-    state.B = state.B + state.mu * (state.Khat - state.Q)
+    """Gradient-ascent multiplier step and penalty growth (in place). Each
+    constraint violation is formed once, measured, scaled by mu and added to
+    its multiplier; returns the relative residuals (fit, gap), max_m
+    ||Khat+E-K||/||K|| and ||Khat-Q||/||Khat||."""
+    viol = np.empty_like(state.Khat)    # one R x N buffer holds each violation in turn
+    fit = 0.0
+    for m, K in enumerate(state.K_list):
+        np.add(state.Khat, state.E[m], out=viol)
+        viol -= K
+        fit = max(fit, np.linalg.norm(viol, "fro") / max(np.linalg.norm(K, "fro"), 1e-12))
+        viol *= state.mu
+        state.A[m] += viol
+    np.subtract(state.Khat, state.Q, out=viol)
+    gap = np.linalg.norm(viol, "fro") / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
+    viol *= state.mu
+    state.B += viol
     state.mu = min(cfg.rho * state.mu, cfg.mu_max)
-    return state
-
-
-def objective(Khat, E_list, cfg):
-    """alpha*||Khat||_* + lam * sum_m ||E^(m)||_{2,1}."""
-    nuc = float(np.sum(np.linalg.svd(Khat, compute_uv=False)))
-    l21 = sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list)
-    return cfg.alpha * nuc + cfg.lam * l21
-
-
-def residuals(state):
-    fit = max(
-        np.linalg.norm(state.Khat + state.E[m] - state.K_list[m], "fro")
-        / max(np.linalg.norm(state.K_list[m], "fro"), 1e-12)
-        for m in range(len(state.K_list))
-    )
-    gap = np.linalg.norm(state.Khat - state.Q, "fro") / max(
-        np.linalg.norm(state.Khat, "fro"), 1e-12
-    )
     return float(fit), float(gap)
 
 
@@ -150,11 +135,9 @@ def recover(K_list, cfg=None):
         for m in range(len(state.K_list)):
             state.E[m] = update_E(state, cfg, m)
         state.Khat = update_Khat(state, cfg)
-        fit, gap = residuals(state)
-        update_multipliers(state, cfg)
+        fit, gap = update_multipliers(state, cfg)
         diag.fit_residuals.append(fit)
         diag.gap_residuals.append(gap)
-        diag.objectives.append(objective(state.Khat, state.E, cfg))
         diag.iterations = it
         if fit < cfg.tol and gap < cfg.tol:
             diag.converged = True

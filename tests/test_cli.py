@@ -109,13 +109,46 @@ class TestSynthCorrupt:
 
 
 class TestTrainArtifacts:
-    def test_model_and_traces_written(self, workspace):
-        assert (workspace / "model.rmvm").exists()
-        obj = (workspace / "model_objective.csv").read_text().splitlines()
-        assert obj[0] == "iteration,objective,seconds"
-        assert len(obj) >= 2
-        alm = (workspace / "model_alm_residuals.csv").read_text().splitlines()
-        assert alm[0] == "iteration,fit_residual,gap_residual,objective"
+    @pytest.mark.parametrize("extra", [[], ["--no-recovery"]], ids=["recovery", "no-recovery"])
+    def test_train_reports_json_line(self, workspace, tmp_path, capsys, extra):
+        model_path = train_model(workspace, tmp_path / "m.rmvm", *extra)
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])
+        ds = dataset.load_dataset(workspace / "db" / "db.manifest")
+        _, _, _, diag = hash_trainer.train(
+            ds, HyperParams(P=8, outer_iters=8),
+            graph_cfg=GraphConfig(L=12), kernel_cfg=KernelSelectConfig(R=12),
+            oos_cfg=OosConfig(Z=20, k_oos=10), seed=0, recovery=not extra,
+        )
+        assert report["model"] == str(model_path)
+        assert report["P"] == 8
+        assert report["outer_iterations"] == diag.outer_iterations
+        assert report["converged"] == diag.converged
+        assert len(report["objective"]) == len(report["seconds"]) == diag.outer_iterations
+        if extra:
+            assert report["alm"] is None
+        else:
+            alm = report["alm"]
+            assert alm["sweeps"] == diag.alm.iterations
+            assert alm["converged"] == diag.alm.converged
+            assert len(alm["fit_residual"]) == len(alm["gap_residual"]) == alm["sweeps"]
+        assert [p.name for p in tmp_path.iterdir()] == ["m.rmvm"]
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--alm-max-iters", "ALMConfig.max_iters"),
+        ("--outer-iters", "HyperParams.outer_iters"),
+        ("--k-oos", "OosConfig.k_oos"),
+        ("--oos-z", "OosConfig.Z"),
+        ("--graph-l", "GraphConfig.L"),
+        ("--graph-k", "GraphConfig.k"),
+        ("--self-tuning-k", "KernelSelectConfig.self_tuning_k"),
+    ])
+    def test_count_below_1_rejected(self, workspace, tmp_path, capsys, flag, field):
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, flag, "0",
+        ]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
 
     def test_inspect(self, workspace, capsys):
         assert run(["inspect", "--model", str(workspace / "model.rmvm")]) == 0
@@ -172,9 +205,10 @@ class TestTrainArtifacts:
         ["query", "--config", "f"],
         ["query", "--seed", "1"],
         ["eval", "--seed", "1", "--db", "d", "--queries", "q", "--out-prefix", "r"],
+        ["train", "--trace-prefix", "t", "--manifest", "m"],
     ])
     def test_ignored_flags_rejected(self, argv, capsys):
-        if argv[0] != "eval":
+        if argv[0] in ("encode", "query"):
             argv = [*argv, "--manifest", "m", "--out", "o"]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args([*argv, "--model", "x.rmvm"])

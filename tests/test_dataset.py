@@ -212,6 +212,12 @@ class TestViewHeader:
         path.write_bytes(view_bytes(3, 0, b""))
         assert dataset.load_view(path).shape == (3, 0)
 
+    def test_zero_columns_huge_rows(self, tmp_path):
+        path = tmp_path / "v.mvh"
+        path.write_bytes(view_bytes(2 ** 60, 0, b""))
+        with pytest.raises(DatasetFormatError, match="too many"):
+            dataset.load_view(path)
+
     def test_truncated_gzip(self, tmp_path):
         path = tmp_path / "v.mvh.gz"
         dataset.save_view(path, np.ones((4, 5)))
@@ -291,5 +297,7 @@ class TestFuzz:
     def test_manifest(self, fuzz_dir, lines, manifest_tail, labels):
         (fuzz_dir / "labels.txt").write_text(labels, encoding="utf-8")
         manifest = fuzz_dir / "m.manifest"
-        manifest.write_bytes("\n".join(lines).encode("utf-8") + manifest_tail)
+        # surrogatepass: a lone surrogate drawn for a line reaches the loader as
+        # invalid UTF-8 bytes, which it must reject, instead of failing here.
+        manifest.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass") + manifest_tail)
         loads_or_rejects(dataset.load_dataset, manifest)

@@ -4,6 +4,7 @@ import pytest
 from rmvhash import anchor_graph, dataset, hash_trainer, kernel_sim, model_io
 from rmvhash.dataset import MultiViewDataset
 from rmvhash.hash_trainer import (
+    ALMConfig,
     CodeState,
     GraphConfig,
     HyperParams,
@@ -229,6 +230,18 @@ class TestTrain:
         ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
         with pytest.raises(ValueError, match="alpha=10"):
             hash_trainer.train(ds, HyperParams(P=8, alpha=10), **small_train_kwargs())
+
+    def test_objective_weighs_with_alm_settings(self):
+        # the recovery terms use the alpha and lam the ALM ran with, not hp's
+        ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
+        runs = [
+            hash_trainer.train(
+                ds, HyperParams(P=8, alpha=alpha), alm_cfg=ALMConfig(), **small_train_kwargs()
+            )
+            for alpha in (0.1, 5.0)
+        ]
+        assert runs[0][3].objective_trace == runs[1][3].objective_trace
+        np.testing.assert_array_equal(runs[0][0].W, runs[1][0].W)
 
     def test_single_bit(self):
         ds = dataset.synth_multiview(3, 20, (8, 8), seed=2)
