@@ -157,6 +157,7 @@ def cmd_train(args):
         "objective": diag.objective_trace, "seconds": diag.outer_iter_seconds,
         "alm": None if alm is None else {
             "sweeps": alm.iterations, "converged": alm.converged,
+            "svd_fallbacks": alm.svd_fallbacks,
             "fit_residual": alm.fit_residuals, "gap_residual": alm.gap_residuals,
         },
     }))

@@ -14,27 +14,53 @@ def svt(mtx, tau):
     return svt_with_basis(mtx, tau)[0]
 
 
+# The Gram path resolves tau only above this multiple of sqrt(eps) * s_max.
+_GRAM_MIN_TAU = 1e3 * np.sqrt(np.finfo(float).eps)
+
+
 def svt_with_basis(mtx, tau):
-    """svt(mtx, tau) and the columns of U with nonzero S_tau(Sigma), an
-    orthonormal basis of its column space, from one SVD."""
+    """svt(mtx, tau), the columns of U with nonzero S_tau(Sigma) (an
+    orthonormal basis of its column space, largest singular value first), and
+    whether the full SVD was taken.
+
+    The singular pairs come from eigh of the Gram matrix of the short side
+    (mtx mtx^T when rows <= cols), so the cost is one small eigenproblem plus
+    products with the few kept pairs. Gram eigenvalues carry an absolute
+    error of about eps * s_max^2, which resolves a singular value s only to
+    about eps * s_max^2 / s; when tau <= 1e3 * sqrt(eps) * s_max the values
+    near tau drown in that error, and the full SVD of mtx is taken instead.
+    """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     mtx = np.asarray(mtx, dtype=float)
     if not np.all(np.isfinite(mtx)):
         raise ValueError("svt input must be finite")
+    wide = mtx.shape[0] <= mtx.shape[1]
     try:
-        u, s, vt = np.linalg.svd(mtx, full_matrices=False)
+        lam, vec = np.linalg.eigh(mtx @ mtx.T if wide else mtx.T @ mtx)
+        s = np.sqrt(np.maximum(lam, 0.0))
+        if tau <= _GRAM_MIN_TAU * s.max(initial=0.0):
+            u, s, vt = np.linalg.svd(mtx, full_matrices=False)
+            s = np.maximum(s - tau, 0.0)
+            return (u * s) @ vt, u[:, s > 0], True
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD did not converge on a {mtx.shape} matrix: {exc}") from exc
-    s = np.maximum(s - tau, 0.0)
-    return (u * s) @ vt, u[:, s > 0]
+        raise NumericError(
+            f"SVD or Gram eigh did not converge on a {mtx.shape} matrix: {exc}"
+        ) from exc
+    keep = np.flatnonzero(s > tau)[::-1]
+    v, s = vec[:, keep], s[keep]
+    if wide:   # v holds left singular vectors: Q = V diag((s-tau)/s) V^T mtx
+        return (v * ((s - tau) / s)) @ (v.T @ mtx), v, False
+    mv = mtx @ v   # v holds right singular vectors: mtx v = U diag(s)
+    return (mv * ((s - tau) / s)) @ v.T, mv / s, False
 
 
-def col_l21_prox(c, kappa):
+def col_l21_prox(c, kappa, out=None):
     """Columnwise shrinkage: prox of kappa*||.||_{2,1}.
 
     Column i is scaled by max(0, 1 - kappa/||c_i||); columns with norm <= kappa
-    (including zero columns) are zeroed.
+    (including zero columns) are zeroed. The result goes to out when given,
+    which may be c itself.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
@@ -43,12 +69,13 @@ def col_l21_prox(c, kappa):
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])
-    return c * scale
+    return np.multiply(c, scale, out=out)
 
 
-def project_nonneg(v):
-    """Elementwise projection onto the nonnegative orthant."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
+def project_nonneg(v, out=None):
+    """Elementwise projection onto the nonnegative orthant, into out when
+    given (which may be v itself)."""
+    return np.maximum(np.asarray(v, dtype=float), 0.0, out=out)
 
 
 def project_simplex(v):

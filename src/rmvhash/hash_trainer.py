@@ -64,6 +64,8 @@ class KernelSelectConfig:
 
     def __post_init__(self):
         _check_counts(self, "self_tuning_k")
+        if self.R is not None and self.R < 0:
+            raise ValueError(f"KernelSelectConfig.R must be at least 0, got {self.R}")
 
 
 @dataclass

@@ -5,6 +5,14 @@ Solves  min  alpha*||Khat||_*  +  lam * sum_m ||E^(m)||_{2,1}
 by alternating closed-form block updates (Q via singular value thresholding,
 E^(m) via columnwise shrinkage, Khat via averaging plus projection) with a
 single multiplier/penalty update per sweep.
+
+The thresholding takes its singular pairs from the R x R Gram matrix of
+Khat + B/mu (see core_math.svt_with_basis); a sweep whose threshold alpha/mu
+is too small for the Gram matrix to resolve takes the full SVD instead and is
+counted in ALMDiagnostics.svd_fallbacks. E^(m), Khat and the violations of the
+multiplier step are computed in place, in the state's own arrays and one
+R x N scratch buffer, so a sweep allocates no R x N temporary besides Q and
+the norms' squares.
 """
 
 from dataclasses import dataclass, field
@@ -42,8 +50,10 @@ class ALMState:
     E: list
     A: list                       # multipliers for K = Khat + E
     B: np.ndarray                 # multiplier for Khat = Q
+    work: np.ndarray              # (R, N) scratch reused by every update
     mu: float
     U: np.ndarray | None = None   # (R, rank Q), orthonormal basis of range(Q)
+    svd_fallbacks: int = 0        # update_Q calls whose SVT took the full SVD
 
 
 @dataclass
@@ -53,6 +63,7 @@ class ALMDiagnostics:
     iterations: int = 0
     converged: bool = False
     U: np.ndarray | None = None   # basis of range(Q) at the last sweep
+    svd_fallbacks: int = 0        # sweeps whose SVT took the full SVD
 
 
 def init_state(K_list, cfg):
@@ -73,31 +84,41 @@ def init_state(K_list, cfg):
         E=[np.zeros(shape) for _ in K_list],
         A=[np.zeros(shape) for _ in K_list],
         B=np.zeros(shape),
+        work=np.empty(shape),
         mu=float(mu),
     )
 
 
 def update_Q(state, cfg):
     """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
-    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu); state.U spans range(Q)."""
-    Q, state.U = core_math.svt_with_basis(state.Khat + state.B / state.mu, cfg.alpha / state.mu)
+    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu); state.U spans range(Q),
+    and a full-SVD fallback is counted in state.svd_fallbacks."""
+    target = np.divide(state.B, state.mu, out=state.work)
+    target += state.Khat
+    Q, state.U, fallback = core_math.svt_with_basis(target, cfg.alpha / state.mu)
+    state.svd_fallbacks += fallback
     return Q
 
 
 def update_E(state, cfg, m):
     """Columnwise shrinkage step on the view-m error: prox of
-    (lam/mu) * ||.||_{2,1}."""
-    resid = state.K_list[m] - state.Khat - state.A[m] / state.mu
-    return core_math.col_l21_prox(resid, cfg.lam / state.mu)
+    (lam/mu) * ||.||_{2,1} at K - Khat - A/mu, written into state.E[m]."""
+    E = np.subtract(state.K_list[m], state.Khat, out=state.E[m])
+    E -= np.divide(state.A[m], state.mu, out=state.work)
+    return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E)
 
 
 def update_Khat(state, cfg):
-    """Average the M+1 quadratic pulls and project onto Khat >= 0."""
+    """Average the M+1 quadratic pulls and project onto Khat >= 0, written
+    into state.Khat (which no pull reads)."""
     M = len(state.K_list)
-    acc = state.Q - state.B / state.mu
+    acc = np.subtract(state.Q, np.divide(state.B, state.mu, out=state.work), out=state.Khat)
     for m in range(M):
-        acc = acc + state.K_list[m] - state.E[m] - state.A[m] / state.mu
-    return core_math.project_nonneg(acc / (M + 1))
+        acc += state.K_list[m]
+        acc -= state.E[m]
+        acc -= np.divide(state.A[m], state.mu, out=state.work)
+    acc /= M + 1
+    return core_math.project_nonneg(acc, out=acc)
 
 
 def update_multipliers(state, cfg):
@@ -105,7 +126,7 @@ def update_multipliers(state, cfg):
     constraint violation is formed once, measured, scaled by mu and added to
     its multiplier; returns the relative residuals (fit, gap), max_m
     ||Khat+E-K||/||K|| and ||Khat-Q||/||Khat||."""
-    viol = np.empty_like(state.Khat)    # one R x N buffer holds each violation in turn
+    viol = state.work    # one R x N buffer holds each violation in turn
     fit = 0.0
     for m, K in enumerate(state.K_list):
         np.add(state.Khat, state.E[m], out=viol)
@@ -143,4 +164,5 @@ def recover(K_list, cfg=None):
             diag.converged = True
             break
     diag.U = state.U
+    diag.svd_fallbacks = state.svd_fallbacks
     return state.Khat, state.E, diag

@@ -130,6 +130,7 @@ class TestTrainArtifacts:
             alm = report["alm"]
             assert alm["sweeps"] == diag.alm.iterations
             assert alm["converged"] == diag.alm.converged
+            assert alm["svd_fallbacks"] == diag.alm.svd_fallbacks
             assert len(alm["fit_residual"]) == len(alm["gap_residual"]) == alm["sweeps"]
         assert [p.name for p in tmp_path.iterdir()] == ["m.rmvm"]
 
@@ -148,6 +149,15 @@ class TestTrainArtifacts:
             "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, flag, "0",
         ]) == 1
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
+    def test_negative_kernel_r_rejected(self, workspace, tmp_path, capsys):
+        # R = 0 means "same as L"; below 0 is an error naming the field
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--kernel-r", "-3",
+        ]) == 1
+        assert "KernelSelectConfig.R" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
     def test_inspect(self, workspace, capsys):

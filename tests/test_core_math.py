@@ -72,11 +72,75 @@ class TestSvt:
         rng = np.random.default_rng(5)
         m = rng.normal(size=(6, 9))
         tau = 1.5
-        q, u = core_math.svt_with_basis(m, tau)
+        q, u, _ = core_math.svt_with_basis(m, tau)
         np.testing.assert_array_equal(q, core_math.svt(m, tau))
         assert u.shape == (6, np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tau))
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
         np.testing.assert_allclose(u @ (u.T @ q), q, atol=1e-12)
+
+    # the Gram-side path against np.linalg.svd: Q to 1e-12 relative, U U^T to 1e-10
+
+    @staticmethod
+    def svd_oracle(m, tau):
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        s = np.maximum(s - tau, 0.0)
+        return (u * s) @ vt, u[:, s > 0]
+
+    @staticmethod
+    def rank_10_plus_noise(shape, seed):
+        rng = np.random.default_rng(seed)
+        planted = rng.normal(size=(shape[0], 10)) @ rng.normal(size=(10, shape[1]))
+        return planted + 1e-3 * rng.normal(size=shape)
+
+    @pytest.mark.parametrize(
+        "shape", [(40, 300), (300, 40), (50, 50)], ids=["wide", "tall", "square"]
+    )
+    def test_gram_path_matches_svd(self, shape):
+        m = self.rank_10_plus_noise(shape, 6)
+        s = np.linalg.svd(m, compute_uv=False)
+        tau = 0.5 * s[9]   # keeps the 10 planted values, drops the noise
+        q, u, full_svd = core_math.svt_with_basis(m, tau)
+        want_q, want_u = self.svd_oracle(m, tau)
+        assert not full_svd
+        assert u.shape == want_u.shape == (shape[0], 10)
+        assert np.linalg.norm(q - want_q) <= 1e-12 * np.linalg.norm(want_q)
+        np.testing.assert_allclose(u @ u.T, want_u @ want_u.T, atol=1e-10)
+        np.testing.assert_allclose(u.T @ u, np.eye(10), atol=1e-10)
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+    def test_tau_above_spectrum_gives_zero(self, shape):
+        m = self.rank_10_plus_noise(shape, 7)
+        tau = 1.5 * np.linalg.norm(m, 2)
+        q, u, full_svd = core_math.svt_with_basis(m, tau)
+        assert not full_svd
+        np.testing.assert_array_equal(q, np.zeros(shape))
+        assert u.shape == (shape[0], 0)
+
+    def test_tau_zero_falls_back_and_returns_input(self):
+        m = self.rank_10_plus_noise((40, 300), 8)
+        q, u, full_svd = core_math.svt_with_basis(m, 0.0)
+        assert full_svd
+        assert np.linalg.norm(q - m) <= 1e-12 * np.linalg.norm(m)
+        assert u.shape == (40, 40)
+
+    def test_near_threshold_takes_svd(self):
+        # singular values 1 and 1e-9 around tau = 5e-10: the Gram eigenvalue
+        # 1e-18 is below eps * s_max^2, so only the SVD resolves the pair
+        rng = np.random.default_rng(9)
+        u0, _ = np.linalg.qr(rng.normal(size=(6, 2)))
+        v0, _ = np.linalg.qr(rng.normal(size=(30, 2)))
+        m = (u0 * [1.0, 1e-9]) @ v0.T
+        q, u, full_svd = core_math.svt_with_basis(m, 5e-10)
+        want_q, want_u = self.svd_oracle(m, 5e-10)
+        assert full_svd
+        np.testing.assert_array_equal(q, want_q)
+        np.testing.assert_array_equal(u, want_u)
+
+    def test_fallback_rule_boundary(self):
+        m = self.rank_10_plus_noise((40, 300), 10)
+        rule = core_math._GRAM_MIN_TAU * np.linalg.norm(m, 2)
+        assert core_math.svt_with_basis(m, 0.5 * rule)[2]
+        assert not core_math.svt_with_basis(m, 2.0 * rule)[2]
 
 
 class TestColL21Prox:

@@ -225,6 +225,12 @@ class TestTrain:
         assert U.shape[1] < model.W.shape[0]
         np.testing.assert_allclose(U @ (U.T @ model.W), model.W, atol=1e-12)
 
+    def test_negative_kernel_r_rejected(self):
+        with pytest.raises(ValueError, match="KernelSelectConfig.R"):
+            KernelSelectConfig(R=-3)
+        assert KernelSelectConfig(R=0).R == 0   # None and 0 mean "same as L"
+        assert KernelSelectConfig().R is None
+
     def test_rank_0_recovery_rejected(self):
         # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)
         ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import lowrank_alm
+from rmvhash import core_math, lowrank_alm
 from rmvhash.lowrank_alm import ALMConfig
 
 
@@ -116,6 +116,92 @@ class TestRecover:
         s = np.linalg.svd(Khat, compute_uv=False)
         rank = int(np.sum(s > 1e-6 * s[0]))
         assert rank <= 4 + 2
+
+
+def reference_recover(K_list, cfg):
+    """The inexact-ALM sweep written out of place: every update builds fresh
+    arrays, in the operation order of lowrank_alm. Returns (Khat, sweeps)."""
+    M = len(K_list)
+    Kbar = sum(K_list) / M
+    mu = 1.0 / max(np.linalg.norm(Kbar, 2), 1e-12)
+    Khat = np.maximum(Kbar, 0.0)
+    Q, B = Khat.copy(), np.zeros_like(Khat)
+    A = [np.zeros_like(Khat) for _ in K_list]
+    for it in range(1, cfg.max_iters + 1):
+        Q = core_math.svt_with_basis(Khat + B / mu, cfg.alpha / mu)[0]
+        E = [core_math.col_l21_prox(K - Khat - a / mu, cfg.lam / mu) for K, a in zip(K_list, A)]
+        acc = Q - B / mu
+        for K, e, a in zip(K_list, E, A):
+            acc = acc + K - e - a / mu
+        Khat = np.maximum(acc / (M + 1), 0.0)
+        fit = max(
+            np.linalg.norm(Khat + e - K, "fro") / max(np.linalg.norm(K, "fro"), 1e-12)
+            for K, e in zip(K_list, E)
+        )
+        gap = np.linalg.norm(Khat - Q, "fro") / max(np.linalg.norm(Khat, "fro"), 1e-12)
+        A = [a + (Khat + e - K) * mu for K, e, a in zip(K_list, E, A)]
+        B = B + (Khat - Q) * mu
+        mu = min(cfg.rho * mu, cfg.mu_max)
+        if fit < cfg.tol and gap < cfg.tol:
+            break
+    return Khat, it
+
+
+class TestInPlaceSweep:
+    def test_matches_out_of_place_reference(self):
+        rng = np.random.default_rng(27)
+        Kstar = planted_nonneg_lowrank(rng, 20, 80, 3)
+        K_list = [corrupt_columns(rng, Kstar, rng.choice(80, 4, replace=False)) for _ in range(3)]
+        cfg = ALMConfig(alpha=0.05, lam=0.3)
+        Khat, _, diag = lowrank_alm.recover(K_list, cfg)
+        want, sweeps = reference_recover(K_list, cfg)
+        assert diag.converged
+        assert diag.iterations == sweeps
+        np.testing.assert_array_equal(Khat, want)
+
+    def test_updates_leave_inputs_and_multipliers(self):
+        state, cfg = make_state(seed=28, M=3)
+        before = [x.copy() for x in (*state.K_list, *state.A, state.B)]
+        khat = state.Khat.copy()
+        lowrank_alm.update_Q(state, cfg)
+        np.testing.assert_array_equal(state.Khat, khat)
+        for m in range(3):
+            e = lowrank_alm.update_E(state, cfg, m)
+            assert e is state.E[m]
+        lowrank_alm.update_Khat(state, cfg)
+        for x, x0 in zip((*state.K_list, *state.A, state.B), before):
+            np.testing.assert_array_equal(x, x0)
+
+
+class TestSvdFallback:
+    def test_tiny_alpha_counts_fallbacks(self, monkeypatch):
+        # alpha/mu falls below 1e3*sqrt(eps)*s_max as mu grows to mu_max (from
+        # the fourth sweep on); those sweeps take the full SVD and are counted
+        rng = np.random.default_rng(29)
+        K_list = [planted_nonneg_lowrank(rng, 10, 40, 2) + 0.01 * rng.random((10, 40))
+                  for _ in range(2)]
+        cfg = ALMConfig(alpha=3e-5, lam=0.3, mu_max=0.5)
+        svt = core_math.svt_with_basis
+        ratios = []
+
+        def recording(mtx, tau):
+            ratios.append(tau / np.linalg.norm(mtx, 2))
+            return svt(mtx, tau)
+
+        monkeypatch.setattr(core_math, "svt_with_basis", recording)
+        Khat, E_list, diag = lowrank_alm.recover(K_list, cfg)
+        want = sum(r <= core_math._GRAM_MIN_TAU for r in ratios)
+        assert 0 < diag.svd_fallbacks == want < diag.iterations
+        assert diag.converged
+        assert max(diag.fit_residuals[-1], diag.gap_residuals[-1]) < cfg.tol
+        fit = max(np.linalg.norm(Khat + E - K) / np.linalg.norm(K) for K, E in zip(K_list, E_list))
+        assert diag.fit_residuals[-1] == pytest.approx(fit, rel=1e-12)
+
+    def test_no_fallback_at_default_settings(self):
+        rng = np.random.default_rng(30)
+        K_list = [np.abs(rng.normal(size=(8, 20))) for _ in range(2)]
+        _, _, diag = lowrank_alm.recover(K_list, ALMConfig(alpha=0.5, lam=0.1))
+        assert diag.svd_fallbacks == 0
 
 
 class TestUpdateQ:
