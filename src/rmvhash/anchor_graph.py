@@ -17,11 +17,8 @@ from . import core_math
 
 @dataclass(frozen=True)
 class AnchorGraph:
-    landmarks: np.ndarray    # (L, d_m)
     F: sp.csr_matrix         # (N, L), row-stochastic, k nonzeros per row
     lambda_diag: np.ndarray  # (L,), column sums of F, all positive
-    bandwidth: float
-    k: int
     H: sp.csr_matrix         # (N, L), F Lambda^{-1/2}
     sigma: np.ndarray        # (L,), eigenvalues of H^T H, clamped to [0, 1]
     V: np.ndarray            # (L, L), orthonormal eigenvectors of H^T H
@@ -97,8 +94,7 @@ def build_truncated_affinity(view, landmarks, k, t=None):
     H = F @ sp.diags(1.0 / np.sqrt(col_mass))
     sigma, V = np.linalg.eigh((H.T @ H).toarray())
     return AnchorGraph(
-        landmarks=landmarks, F=F, lambda_diag=col_mass, bandwidth=float(t), k=int(k),
-        H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V,
+        F=F, lambda_diag=col_mass, H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V,
     )
 
 

@@ -55,6 +55,15 @@ def svt_with_basis(mtx, tau):
     return (mv * ((s - tau) / s)) @ v.T, mv / s, False
 
 
+def _singular_values(mtx):
+    """Singular values of mtx, in ascending order, from eigvalsh of the Gram
+    matrix of its short side. Each carries an absolute error of about
+    eps * s_max^2 / s, which the spectral and nuclear norms tolerate."""
+    mtx = np.asarray(mtx, dtype=float)
+    gram = mtx @ mtx.T if mtx.shape[0] <= mtx.shape[1] else mtx.T @ mtx
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+
+
 def col_l21_prox(c, kappa, out=None):
     """Columnwise shrinkage: prox of kappa*||.||_{2,1}.
 

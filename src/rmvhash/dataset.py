@@ -3,7 +3,7 @@
 import gzip
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ class MultiViewDataset:
 
     views: tuple            # M arrays, each (d_m, N)
     labels: np.ndarray | None = None
-    ids: np.ndarray | None = None
     name: str = "dataset"
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class MultiViewDataset:
             raise DatasetFormatError(
                 f"{len(self.labels)} labels for {n} samples"
             )
-        if self.ids is None:
-            object.__setattr__(self, "ids", np.arange(n))
 
     @property
     def n_samples(self):
@@ -70,7 +67,6 @@ class MultiViewDataset:
         return MultiViewDataset(
             views=tuple(v[:, idx] for v in self.views),
             labels=None if self.labels is None else self.labels[idx],
-            ids=self.ids[idx],
             name=self.name,
         )
 
@@ -107,6 +103,24 @@ def save_view(path, view):
         f.write(view.tobytes())
 
 
+def read_block(buf, offset, dtype, error):
+    """Read the `uint64 rows, uint64 cols, row-major payload of dtype` block at
+    buf[offset:]; returns (read-only view into buf, offset past the block).
+    Raises error(message) for a short header, a short payload, or a dimension
+    too large for a float64 copy."""
+    if len(buf) - offset < 16:
+        raise error("truncated header")
+    rows, cols = struct.unpack_from("<QQ", buf, offset)
+    start = offset + 16
+    end = start + rows * cols * np.dtype(dtype).itemsize
+    if end > len(buf):
+        raise error(f"truncated payload, {len(buf) - start} bytes for {rows} x {cols}")
+    if max(rows, cols) > np.iinfo(np.intp).max // 8:
+        # only a zero-size block gets here past the payload-size check
+        raise error(f"header claims {rows} x {cols}, too many for an array")
+    return np.frombuffer(buf, dtype, rows * cols, start).reshape(rows, cols), end
+
+
 def load_view(path):
     """Read one MVH1 view; raises DatasetFormatError unless the file holds
     exactly the header's rows x cols values, with at least one row."""
@@ -120,19 +134,11 @@ def load_view(path):
         raise DatasetFormatError(f"{path}: corrupt compressed file: {exc}") from exc
     if raw[:4] != MAGIC:
         raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    if len(raw) < 20:
-        raise DatasetFormatError(f"{path}: truncated header")
-    rows, cols = struct.unpack("<QQ", raw[4:20])
-    payload, need = raw[20:], rows * cols * 4
-    if rows < 1:
+    view, end = read_block(raw, 4, "<f4", lambda msg: DatasetFormatError(f"{path}: {msg}"))
+    if len(view) < 1:
         raise DatasetFormatError(f"{path}: header claims no rows")
-    if len(payload) != need:
-        kind = "truncated payload" if len(payload) < need else "trailing bytes"
-        raise DatasetFormatError(f"{path}: {kind}, {len(payload)} bytes for {rows} x {cols}")
-    if rows > np.iinfo(np.intp).max // 8:
-        # only a zero-column header gets here past the payload-size check
-        raise DatasetFormatError(f"{path}: header claims {rows} rows, too many for an array")
-    view = np.frombuffer(payload, dtype="<f4").reshape(rows, cols)
+    if end != len(raw):
+        raise DatasetFormatError(f"{path}: trailing bytes, {len(raw) - end} after {view.shape}")
     bad = np.argwhere(~np.isfinite(view))
     if bad.size:
         r, c = bad[0]
@@ -238,7 +244,7 @@ def corrupt_gaussian(ds, spec):
         mask = rng.random(v.shape) < spec.fraction
         noisy = v + mask * rng.normal(size=v.shape)
         views.append(noisy)
-    return MultiViewDataset(views=tuple(views), labels=ds.labels, ids=ds.ids, name=ds.name)
+    return MultiViewDataset(views=tuple(views), labels=ds.labels, name=ds.name)
 
 
 def corrupt_block(ds, spec):
@@ -257,7 +263,7 @@ def corrupt_block(ds, spec):
             for i in range(n):
                 out[starts[i]:starts[i] + width, i] = 0.0
         views.append(out)
-    return MultiViewDataset(views=tuple(views), labels=ds.labels, ids=ds.ids, name=ds.name)
+    return MultiViewDataset(views=tuple(views), labels=ds.labels, name=ds.name)
 
 
 def corrupt(ds, spec):

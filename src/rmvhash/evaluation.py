@@ -8,9 +8,12 @@ distance are broken by ascending database index.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# Query-database pairs per block of evaluate; bounds its working memory.
+_BLOCK = 1 << 21
 
 
 @dataclass
@@ -56,13 +59,20 @@ def hamming_distance(a, b):
 
 
 def hamming_distances(query_codes, db_codes):
-    """(F, n) matrix of Hamming distances between query and database codes."""
-    q = np.asarray(query_codes, dtype=np.int32)
-    d = np.asarray(db_codes, dtype=np.int32)
+    """(F, n) matrix of Hamming distances between query and database codes.
+
+    The +/-1 inner products run in float32 through BLAS, exact while
+    P < 2**24. The distances come back in np.min_scalar_type(P), uint8 for
+    P <= 255, so a stable argsort of them is a radix sort. They are unsigned:
+    subtracting from them, or adding a Python int, wraps around modulo the
+    dtype's range instead of going negative or growing; widen them first.
+    """
+    q = np.asarray(query_codes, dtype=np.float32)
+    d = np.asarray(db_codes, dtype=np.float32)
     if q.shape[1] != d.shape[1]:
         raise ValueError(f"code length mismatch: {q.shape[1]} vs {d.shape[1]}")
     p = q.shape[1]
-    return (p - q @ d.T) // 2
+    return ((p - q @ d.T) / 2).astype(np.min_scalar_type(p))
 
 
 def relevance_matrix(query_labels, db_labels):
@@ -75,107 +85,88 @@ def relevance_matrix(query_labels, db_labels):
     return (q @ d.T) > 0
 
 
+def average_precision(ranked_relevance, l_q):
+    """AP of ranked relevance sequences along the last axis, each normalized
+    by its total number of ground-truth neighbors l_q; a float for one
+    sequence, an array for a stack of them."""
+    l_q = np.asarray(l_q)
+    if np.any(l_q < 1):
+        raise ValueError("l_q must be at least 1")
+    rel = np.asarray(ranked_relevance, dtype=float)
+    prec_at = np.cumsum(rel, axis=-1) / np.arange(1, rel.shape[-1] + 1)
+    ap = np.sum(prec_at * rel, axis=-1) / l_q
+    return float(ap) if ap.ndim == 0 else ap
+
+
 def hash_lookup_precision(query_codes, db_codes, relevant, radius=2):
     """Mean/std of per-query precision of the Hamming ball of given radius.
 
     Queries with empty balls contribute precision 0 and reduce coverage.
     Returns (mean, std, coverage, mean_over_nonempty).
     """
-    return _lookup_precision(hamming_distances(query_codes, db_codes), relevant, radius)
-
-
-def _ball_counts(dist, relevant, radius):
-    """Per query: items, and relevant items, within the Hamming radius."""
-    ball = dist <= radius
-    return np.count_nonzero(ball, axis=1), np.count_nonzero(relevant & ball, axis=1)
-
-
-def _lookup_precision(dist, relevant, radius):
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if dist.shape[1] == 0:
-        raise ValueError("database is empty")
-    hits, rel_hits = _ball_counts(dist, np.asarray(relevant, dtype=bool), radius)
-    precisions = np.where(hits > 0, rel_hits / np.maximum(hits, 1), 0.0)
-    nonempty = precisions[hits > 0]
-    coverage = nonempty.size / precisions.size
-    mean_nonempty = float(np.mean(nonempty)) if nonempty.size else 0.0
-    return float(precisions.mean()), float(precisions.std()), coverage, mean_nonempty
-
-
-def average_precision(ranked_relevance, l_q):
-    """AP of a ranked relevance sequence, normalized by the total number of
-    ground-truth neighbors l_q."""
-    if l_q < 1:
-        raise ValueError("l_q must be at least 1")
-    rel = np.asarray(ranked_relevance, dtype=float)
-    if rel.size == 0 or rel.sum() == 0:
-        return 0.0
-    cum = np.cumsum(rel)
-    prec_at = cum / np.arange(1, rel.size + 1)
-    return float(np.sum(prec_at * rel) / l_q)
-
-
-def ranked_indices(dist_row):
-    """Database order by ascending distance, ties broken by ascending index."""
-    return np.argsort(dist_row, kind="stable")
+    r = evaluate(query_codes, db_codes, relevant, radius=radius)
+    return (r.lookup_precision_mean, r.lookup_precision_std, r.lookup_coverage,
+            r.lookup_precision_nonempty)
 
 
 def mean_average_precision(query_codes, db_codes, relevant, top_k=100):
     """MAP over the top_k Hamming-ranked items per query; each AP is
     normalized by the query's total neighbor count in the database."""
-    dist = hamming_distances(query_codes, db_codes)
-    return _mean_average_precision(dist, relevant, top_k)
-
-
-def _mean_average_precision(dist, relevant, top_k):
-    if top_k < 1:
-        raise ValueError("top_k must be at least 1")
-    if dist.shape[0] == 0:
-        raise ValueError("query set is empty")
-    relevant = np.asarray(relevant, dtype=bool)
-    aps = [
-        average_precision(rel[ranked_indices(row)[:top_k]], l_q) if l_q else 0.0
-        for row, rel, l_q in zip(dist, relevant, np.count_nonzero(relevant, axis=1))
-    ]
-    return float(np.mean(aps))
+    return evaluate(query_codes, db_codes, relevant, top_k=top_k).map
 
 
 def pr_curve(query_codes, db_codes, relevant):
-    """Mean precision and recall per Hamming radius 0..P.
+    """Mean recall and precision per Hamming radius 0..P.
 
-    Radii with no retrieved item for any query get precision 0.
+    Queries with an empty ball at a radius get precision 0 there.
     """
-    p = np.shape(query_codes)[1]
-    return _pr_curve(hamming_distances(query_codes, db_codes), relevant, p)
-
-
-def _pr_curve(dist, relevant, p):
-    if 0 in dist.shape:
-        raise ValueError("query and database must be non-empty")
-    relevant = np.asarray(relevant, dtype=bool)
-    l_q = np.count_nonzero(relevant, axis=1)
-    curve = []
-    for radius in range(p + 1):
-        hits, rel_hits = _ball_counts(dist, relevant, radius)
-        precisions = np.where(hits > 0, rel_hits / np.maximum(hits, 1), 0.0)
-        recalls = np.where(l_q > 0, rel_hits / np.maximum(l_q, 1), 0.0)
-        curve.append((float(np.mean(recalls)), float(np.mean(precisions))))
-    return curve
+    return evaluate(query_codes, db_codes, relevant).pr_curve
 
 
 def evaluate(query_codes, db_codes, relevant, top_k=100, radius=2):
-    """Full report from one distance matrix: MAP@top_k, lookup stats, PR curve."""
-    dist = hamming_distances(query_codes, db_codes)
+    """Full report: MAP@top_k, lookup stats at radius, PR curve.
+
+    One pass over blocks of queries: each block computes its distances once,
+    counts per query the items and the relevant items at every distance 0..P,
+    and ranks its top_k with one stable sort. Every radius metric is read from
+    the cumulative counts.
+    """
+    q = np.asarray(query_codes, dtype=np.float32)
+    d = np.asarray(db_codes, dtype=np.float32)
     relevant = np.asarray(relevant, dtype=bool)
-    mean, std, coverage, mean_nonempty = _lookup_precision(dist, relevant, radius)
+    if top_k < 1 or radius < 0:
+        raise ValueError(f"need top_k >= 1 and radius >= 0, got {top_k} and {radius}")
+    if len(q) == 0 or len(d) == 0:
+        raise ValueError("query and database must be non-empty")
+    if relevant.shape != (len(q), len(d)):
+        raise ValueError(f"relevance is {relevant.shape}, expected {(len(q), len(d))}")
+    (f, n), p = relevant.shape, q.shape[1]
+    l_q = np.count_nonzero(relevant, axis=1)
+    counts = np.zeros((2, f, p + 1), dtype=np.intp)   # items, relevant items at each distance
+    aps = np.empty(f)
+    step = max(1, _BLOCK // n)
+    for lo in range(0, f, step):
+        dist = hamming_distances(q[lo:lo + step], d)
+        rel = relevant[lo:lo + step]
+        rows = len(dist)
+        # an intp row offset widens the unsigned distances before the add
+        bins = dist + (p + 1) * np.arange(rows)[:, None]
+        for c, b in zip(counts, (bins.ravel(), bins[rel])):
+            c[lo:lo + rows] = np.bincount(b, minlength=rows * (p + 1)).reshape(rows, p + 1)
+        ranked = np.take_along_axis(rel, np.argsort(dist, axis=1, kind="stable")[:, :top_k], axis=1)
+        # a query without neighbors ranks no hit, so its AP is 0 over any l_q >= 1
+        aps[lo:lo + rows] = average_precision(ranked, np.maximum(l_q[lo:lo + rows], 1))
+    hits, rel_hits = np.cumsum(counts, axis=2).transpose(0, 2, 1)   # (P+1, F): within radius
+    precision = np.where(hits > 0, rel_hits / np.maximum(hits, 1), 0.0)
+    recall = rel_hits / np.maximum(l_q, 1)
+    lookup, ball = precision[min(radius, p)], hits[min(radius, p)] > 0
     return EvalReport(
-        map=_mean_average_precision(dist, relevant, top_k),
-        lookup_precision_mean=mean,
-        lookup_precision_std=std,
-        lookup_precision_nonempty=mean_nonempty,
-        lookup_coverage=coverage,
-        pr_curve=_pr_curve(dist, relevant, np.shape(query_codes)[1]),
+        map=float(np.mean(aps)),
+        lookup_precision_mean=float(lookup.mean()),
+        lookup_precision_std=float(lookup.std()),
+        lookup_precision_nonempty=float(np.mean(lookup[ball])) if ball.any() else 0.0,
+        lookup_coverage=np.count_nonzero(ball) / f,
+        pr_curve=list(zip(recall.mean(axis=1).tolist(), precision.mean(axis=1).tolist())),
         top_k=top_k,
         radius=radius,
     )

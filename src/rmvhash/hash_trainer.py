@@ -169,7 +169,7 @@ def _recovery_penalty(Khat, E_list, cfg):
     """The nuclear and l21 terms, weighed by cfg.alpha and cfg.lam, which stay
     fixed while the codes change."""
     return (
-        cfg.alpha * float(np.sum(np.linalg.svd(Khat, compute_uv=False))),
+        cfg.alpha * float(np.sum(core_math._singular_values(Khat))),
         cfg.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
     )
 

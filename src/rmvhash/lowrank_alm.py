@@ -75,7 +75,7 @@ def init_state(K_list, cfg):
         if not np.all(np.isfinite(K)):
             raise ValueError(f"view {m} contains non-finite entries")
     Kbar = sum(K_list) / len(K_list)
-    mu = 1.0 / max(np.linalg.norm(Kbar, 2), 1e-12)
+    mu = 1.0 / max(core_math._singular_values(Kbar)[-1], 1e-12)
     Khat = core_math.project_nonneg(Kbar)
     return ALMState(
         K_list=K_list,

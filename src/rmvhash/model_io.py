@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import hash_trainer, kernel_sim, oos_encoder
+from . import dataset, hash_trainer, kernel_sim, oos_encoder
 
 MAGIC = b"RMVM"
 FORMAT_VERSION = 2
@@ -67,12 +67,8 @@ class _Reader:
         return out
 
     def matrix(self):
-        rows, cols = struct.unpack("<QQ", self.take(16))
-        data = self.take(rows * cols * 8)
-        try:
-            return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-        except ValueError as exc:     # a dimension numpy cannot represent
-            raise ModelFileError(f"bad matrix shape ({rows}, {cols})") from exc
+        mtx, self.pos = dataset.read_block(self.buf, self.pos, "<f8", ModelFileError)
+        return mtx.copy()
 
 
 def save_model(model, path, config_snapshot=None):

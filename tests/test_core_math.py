@@ -108,6 +108,15 @@ class TestSvt:
         np.testing.assert_allclose(u.T @ u, np.eye(10), atol=1e-10)
 
     @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
+    def test_gram_singular_values_give_both_norms(self, shape):
+        m = self.rank_10_plus_noise(shape, 9)
+        s = np.linalg.svd(m, compute_uv=False)
+        got = core_math._singular_values(m)
+        assert got.shape == (40,)
+        assert got[-1] == pytest.approx(s[0], rel=1e-14)
+        assert got.sum() == pytest.approx(s.sum(), rel=1e-10)
+
+    @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
     def test_tau_above_spectrum_gives_zero(self, shape):
         m = self.rank_10_plus_noise(shape, 7)
         tau = 1.5 * np.linalg.norm(m, 2)

@@ -177,9 +177,10 @@ class TestSplit:
         np.testing.assert_array_equal(train.views[0], ds.views[0])
 
     def test_partition_property(self):
-        ds = make_random_ds(seed=15, n=50)
+        # the only view holds each sample's index, so the split's columns name it
+        ds = MultiViewDataset(views=(np.arange(50.0)[None, :],), name="index")
         train, query = dataset.split(ds, 12, seed=4)
-        union = np.sort(np.concatenate([train.ids, query.ids]))
+        union = np.sort(np.concatenate([train.views[0][0], query.views[0][0]]))
         np.testing.assert_array_equal(union, np.arange(50))
 
     def test_too_large_query_rejected(self):

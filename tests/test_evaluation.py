@@ -10,6 +10,58 @@ def random_codes(rng, n, p):
     return rng.choice([-1, 1], size=(n, p)).astype(np.int8)
 
 
+def brute_force_report(q, d, rel, top_k, radius):
+    """Criterion-8-style oracle: pairwise distances, a sorted (distance,
+    index) ranking per query, and a scan of each Hamming ball."""
+    f, n = rel.shape
+    p = q.shape[1]
+    dist = [[evaluation.hamming_distance(q[i], d[j]) for j in range(n)] for i in range(f)]
+    aps = []
+    for i in range(f):
+        order = sorted(range(n), key=lambda j: (dist[i][j], j))[:top_k]
+        hits, ap = 0, 0.0
+        for rank, j in enumerate(order, start=1):
+            if rel[i, j]:
+                hits += 1
+                ap += hits / rank
+        aps.append(ap / rel[i].sum() if rel[i].any() else 0.0)
+
+    def balls(r):   # per query: (precision, recall, ball non-empty)
+        out = []
+        for i in range(f):
+            ball = [j for j in range(n) if dist[i][j] <= r]
+            hits = sum(rel[i, j] for j in ball)
+            out.append((
+                hits / len(ball) if ball else 0.0,
+                hits / rel[i].sum() if rel[i].any() else 0.0,
+                bool(ball),
+            ))
+        return out
+
+    lookup = balls(radius)
+    precs = [prec for prec, _, _ in lookup]
+    nonempty = [prec for prec, _, full in lookup if full]
+    curve = [
+        (np.mean([rec for _, rec, _ in b]), np.mean([prec for prec, _, _ in b]))
+        for b in map(balls, range(p + 1))
+    ]
+    return dict(
+        map=np.mean(aps), mean=np.mean(precs), std=np.std(precs),
+        coverage=len(nonempty) / f, nonempty=np.mean(nonempty) if nonempty else 0.0,
+        curve=curve,
+    )
+
+
+def assert_matches_brute_force(report, q, d, rel, top_k, radius):
+    want = brute_force_report(q, d, rel, top_k, radius)
+    assert report.map == pytest.approx(want["map"], abs=1e-12)
+    assert report.lookup_precision_mean == pytest.approx(want["mean"], abs=1e-12)
+    assert report.lookup_precision_std == pytest.approx(want["std"], abs=1e-12)
+    assert report.lookup_coverage == pytest.approx(want["coverage"], abs=1e-12)
+    assert report.lookup_precision_nonempty == pytest.approx(want["nonempty"], abs=1e-12)
+    np.testing.assert_allclose(report.pr_curve, want["curve"], rtol=0, atol=1e-12)
+
+
 class TestHammingDistance:
     def test_examples(self):
         assert evaluation.hamming_distance([1, 1, 1], [1, 1, 1]) == 0
@@ -30,6 +82,16 @@ class TestHammingDistance:
             evaluation.hamming_distance([1, 1], [1, 1, 1])
         with pytest.raises(ValueError):
             evaluation.hamming_distances(np.ones((2, 4)), np.ones((3, 5)))
+
+    def test_long_codes_take_uint16(self):
+        rng = np.random.default_rng(12)
+        q = random_codes(rng, 3, 300)
+        d = np.vstack([q[:1], -q[:1], random_codes(rng, 4, 300)])
+        dist = evaluation.hamming_distances(q, d)
+        assert dist.dtype == np.uint16
+        assert dist[0, :2].tolist() == [0, 300]
+        assert dist.tolist() == [[evaluation.hamming_distance(a, b) for b in d] for a in q]
+        assert evaluation.hamming_distances(q[:, :255], d[:, :255]).dtype == np.uint8
 
     def test_range(self):
         rng = np.random.default_rng(1)
@@ -133,6 +195,14 @@ class TestAveragePrecision:
     def test_invalid_lq(self):
         with pytest.raises(ValueError):
             evaluation.average_precision([1], l_q=0)
+
+    def test_rows_match_one_dimensional_calls(self):
+        rng = np.random.default_rng(13)
+        ranked = rng.random((6, 10)) < 0.4
+        l_q = rng.integers(1, 15, size=6)
+        got = evaluation.average_precision(ranked, l_q)
+        assert got.shape == (6,)
+        assert got.tolist() == [evaluation.average_precision(r, k) for r, k in zip(ranked, l_q)]
 
 
 class TestMeanAveragePrecision:
@@ -262,3 +332,45 @@ class TestEvaluate:
         lines = cpath.read_text().strip().split("\n")
         assert lines[0] == "radius,recall,precision"
         assert len(lines) == 1 + 9  # header + radii 0..8
+
+
+class TestBlockedPass:
+    @pytest.mark.parametrize("block_rows, blocks", [(1, [1] * 7), (3, [3, 3, 1]), (None, [7])])
+    @pytest.mark.parametrize("top_k, radius", [(5, 2), (40, 13), (1, 0)],
+                             ids=["small", "k-above-n-radius-above-p", "k1-r0"])
+    def test_matches_brute_force(self, monkeypatch, block_rows, blocks, top_k, radius):
+        rng = np.random.default_rng(11)
+        q = random_codes(rng, 7, 9)
+        d = random_codes(rng, 23, 9)
+        rel = rng.random((7, 23)) < 0.3
+        rel[2] = False   # a query without neighbors
+        calls = []
+        distances = evaluation.hamming_distances
+        monkeypatch.setattr(
+            evaluation, "hamming_distances", lambda a, b: calls.append(len(a)) or distances(a, b)
+        )
+        if block_rows:
+            monkeypatch.setattr(evaluation, "_BLOCK", block_rows * 23)
+        report = evaluation.evaluate(q, d, rel, top_k=top_k, radius=radius)
+        assert calls == blocks
+        assert_matches_brute_force(report, q, d, rel, top_k, radius)
+
+    def test_long_codes_match_brute_force(self):
+        rng = np.random.default_rng(14)
+        q = random_codes(rng, 3, 300)
+        d = np.vstack([q, random_codes(rng, 6, 300)])
+        rel = rng.random((3, 9)) < 0.5
+        report = evaluation.evaluate(q, d, rel, top_k=4, radius=140)
+        assert len(report.pr_curve) == 301
+        assert_matches_brute_force(report, q, d, rel, 4, 140)
+
+    @pytest.mark.parametrize("n_query, n_db, top_k", [(0, 4, 1), (2, 0, 1), (2, 4, 0)],
+                             ids=["no-queries", "no-database", "top-k-zero"])
+    def test_rejected(self, n_query, n_db, top_k):
+        q, d = np.ones((n_query, 4)), np.ones((n_db, 4))
+        with pytest.raises(ValueError):
+            evaluation.evaluate(q, d, np.ones((n_query, n_db), bool), top_k=top_k)
+
+    def test_relevance_shape_checked(self):
+        with pytest.raises(ValueError, match="relevance"):
+            evaluation.evaluate(np.ones((2, 4)), np.ones((3, 4)), np.ones((3, 2), bool))

@@ -123,7 +123,7 @@ def reference_recover(K_list, cfg):
     arrays, in the operation order of lowrank_alm. Returns (Khat, sweeps)."""
     M = len(K_list)
     Kbar = sum(K_list) / M
-    mu = 1.0 / max(np.linalg.norm(Kbar, 2), 1e-12)
+    mu = 1.0 / max(np.sqrt(np.linalg.eigvalsh(Kbar @ Kbar.T)[-1]), 1e-12)
     Khat = np.maximum(Kbar, 0.0)
     Q, B = Khat.copy(), np.zeros_like(Khat)
     A = [np.zeros_like(Khat) for _ in K_list]
