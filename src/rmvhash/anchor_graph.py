@@ -51,21 +51,14 @@ def select_graph_landmarks(view, L, mode="kmeans", seed=0):
     raise ValueError(f"unknown landmark mode {mode!r}")
 
 
-def default_bandwidth(view, landmarks, k):
-    """Mean squared distance from samples to their k-th nearest landmark."""
-    d2 = core_math.sq_dists(np.asarray(view, dtype=float).T, landmarks)
-    kth = np.sort(d2, axis=1)[:, k - 1]
-    t = float(np.mean(kth))
-    return t if t > 0 else 1.0
-
-
 def build_truncated_affinity(view, landmarks, k, t=None):
     """Build the anchor graph for one view.
 
     For each sample, the k nearest landmarks (ties broken by lower landmark
     index) get weight exp(-d^2/t), normalized to sum to 1; all other entries
-    are zero. Landmarks that attract no sample are dropped and the graph is
-    rebuilt on the survivors.
+    are zero. The bandwidth t defaults to the mean squared distance from the
+    samples to their k-th nearest landmark (1 if that is 0). Landmarks that
+    attract no sample are dropped and the graph is rebuilt on the survivors.
     """
     view = np.asarray(view, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
@@ -73,12 +66,13 @@ def build_truncated_affinity(view, landmarks, k, t=None):
     L = landmarks.shape[0]
     if k > L:
         raise ValueError(f"k={k} exceeds number of landmarks L={L}")
+    d2 = core_math.sq_dists(view.T, landmarks)
     if t is None:
-        t = default_bandwidth(view, landmarks, k)
+        t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
+        t = t if t > 0 else 1.0
     if t <= 0:
         raise ValueError(f"bandwidth must be positive, got {t}")
 
-    d2 = core_math.sq_dists(view.T, landmarks)
     # stable sort: equal distances resolve to the lower landmark index
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     sel = np.take_along_axis(d2, order, axis=1)

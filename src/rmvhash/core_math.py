@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class NumericError(RuntimeError):
@@ -104,12 +105,16 @@ def project_simplex(v):
 
 def sq_dists(points, centers):
     """(n, L) squared Euclidean distances between the rows of points (n, d)
-    and centers (L, d), clamped at 0 against cancellation."""
-    d2 = (
-        np.sum(points ** 2, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers ** 2, axis=1)[None, :]
-    )
+    and centers (L, d), clamped at 0 against cancellation.
+
+    Built in place in one (n, L) array, in the order -2 x.c, + ||x||^2,
+    + ||c||^2, clamp; scaling by -2 is exact, so the bits are those of
+    ||x||^2 - 2 x.c + ||c||^2.
+    """
+    d2 = points @ centers.T
+    d2 *= -2.0
+    d2 += np.sum(points ** 2, axis=1)[:, None]
+    d2 += np.sum(centers ** 2, axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -142,8 +147,11 @@ def kmeans(points, L, max_iters=25, seed=0):
     """At most max_iters Lloyd iterations with k-means++ seeding; deterministic
     for a fixed seed. Every landmark and base-set caller uses the default cap.
 
-    Empty clusters are re-seeded at the point farthest from its assigned
-    center (deterministic tie-break by lowest index).
+    No cluster is left empty: before the centers are updated, each empty
+    cluster in index order takes the point farthest from its assigned center,
+    chosen among clusters that hold at least two points (lowest index on
+    ties). Every center is then the mean of its members, summed in index order
+    by one one-hot sparse product.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -154,17 +162,26 @@ def kmeans(points, L, max_iters=25, seed=0):
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(points, L, rng)
     assignments = np.zeros(n, dtype=int)
+    # the sparse product would copy a non-C-ordered points on every iteration
+    rows = np.ascontiguousarray(points)
     for _ in range(max_iters):
         d2 = sq_dists(points, centers)
         new_assign = np.argmin(d2, axis=1)
-        for j in range(L):
-            mask = new_assign == j
-            if not np.any(mask):
-                worst = int(np.argmax(d2[np.arange(n), new_assign]))
-                centers[j] = points[worst]
-                new_assign[worst] = j
-                mask = new_assign == j
-            centers[j] = points[mask].mean(axis=0)
+        counts = np.bincount(new_assign, minlength=L)
+        far = d2[np.arange(n), new_assign]
+        for j in np.flatnonzero(counts == 0):
+            # while a cluster is empty, L <= n leaves one with two points
+            worst = int(np.argmax(np.where(counts[new_assign] >= 2, far, -np.inf)))
+            counts[new_assign[worst]] -= 1
+            new_assign[worst] = j
+            counts[j] = 1
+        onehot = sp.csr_matrix(
+            (np.ones(n), np.argsort(new_assign, kind="stable"),
+             np.concatenate(([0], np.cumsum(counts)))),
+            shape=(L, n),
+        )
+        centers = onehot @ rows
+        centers /= counts[:, None]
         if np.array_equal(new_assign, assignments):
             assignments = new_assign
             break

@@ -310,8 +310,11 @@ def train(
         kernel_config=kcfg,
         meta={"P": hp.P, "N": n, "M": ds.n_views, "seed": seed, "recovery": recovery},
     )
+    Z = min(oos_cfg.Z, n)
     model.base_set = oos_encoder.build_base_set(
-        ds, model, Z=min(oos_cfg.Z, n), seed=seed, k_oos=oos_cfg.k_oos
+        ds, model, Z=Z, seed=seed, k_oos=oos_cfg.k_oos,
+        # the kernel landmarks are the base set's own kmeans(concat, Z, seed)
+        centers=np.hstack(klm.blocks) if Z == R < n else None,
     )
     return model, state, Khat, diag
 

@@ -54,7 +54,7 @@ def self_tuning_sigma(view, z_view, k_st=7):
     if k_st > z_view.shape[0]:
         raise ValueError(f"k_st={k_st} exceeds R={z_view.shape[0]}")
     d = _dists(np.asarray(view, dtype=float).T, z_view)
-    kth = np.sort(d, axis=1)[:, k_st - 1]
+    kth = np.partition(d, k_st - 1, axis=1)[:, k_st - 1]
     sigma = float(np.median(kth))
     if sigma <= 0:
         raise ValueError("degenerate data: self-tuned bandwidth is zero")

@@ -45,6 +45,7 @@ class ALMConfig:
 @dataclass
 class ALMState:
     K_list: list                  # M observed (R, N) matrices
+    K_norms: list                 # max(||K^(m)||_F, 1e-12), fixed for the run
     Khat: np.ndarray
     Q: np.ndarray
     E: list
@@ -79,6 +80,7 @@ def init_state(K_list, cfg):
     Khat = core_math.project_nonneg(Kbar)
     return ALMState(
         K_list=K_list,
+        K_norms=[max(np.linalg.norm(K, "fro"), 1e-12) for K in K_list],
         Khat=Khat,
         Q=Khat.copy(),
         E=[np.zeros(shape) for _ in K_list],
@@ -128,10 +130,10 @@ def update_multipliers(state, cfg):
     ||Khat+E-K||/||K|| and ||Khat-Q||/||Khat||."""
     viol = state.work    # one R x N buffer holds each violation in turn
     fit = 0.0
-    for m, K in enumerate(state.K_list):
+    for m, (K, K_norm) in enumerate(zip(state.K_list, state.K_norms)):
         np.add(state.Khat, state.E[m], out=viol)
         viol -= K
-        fit = max(fit, np.linalg.norm(viol, "fro") / max(np.linalg.norm(K, "fro"), 1e-12))
+        fit = max(fit, np.linalg.norm(viol, "fro") / K_norm)
         viol *= state.mu
         state.A[m] += viol
     np.subtract(state.Khat, state.Q, out=viol)

@@ -25,25 +25,26 @@ def _center_bandwidth(centers, k_st=7):
     if z == 1:
         return 1.0
     d = np.sqrt(core_math.sq_dists(centers, centers))
-    # k-th nearest *other* center; column 0 is the center itself
-    kth = np.sort(d, axis=1)[:, min(k_st, z - 1)]
+    # k-th nearest *other* center; the nearest is the center itself
+    k = min(k_st, z - 1)
+    kth = np.partition(d, k, axis=1)[:, k]
     sigma = float(np.median(kth))
     return sigma if sigma > 0 else 1.0
 
 
-def build_base_set(ds, model, Z, seed=0, k_oos=25):
+def build_base_set(ds, model, Z, seed=0, k_oos=25, centers=None):
     """Cluster the concatenated features into Z centers and store each
-    center's pre-sign projection through the model's kernel map."""
+    center's pre-sign projection through the model's kernel map. A caller
+    that already holds kmeans(concatenated features, Z, seed) passes it as
+    centers, and the clustering is skipped."""
     from . import hash_trainer  # local import: model embedding path
 
     n = ds.n_samples
     if Z > n:
         raise ValueError(f"cannot build {Z} base centers from {n} samples")
-    concat = ds.concatenated().T                     # (N, d)
-    if Z == n:
-        centers = concat.copy()
-    else:
-        centers = core_math.kmeans(concat, Z, seed=seed).centers
+    if centers is None:
+        concat = ds.concatenated().T                 # (N, d)
+        centers = concat.copy() if Z == n else core_math.kmeans(concat, Z, seed=seed).centers
     return BaseSet(
         centers=centers,
         embeddings=hash_trainer.embed(model, centers.T),

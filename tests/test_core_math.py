@@ -4,6 +4,38 @@ import pytest
 from rmvhash import core_math
 
 
+def three_term_sq_dists(points, centers):
+    """The distance expression sq_dists replaced, term by term."""
+    d2 = (
+        np.sum(points ** 2, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers ** 2, axis=1)[None, :]
+    )
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def reference_kmeans(points, L, max_iters, seed):
+    """Lloyd with a boolean-mask mean per cluster, as kmeans ran before its
+    one-hot update; it agrees with kmeans whenever no cluster empties."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    centers = core_math._kmeanspp_init(points, L, np.random.default_rng(seed))
+    assignments = np.zeros(n, dtype=int)
+    for _ in range(max_iters):
+        d2 = three_term_sq_dists(points, centers)
+        new_assign = np.argmin(d2, axis=1)
+        for j in range(L):
+            mask = new_assign == j
+            assert mask.any(), "reference input emptied a cluster"
+            centers[j] = points[mask].mean(axis=0)
+        if np.array_equal(new_assign, assignments):
+            assignments = new_assign
+            break
+        assignments = new_assign
+    inertia = float(np.sum((points - centers[assignments]) ** 2))
+    return centers, assignments, inertia
+
+
 class TestSqDists:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -16,6 +48,17 @@ class TestSqDists:
         pts = np.full((4, 3), 1e8) + np.arange(4)[:, None]
         d2 = core_math.sq_dists(pts, pts)
         assert d2.min() >= 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_match_three_term_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d, L = rng.integers(5, 300), rng.integers(1, 40), rng.integers(1, 60)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        pts, ctr = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(L, d))
+        for p in (pts, np.asfortranarray(pts)):
+            np.testing.assert_array_equal(
+                core_math.sq_dists(p, ctr), three_term_sq_dists(p, ctr)
+            )
 
 
 class TestSvt:
@@ -301,6 +344,36 @@ class TestKmeans:
         b = core_math.kmeans(points, 7, max_iters=15, seed=5)
         np.testing.assert_array_equal(a.centers, b.centers)
         np.testing.assert_array_equal(a.assignments, b.assignments)
+
+    @pytest.mark.parametrize(
+        "n, d, L, max_iters, seed",
+        [(50, 2, 3, 10, 0), (200, 5, 12, 25, 1), (400, 16, 40, 8, 2), (120, 33, 7, 3, 3)],
+    )
+    def test_matches_reference_lloyd(self, n, d, L, max_iters, seed):
+        rng = np.random.default_rng(100 + seed)
+        points = rng.normal(size=(n, d)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+        for p in (points, np.asfortranarray(points)):
+            centers, assignments, inertia = reference_kmeans(p, L, max_iters, seed)
+            res = core_math.kmeans(p, L, max_iters=max_iters, seed=seed)
+            np.testing.assert_array_equal(res.centers, centers)
+            np.testing.assert_array_equal(res.assignments, assignments)
+            assert res.inertia == inertia
+
+    @pytest.mark.parametrize("L", [5, 6])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_cluster_left_empty(self, L, seed):
+        # 9 points on 3 sites: k-means++ seeds duplicate centers, so clusters
+        # empty and must be re-seeded from clusters that can spare a point
+        points = np.repeat([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [4, 3, 2], axis=0)
+        res = core_math.kmeans(points, L, max_iters=5, seed=seed)
+        assert np.bincount(res.assignments, minlength=L).min() >= 1
+        for j in range(L):
+            np.testing.assert_array_equal(
+                res.centers[j], points[res.assignments == j].mean(axis=0)
+            )
+        again = core_math.kmeans(points, L, max_iters=5, seed=seed)
+        np.testing.assert_array_equal(again.centers, res.centers)
+        np.testing.assert_array_equal(again.assignments, res.assignments)
 
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):

@@ -105,6 +105,24 @@ class TestBaseSet:
         ], axis=0)
         np.testing.assert_allclose(base.embeddings[j], model.W.T @ k + model.b, atol=1e-10)
 
+    def test_z_equal_r_reuses_kernel_landmarks_bit_for_bit(self):
+        # train hands the kernel-landmark centers to the base set instead of
+        # running the same kmeans(concat, Z, seed) a second time
+        ds = dataset.synth_multiview(4, 30, (10, 12), seed=7)
+        model, _, _, _ = hash_trainer.train(
+            ds,
+            HyperParams(P=8, outer_iters=10),
+            graph_cfg=GraphConfig(L=15, k=3),
+            kernel_cfg=KernelSelectConfig(R=20),
+            oos_cfg=OosConfig(Z=20, k_oos=10),
+            seed=7,
+        )
+        own = oos_encoder.build_base_set(ds, model, Z=20, seed=7, k_oos=10)
+        np.testing.assert_array_equal(model.base_set.centers, np.hstack(model.landmarks.blocks))
+        np.testing.assert_array_equal(model.base_set.centers, own.centers)
+        np.testing.assert_array_equal(model.base_set.embeddings, own.embeddings)
+        assert model.base_set.sigma == own.sigma
+
     def test_too_many_centers_rejected(self):
         ds, model, _, _ = trained_model(seed=5)
         with pytest.raises(ValueError):
