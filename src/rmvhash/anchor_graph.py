@@ -33,32 +33,22 @@ class AnchorGraph:
 
 
 def select_graph_landmarks(view, L, mode="kmeans", seed=0):
-    """Pick L landmark rows from a (d_m, N) view.
-
-    kmeans mode runs Lloyd with capped iterations on the transposed view;
-    uniform mode samples points without replacement.
-    """
-    view = np.asarray(view, dtype=float)
-    n = view.shape[1]
-    if L > n:
-        raise ValueError(f"cannot select {L} landmarks from {n} samples")
-    if mode == "uniform":
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(n, size=L, replace=False)
-        return view[:, idx].T.copy()
-    if mode == "kmeans":
-        return core_math.kmeans(view.T, L, seed=seed).centers
-    raise ValueError(f"unknown landmark mode {mode!r}")
+    """Pick L landmark rows from a (d_m, N) view: the centers of Lloyd k-means
+    with capped iterations on its columns, the only mode."""
+    if mode != "kmeans":
+        raise ValueError(f"unknown landmark mode {mode!r}")
+    return core_math.kmeans(np.asarray(view, dtype=float).T, L, seed=seed).centers
 
 
-def build_truncated_affinity(view, landmarks, k, t=None):
+def build_truncated_affinity(view, landmarks, k):
     """Build the anchor graph for one view.
 
     For each sample, the k nearest landmarks (ties broken by lower landmark
     index) get weight exp(-d^2/t), normalized to sum to 1; all other entries
-    are zero. The bandwidth t defaults to the mean squared distance from the
-    samples to their k-th nearest landmark (1 if that is 0). Landmarks that
-    attract no sample are dropped and the graph is rebuilt on the survivors.
+    are zero. The bandwidth t is the mean squared distance from the samples to
+    their k-th nearest landmark (1 if that is 0). Landmarks that attract no
+    sample are dropped, and the survivors are selected again from the same
+    distances with the same t.
     """
     view = np.asarray(view, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
@@ -67,24 +57,21 @@ def build_truncated_affinity(view, landmarks, k, t=None):
     if k > L:
         raise ValueError(f"k={k} exceeds number of landmarks L={L}")
     d2 = core_math.sq_dists(view.T, landmarks)
-    if t is None:
-        t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
-        t = t if t > 0 else 1.0
-    if t <= 0:
-        raise ValueError(f"bandwidth must be positive, got {t}")
-
-    # stable sort: equal distances resolve to the lower landmark index
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    sel = np.take_along_axis(d2, order, axis=1)
-    w = np.exp(-sel / t)
-    w /= w.sum(axis=1, keepdims=True)
-
+    t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
+    t = t if t > 0 else 1.0
     rows = np.repeat(np.arange(n), k)
-    F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=(n, L))
-    col_mass = np.asarray(F.sum(axis=0)).ravel()
-    if np.any(col_mass <= 0):
-        keep = col_mass > 0
-        return build_truncated_affinity(view, landmarks[keep], k, t)
+    while True:
+        # stable sort: equal distances resolve to the lower landmark index
+        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        sel = np.take_along_axis(d2, order, axis=1)
+        w = np.exp(-sel / t)
+        w /= w.sum(axis=1, keepdims=True)
+        F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=d2.shape)
+        col_mass = np.asarray(F.sum(axis=0)).ravel()
+        dead = col_mass <= 0
+        if not dead.any():
+            break
+        d2 = d2[:, ~dead]
     H = F @ sp.diags(1.0 / np.sqrt(col_mass))
     sigma, V = np.linalg.eigh((H.T @ H).toarray())
     return AnchorGraph(

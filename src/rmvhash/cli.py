@@ -9,11 +9,9 @@ by underscores; a key the command does not read is an error.
 """
 
 import argparse
-import dataclasses
 import inspect
 import json
 import sys
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +33,10 @@ def _load_config(path):
     return cfg
 
 
+# The config-file spellings of a boolean, in any case; others are errors.
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _resolve(args, spec):
     """Merge flag values over config-file values over defaults."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
@@ -48,7 +50,10 @@ def _resolve(args, spec):
             out[key] = flag_val
         elif key in cfg:
             raw = cfg[key]
-            out[key] = raw.lower() in ("1", "true", "yes") if cast is bool else cast(raw)
+            try:
+                out[key] = _BOOLS[raw.lower()] if cast is bool else cast(raw)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"config key {key} has a bad value {raw!r}") from exc
         else:
             out[key] = default
     return out
@@ -56,6 +61,12 @@ def _resolve(args, spec):
 
 def _dims(text):
     return tuple(int(x) for x in str(text).split(","))
+
+
+def _default(fn, name):
+    """The default of a parameter of a library function or config class; the
+    CLI writes none of its own."""
+    return inspect.signature(fn).parameters[name].default
 
 
 # Each training key names one field of a config dataclass, which holds its
@@ -80,17 +91,12 @@ _TRAIN_FIELDS = {
 }
 
 
-def _field_spec(cls, name):
-    """(cast, default) of a dataclass field; an `int | None` field casts as int."""
-    f = next(f for f in dataclasses.fields(cls) if f.name == name)
-    cast = next((a for a in typing.get_args(f.type) if a is not type(None)), f.type)
-    return cast, f.default
-
-
-_TRAIN_ARGS = inspect.signature(hash_trainer.train).parameters
-_TRAIN_SPEC = {key: _field_spec(*target) for key, target in _TRAIN_FIELDS.items()}
-_TRAIN_SPEC["seed"] = (int, _TRAIN_ARGS["seed"].default)
-_TRAIN_SPEC["no_recovery"] = (bool, not _TRAIN_ARGS["recovery"].default)
+_TRAIN_SPEC = {
+    key: (cls.__annotations__[name], _default(cls, name))
+    for key, (cls, name) in _TRAIN_FIELDS.items()
+}
+_TRAIN_SPEC["seed"] = (int, _default(hash_trainer.train, "seed"))
+_TRAIN_SPEC["no_recovery"] = (bool, not _default(hash_trainer.train, "recovery"))
 
 
 def _train_configs(p):
@@ -112,8 +118,8 @@ def cmd_synth(args):
         "clusters": (int, 10),
         "per_cluster": (int, 200),
         "dims": (_dims, (32, 48)),
-        "view_noise": (float, 0.1),
-        "seed": (int, 0),
+        "view_noise": (float, _default(dataset.synth_multiview, "view_noise")),
+        "seed": (int, _default(dataset.synth_multiview, "seed")),
         "name": (str, "synthetic"),
     })
     ds = dataset.synth_multiview(
@@ -129,7 +135,7 @@ def cmd_corrupt(args):
     p = _resolve(args, {
         "kind": (str, "gaussian-fraction"),
         "fraction": (float, 0.2),
-        "seed": (int, 0),
+        "seed": (int, _default(dataset.CorruptionSpec, "seed")),
         "name": (str, ""),
     })
     ds = dataset.load_dataset(args.manifest)
@@ -181,8 +187,7 @@ def cmd_encode(args):
 
 def cmd_eval(args):
     p = _resolve(args, {
-        "top_k": (int, 100),
-        "radius": (int, 2),
+        key: (int, _default(evaluation.evaluate, key)) for key in ("top_k", "radius")
     })
     model, _ = model_io.load_model(args.model)
     db = dataset.load_dataset(args.db)
@@ -192,9 +197,7 @@ def cmd_eval(args):
     db_codes = hash_trainer.encode_queries(model, db)
     query_codes = hash_trainer.encode_queries(model, queries)
     relevant = evaluation.relevance_matrix(queries.labels, db.labels)
-    report = evaluation.evaluate(
-        query_codes, db_codes, relevant, top_k=p["top_k"], radius=p["radius"]
-    )
+    report = evaluation.evaluate(query_codes, db_codes, relevant, **p)
     prefix = args.out_prefix
     report.to_json(f"{prefix}_report.json")
     report.pr_csv(f"{prefix}_pr.csv")

@@ -1,5 +1,6 @@
 """Proximal operators, projections, and K-means used by the solver modules."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +9,18 @@ import scipy.sparse as sp
 
 class NumericError(RuntimeError):
     """A numerical routine (SVD, linear solve) failed to produce a result."""
+
+
+def check_range(cfg, low, *names, strict=False):
+    """Reject a field of the settings object cfg that is not finite or is
+    below low (at or below it when strict), naming it as Class.field."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise ValueError(
+                f"{type(cfg).__name__}.{name} must be finite and "
+                f"{'above' if strict else 'at least'} {low}, got {value}"
+            )
 
 
 def svt(mtx, tau):

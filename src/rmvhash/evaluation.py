@@ -98,7 +98,7 @@ def average_precision(ranked_relevance, l_q):
     return float(ap) if ap.ndim == 0 else ap
 
 
-def hash_lookup_precision(query_codes, db_codes, relevant, radius=2):
+def hash_lookup_precision(query_codes, db_codes, relevant, radius):
     """Mean/std of per-query precision of the Hamming ball of given radius.
 
     Queries with empty balls contribute precision 0 and reduce coverage.
@@ -109,7 +109,7 @@ def hash_lookup_precision(query_codes, db_codes, relevant, radius=2):
             r.lookup_precision_nonempty)
 
 
-def mean_average_precision(query_codes, db_codes, relevant, top_k=100):
+def mean_average_precision(query_codes, db_codes, relevant, top_k):
     """MAP over the top_k Hamming-ranked items per query; each AP is
     normalized by the query's total neighbor count in the database."""
     return evaluate(query_codes, db_codes, relevant, top_k=top_k).map

@@ -14,20 +14,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
-from .core_math import NumericError
+from .core_math import NumericError, check_range
 from .lowrank_alm import ALMConfig
 
 # Columns per kernel block in embed: 1024 x R float64 stays a few MB.
 _CHUNK = 1024
-
-
-def _check_counts(cfg, *names):
-    """Reject a count field below 1, naming it."""
-    for name in names:
-        if getattr(cfg, name) < 1:
-            raise ValueError(
-                f"{type(cfg).__name__}.{name} must be at least 1, got {getattr(cfg, name)}"
-            )
 
 
 @dataclass
@@ -40,12 +31,11 @@ class HyperParams:
     lam: float = ALMConfig.lam
     outer_iters: int = 60
     outer_tol: float = 1e-4
-    orthogonalize: bool = True
 
     def __post_init__(self):
-        _check_counts(self, "P", "outer_iters")
-        if min(self.gamma, self.delta, self.lam) < 0 or min(self.alpha, self.beta) <= 0:
-            raise ValueError("hash hyperparameters out of range")
+        check_range(self, 1, "P", "outer_iters")
+        check_range(self, 0, "gamma", "delta", "lam")
+        check_range(self, 0, "alpha", "beta", "outer_tol", strict=True)
 
 
 @dataclass
@@ -54,18 +44,17 @@ class GraphConfig:
     k: int = 3
 
     def __post_init__(self):
-        _check_counts(self, "L", "k")
+        check_range(self, 1, "L", "k")
 
 
 @dataclass
 class KernelSelectConfig:
-    R: int | None = None        # None or 0: same as graph L
+    R: int = 0                  # 0: same as graph L
     self_tuning_k: int = 7
 
     def __post_init__(self):
-        _check_counts(self, "self_tuning_k")
-        if self.R is not None and self.R < 0:
-            raise ValueError(f"KernelSelectConfig.R must be at least 0, got {self.R}")
+        check_range(self, 0, "R")
+        check_range(self, 1, "self_tuning_k")
 
 
 @dataclass
@@ -74,7 +63,7 @@ class OosConfig:
     k_oos: int = 25
 
     def __post_init__(self):
-        _check_counts(self, "Z", "k_oos")
+        check_range(self, 1, "Z", "k_oos")
 
 
 @dataclass
@@ -151,7 +140,7 @@ def _orthogonalize(Y):
 
 def update_codes(state, graphs, Khat, W, b, hp):
     """One sweep over the code blocks: per-view smoothing solves, consensus
-    averaging against the regression output, optional orthogonalization."""
+    averaging against the regression output, orthogonalization."""
     reg = Khat.T @ W + b
     if hp.gamma > 0:
         y_view = [_solve_view_codes(g, state.Y, hp.gamma) for g in graphs]
@@ -159,29 +148,23 @@ def update_codes(state, graphs, Khat, W, b, hp):
         Y = (hp.gamma * np.sum(y_view, axis=0) + hp.beta * reg) / (hp.gamma * m + hp.beta)
     else:
         y_view = [state.Y.copy() for _ in graphs]
-        Y = reg.copy()
-    if hp.orthogonalize:
-        Y = _orthogonalize(Y)
-    return CodeState(Y=Y, Y_view=y_view)
+        Y = reg
+    return CodeState(Y=_orthogonalize(Y), Y_view=y_view)
 
 
-def _recovery_penalty(Khat, E_list, cfg):
-    """The nuclear and l21 terms, weighed by cfg.alpha and cfg.lam, which stay
-    fixed while the codes change."""
+def _recovery_penalty(Khat, E_list, alm_cfg):
+    """The nuclear and l21 terms, weighed by alm_cfg.alpha and alm_cfg.lam,
+    which stay fixed while the codes change."""
     return (
-        cfg.alpha * float(np.sum(core_math._singular_values(Khat))),
-        cfg.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
+        alm_cfg.alpha * float(np.sum(core_math._singular_values(Khat))),
+        alm_cfg.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
     )
 
 
-def objective(state, graphs, Khat, E_list, W, b, hp):
-    """Full relaxed objective: graph smoothness + code consensus + nuclear
-    and l21 recovery penalties + regression fit with ridge."""
-    penalty = _recovery_penalty(Khat, E_list, hp)
-    return _objective(state, graphs, Khat, W, b, hp, penalty)
-
-
-def _objective(state, graphs, Khat, W, b, hp, penalty):
+def objective(state, graphs, Khat, W, b, hp, penalty):
+    """Full relaxed objective: graph smoothness + code consensus + the
+    recovery penalty terms (from _recovery_penalty) + regression fit with
+    ridge."""
     total = 0.0
     for g, yv in zip(graphs, state.Y_view):
         lap = anchor_graph.laplacian_apply(g, yv)
@@ -292,7 +275,7 @@ def train(
         t0 = time.perf_counter()
         W, b = update_Wb(Khat, state.Y, hp.delta)
         state = update_codes(state, graphs, Khat, W, b, hp)
-        obj = _objective(state, graphs, Khat, W, b, hp, penalty)
+        obj = objective(state, graphs, Khat, W, b, hp, penalty)
         diag.outer_iter_seconds.append(time.perf_counter() - t0)
         diag.objective_trace.append(obj)
         diag.outer_iterations = it
@@ -312,7 +295,7 @@ def train(
     )
     Z = min(oos_cfg.Z, n)
     model.base_set = oos_encoder.build_base_set(
-        ds, model, Z=Z, seed=seed, k_oos=oos_cfg.k_oos,
+        ds, model, Z=Z, k_oos=oos_cfg.k_oos, seed=seed,
         # the kernel landmarks are the base set's own kmeans(concat, Z, seed)
         centers=np.hstack(klm.blocks) if Z == R < n else None,
     )

@@ -27,8 +27,7 @@ class KernelLandmarks:
 
 @dataclass
 class KernelConfig:
-    sigmas: tuple = ()            # one per view
-    self_tuning_k: int = 7
+    sigmas: tuple                 # one per view
 
 
 def select_kernel_landmarks(ds, R, seed=0):
@@ -47,7 +46,7 @@ def _dists(points, landmarks):
     return np.sqrt(core_math.sq_dists(points, landmarks))
 
 
-def self_tuning_sigma(view, z_view, k_st=7):
+def self_tuning_sigma(view, z_view, k_st):
     """Self-tuned bandwidth: median over samples of the distance to the
     k_st-th nearest landmark."""
     z_view = np.asarray(z_view, dtype=float)
@@ -75,13 +74,14 @@ def build_kernel_matrix(view, z_view, sigma):
     return np.exp(-(d ** 2) / (2.0 * sigma ** 2))
 
 
-def tune_config(ds, landmarks, self_tuning_k=7):
-    """Per-view self-tuned bandwidths."""
+def tune_config(ds, landmarks, self_tuning_k):
+    """Per-view self-tuned bandwidths, each at the self_tuning_k-th nearest
+    landmark."""
     sigmas = tuple(
         self_tuning_sigma(v, z, self_tuning_k)
         for v, z in zip(ds.views, landmarks.blocks)
     )
-    return KernelConfig(sigmas=sigmas, self_tuning_k=self_tuning_k)
+    return KernelConfig(sigmas=sigmas)
 
 
 def build_view_kernels(ds, landmarks, cfg):

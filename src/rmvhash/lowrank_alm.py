@@ -22,24 +22,23 @@ import numpy as np
 from . import core_math
 
 
+# The penalty mu grows by rho per sweep up to this cap.
+_MU_MAX = 1e8
+
+
 @dataclass
 class ALMConfig:
     alpha: float = 0.1
     lam: float = 1e-3
     rho: float = 1.3
-    mu_max: float = 1e8
     tol: float = 1e-6
     max_iters: int = 300
 
     def __post_init__(self):
-        if self.rho <= 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.alpha <= 0 or self.lam < 0:
-            raise ValueError("alpha must be positive and lam nonnegative")
-        if self.max_iters < 1:
-            raise ValueError(f"ALMConfig.max_iters must be at least 1, got {self.max_iters}")
+        core_math.check_range(self, 0, "lam")
+        core_math.check_range(self, 0, "alpha", "tol", strict=True)
+        core_math.check_range(self, 1, "rho", strict=True)
+        core_math.check_range(self, 1, "max_iters")
 
 
 @dataclass
@@ -140,7 +139,7 @@ def update_multipliers(state, cfg):
     gap = np.linalg.norm(viol, "fro") / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
     viol *= state.mu
     state.B += viol
-    state.mu = min(cfg.rho * state.mu, cfg.mu_max)
+    state.mu = min(cfg.rho * state.mu, _MU_MAX)
     return float(fit), float(gap)
 
 

@@ -27,7 +27,7 @@ class ModelFileError(ValueError):
 
 # The JSON type of each metadata key load_model reads; others are ignored.
 _META_TYPES = dict(
-    n_views=int, sigmas=list, self_tuning_k=int, has_base_set=bool,
+    n_views=int, sigmas=list, has_base_set=bool,
     base_k_oos=int, base_sigma=float, model_meta=dict, config=dict,
 )
 
@@ -75,7 +75,6 @@ def save_model(model, path, config_snapshot=None):
     """Serialize a HashModel (including its base set) to path."""
     meta = {
         "sigmas": list(model.kernel_config.sigmas),
-        "self_tuning_k": model.kernel_config.self_tuning_k,
         "n_views": len(model.landmarks.blocks),
         "has_base_set": model.base_set is not None,
         "base_k_oos": model.base_set.k_oos if model.base_set is not None else 0,
@@ -140,7 +139,7 @@ def load_model(path):
         raise ModelFileError(f"{path}: {len(body) - r.pos} unread bytes before the checksum")
     model = hash_trainer.HashModel(
         W=W, b=b, landmarks=kernel_sim.KernelLandmarks(blocks=blocks),
-        kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"]), meta["self_tuning_k"]),
+        kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"])),
         base_set=base_set, meta=meta["model_meta"],
     )
     return model, meta["config"]

@@ -20,19 +20,24 @@ class BaseSet:
         return self.centers.shape[0]
 
 
-def _center_bandwidth(centers, k_st=7):
+# The base-set bandwidth is the median distance to the _CENTER_K-th nearest
+# other center.
+_CENTER_K = 7
+
+
+def _center_bandwidth(centers):
     z = centers.shape[0]
     if z == 1:
         return 1.0
     d = np.sqrt(core_math.sq_dists(centers, centers))
     # k-th nearest *other* center; the nearest is the center itself
-    k = min(k_st, z - 1)
+    k = min(_CENTER_K, z - 1)
     kth = np.partition(d, k, axis=1)[:, k]
     sigma = float(np.median(kth))
     return sigma if sigma > 0 else 1.0
 
 
-def build_base_set(ds, model, Z, seed=0, k_oos=25, centers=None):
+def build_base_set(ds, model, Z, k_oos, seed=0, centers=None):
     """Cluster the concatenated features into Z centers and store each
     center's pre-sign projection through the model's kernel map. A caller
     that already holds kmeans(concatenated features, Z, seed) passes it as
@@ -55,6 +60,8 @@ def build_base_set(ds, model, Z, seed=0, k_oos=25, centers=None):
 
 def _weighted_embed(x_q, points, embeddings, k, sigma):
     x_q = np.asarray(x_q, dtype=float).ravel()
+    if x_q.size != points.shape[1]:
+        raise ValueError(f"query has {x_q.size} features, expected {points.shape[1]}")
     if not np.all(np.isfinite(x_q)):
         raise ValueError("query has non-finite entries")
     d2 = np.sum((points - x_q) ** 2, axis=1)

@@ -9,27 +9,28 @@ def toy_view(seed=0, d=4, n=12):
     return rng.normal(size=(d, n))
 
 
-def dense_affinity_oracle(view, landmarks, k, t):
-    """Direct implementation of the truncated-affinity formula."""
+def sample_landmarks(view, L, seed):
+    """L distinct sample columns of a view, as landmark rows."""
+    idx = np.random.default_rng(seed).choice(view.shape[1], size=L, replace=False)
+    return view[:, idx].T.copy()
+
+
+def dense_affinity_oracle(view, landmarks, k):
+    """Direct implementation of the truncated-affinity formula, with the
+    bandwidth t the mean squared distance to the k-th nearest landmark."""
     x = view.T
     n, L = x.shape[0], landmarks.shape[0]
+    d2 = np.array([[np.sum((z - xi) ** 2) for z in landmarks] for xi in x])
+    t = np.mean(np.sort(d2, axis=1)[:, k - 1]) or 1.0
     F = np.zeros((n, L))
     for i in range(n):
-        d2 = np.sum((landmarks - x[i]) ** 2, axis=1)
-        order = np.argsort(d2, kind="stable")[:k]
-        w = np.exp(-d2[order] / t)
+        order = np.argsort(d2[i], kind="stable")[:k]
+        w = np.exp(-d2[i, order] / t)
         F[i, order] = w / w.sum()
     return F
 
 
 class TestLandmarkSelection:
-    def test_uniform_full_is_permutation(self):
-        view = toy_view(seed=1, n=15)
-        lm = anchor_graph.select_graph_landmarks(view, 15, mode="uniform", seed=0)
-        got = lm[np.lexsort(lm.T)]
-        want = view.T[np.lexsort(view)]
-        np.testing.assert_allclose(got, want)
-
     def test_kmeans_mode_purity(self):
         # well-separated clusters: every landmark sits inside one cluster
         rng = np.random.default_rng(2)
@@ -51,26 +52,38 @@ class TestLandmarkSelection:
         with pytest.raises(ValueError):
             anchor_graph.select_graph_landmarks(toy_view(n=5), 6)
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="uniform"):
+            anchor_graph.select_graph_landmarks(toy_view(n=5), 2, mode="uniform")
+
 
 class TestTruncatedAffinity:
     def test_single_landmark_all_ones(self):
         view = toy_view(seed=4, n=8)
         lm = view.T[:1].copy()
-        g = anchor_graph.build_truncated_affinity(view, lm, k=1, t=1.0)
+        g = anchor_graph.build_truncated_affinity(view, lm, k=1)
         np.testing.assert_allclose(g.F.toarray(), np.ones((8, 1)))
 
     def test_equidistant_split(self):
         view = np.array([[0.0], [0.0]])  # one sample at the origin
         lm = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        g = anchor_graph.build_truncated_affinity(view, lm, k=2, t=1.0)
+        g = anchor_graph.build_truncated_affinity(view, lm, k=2)
         np.testing.assert_allclose(g.F.toarray()[0], [0.5, 0.5])
 
     def test_matches_dense_oracle(self):
         view = toy_view(seed=5, d=3, n=12)
-        lm = anchor_graph.select_graph_landmarks(view, 4, mode="uniform", seed=1)
-        g = anchor_graph.build_truncated_affinity(view, lm, k=2, t=2.0)
-        oracle = dense_affinity_oracle(view, lm, 2, 2.0)
+        lm = sample_landmarks(view, 4, seed=1)
+        g = anchor_graph.build_truncated_affinity(view, lm, k=2)
+        oracle = dense_affinity_oracle(view, lm, 2)
         np.testing.assert_allclose(g.F.toarray(), oracle, atol=1e-14)
+
+    def test_zero_distances_take_unit_bandwidth(self):
+        # every sample sits on its k nearest landmarks: t = 1, equal weights
+        view = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0]])
+        lm = np.array([[0.0, 0.0], [5.0, 5.0]])
+        g = anchor_graph.build_truncated_affinity(view, lm, k=1)
+        np.testing.assert_array_equal(g.F.toarray(), [[1, 0], [1, 0], [0, 1]])
+        np.testing.assert_array_equal(g.F.toarray(), dense_affinity_oracle(view, lm, 1))
 
     def test_row_stochastic_exact_k_nonzeros(self):
         view = toy_view(seed=6, d=5, n=40)
@@ -85,22 +98,38 @@ class TestTruncatedAffinity:
         view = toy_view(seed=7)
         lm = view.T[:3].copy()
         with pytest.raises(ValueError):
-            anchor_graph.build_truncated_affinity(view, lm, k=4, t=1.0)
+            anchor_graph.build_truncated_affinity(view, lm, k=4)
 
     def test_dead_landmark_dropped(self):
         # a landmark far from every sample attracts no one and is removed
         view = toy_view(seed=8, d=2, n=10)
         lm = np.vstack([view.T[:3], [[1e6, 1e6]]])
-        g = anchor_graph.build_truncated_affinity(view, lm, k=2, t=1.0)
+        g = anchor_graph.build_truncated_affinity(view, lm, k=2)
         assert g.n_landmarks == 3
         assert np.all(g.lambda_diag > 0)
+
+    def test_drop_path_matches_graph_on_survivors(self):
+        # the survivors are selected again from the first pass's distances
+        # with the same t: the graph built directly on them, and its oracle
+        view = toy_view(seed=14, d=3, n=30)
+        far = np.full((2, 3), 1e3)
+        lm = np.vstack([view.T[:2], far, view.T[5:9]])
+        g = anchor_graph.build_truncated_affinity(view, lm, k=3)
+        survivors = np.vstack([view.T[:2], view.T[5:9]])
+        direct = anchor_graph.build_truncated_affinity(view, survivors, k=3)
+        assert g.n_landmarks == 6
+        np.testing.assert_allclose(g.F.toarray(), direct.F.toarray(), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            g.F.toarray(), dense_affinity_oracle(view, survivors, 3), rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(g.sigma, direct.sigma, rtol=0, atol=1e-14)
 
 
 class TestApply:
     def setup_method(self):
         view = toy_view(seed=9, d=4, n=10)
-        lm = anchor_graph.select_graph_landmarks(view, 4, mode="uniform", seed=0)
-        self.g = anchor_graph.build_truncated_affinity(view, lm, k=2, t=1.5)
+        lm = sample_landmarks(view, 4, seed=0)
+        self.g = anchor_graph.build_truncated_affinity(view, lm, k=2)
         self.S = anchor_graph.materialize(self.g)
 
     def test_ones_preserved(self):

@@ -1,4 +1,6 @@
+import argparse
 import hashlib
+import inspect
 import json
 import struct
 
@@ -151,6 +153,25 @@ class TestTrainArtifacts:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "edge"])
+    @pytest.mark.parametrize("flag, field, edge", [
+        ("--gamma", "HyperParams.gamma", "-1e-3"),
+        ("--delta", "HyperParams.delta", "-1e-9"),
+        ("--alpha", "HyperParams.alpha", "0"),
+        ("--beta", "HyperParams.beta", "0"),
+        ("--lam", "HyperParams.lam", "-1e-3"),
+        ("--alm-tol", "ALMConfig.tol", "0"),
+        ("--alm-rho", "ALMConfig.rho", "1"),
+    ])
+    def test_bad_float_rejected(self, workspace, tmp_path, capsys, flag, field, edge, value):
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS,
+            f"{flag}={edge if value == 'edge' else value}",
+        ]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
     def test_negative_kernel_r_rejected(self, workspace, tmp_path, capsys):
         # R = 0 means "same as L"; below 0 is an error naming the field
         assert run([
@@ -191,6 +212,30 @@ class TestTrainArtifacts:
         assert snapshot["alpha"] == 0.25
         assert snapshot["outer_iters"] == 3
 
+    @pytest.mark.parametrize("raw, want", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_config_boolean_spellings(self, tmp_path, raw, want):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"no_recovery={raw}\n")
+        args = argparse.Namespace(command="train", config=cfg, no_recovery=None)
+        assert cli._resolve(args, {"no_recovery": (bool, False)}) == {"no_recovery": want}
+
+    @pytest.mark.parametrize("line, key", [
+        ("no_recovery=ture", "no_recovery"), ("no_recovery=2", "no_recovery"),
+        ("no_recovery=y", "no_recovery"), ("no_recovery=", "no_recovery"),
+        ("bits=four", "bits"), ("gamma=1e-4x", "gamma"),
+    ])
+    def test_bad_config_value_names_key(self, workspace, tmp_path, capsys, line, key):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"outer_iters=2\n{line}\n")
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), "--config", str(cfg),
+        ]) == 1
+        assert f"config key {key} has a bad value" in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
     def test_unknown_config_key_rejected(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("bits=4\nalhpa=0.5\n")
@@ -225,7 +270,7 @@ class TestTrainArtifacts:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_cli_matches_library_defaults(self, workspace):
+    def test_cli_matches_library_defaults(self, workspace, tmp_path):
         model, _ = model_io.load_model(workspace / "model.rmvm")
         ds = dataset.load_dataset(workspace / "db" / "db.manifest")
         lib, _, _, _ = hash_trainer.train(
@@ -235,6 +280,25 @@ class TestTrainArtifacts:
         )
         np.testing.assert_array_equal(model.W, lib.W)
         np.testing.assert_array_equal(model.b, lib.b)
+        # eval without --top-k and --radius reports evaluate's own defaults
+        queries = dataset.load_dataset(workspace / "queries" / "q.manifest")
+        assert run([
+            "eval", "--model", str(workspace / "model.rmvm"),
+            "--db", str(workspace / "db" / "db.manifest"),
+            "--queries", str(workspace / "queries" / "q.manifest"),
+            "--out-prefix", str(tmp_path / "run"),
+        ]) == 0
+        report = json.loads((tmp_path / "run_report.json").read_text())
+        defaults = inspect.signature(evaluation.evaluate).parameters
+        assert (report["top_k"], report["radius"]) == (
+            defaults["top_k"].default, defaults["radius"].default,
+        )
+        want = evaluation.evaluate(
+            hash_trainer.encode_queries(model, queries), hash_trainer.encode_queries(model, ds),
+            evaluation.relevance_matrix(queries.labels, ds.labels),
+        )
+        assert report["map"] == want.map
+        assert report["lookup_precision_mean"] == want.lookup_precision_mean
 
 
 class TestEncodeQueryEval:

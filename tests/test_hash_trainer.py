@@ -37,7 +37,7 @@ def toy_graphs_and_state(seed=0, n=30, p=4, m=2):
     graphs = []
     for i in range(m):
         view = rng.normal(size=(5, n))
-        lm = anchor_graph.select_graph_landmarks(view, 6, mode="uniform", seed=i)
+        lm = view[:, np.random.default_rng(i).choice(n, size=6, replace=False)].T
         graphs.append(anchor_graph.build_truncated_affinity(view, lm, k=2))
     Y = rng.normal(size=(n, p))
     state = CodeState(Y=Y, Y_view=[Y.copy() for _ in range(m)])
@@ -98,29 +98,30 @@ class TestUpdateWb:
             hash_trainer.update_Wb(Khat, Y, delta=0.0)
 
 
+def penalty(Khat, E_list, alm_cfg=ALMConfig()):
+    return hash_trainer._recovery_penalty(Khat, E_list, alm_cfg)
+
+
 class TestUpdateCodes:
     def test_gamma_zero_decouples(self):
+        # Y is the orthogonalized regression output sqrt(N) U V^T, with
+        # U S V^T its thin SVD; the view codes keep the previous Y
         graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=5)
-        hp = HyperParams(P=4, gamma=0.0, orthogonalize=False)
+        hp = HyperParams(P=4, gamma=0.0)
         out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
-        np.testing.assert_allclose(out.Y, Khat.T @ W + b, atol=1e-12)
+        u, _, vt = np.linalg.svd(Khat.T @ W + b, full_matrices=False)
+        np.testing.assert_allclose(out.Y, np.sqrt(30) * u @ vt, rtol=0, atol=1e-10)
+        for yv in out.Y_view:
+            np.testing.assert_array_equal(yv, state.Y)
 
     def test_constant_codes_are_laplacian_fixed_point(self):
         graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=6)
         const = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (30, 1))
         state = CodeState(Y=const, Y_view=[const.copy() for _ in graphs])
-        hp = HyperParams(P=4, gamma=0.5, orthogonalize=False)
+        hp = HyperParams(P=4, gamma=0.5)
         out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
         for yv in out.Y_view:
             np.testing.assert_allclose(yv, const, atol=1e-6)
-
-    def test_objective_non_increasing_without_orthogonalization(self):
-        graphs, state, Khat, E_list, W, b = toy_graphs_and_state(seed=7)
-        hp = HyperParams(P=4, gamma=0.1, beta=1.0, orthogonalize=False)
-        before = hash_trainer.objective(state, graphs, Khat, E_list, W, b, hp)
-        out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
-        after = hash_trainer.objective(out, graphs, Khat, E_list, W, b, hp)
-        assert after <= before + 1e-8
 
     def test_view_solves_exact_against_dense_operator(self):
         rng = np.random.default_rng(12)
@@ -133,7 +134,7 @@ class TestUpdateCodes:
         Y = rng.normal(size=(n, p))
         state = CodeState(Y=Y, Y_view=[Y.copy() for _ in graphs])
         Khat = np.abs(rng.normal(size=(8, n)))
-        hp = HyperParams(P=p, gamma=gamma, orthogonalize=False)
+        hp = HyperParams(P=p, gamma=gamma)
         out = hash_trainer.update_codes(
             state, graphs, Khat, rng.normal(size=(8, p)), np.zeros(p), hp
         )
@@ -156,24 +157,24 @@ class TestObjective:
         n = graphs[0].n_samples
         zeros = CodeState(Y=np.zeros((n, 4)), Y_view=[np.zeros((n, 4))] * 2)
         hp = HyperParams(P=4)
+        Khat, E_list = np.zeros((8, n)), [np.zeros((8, n))] * 2
         val = hash_trainer.objective(
-            zeros, graphs, np.zeros((8, n)), [np.zeros((8, n))] * 2,
-            np.zeros((8, 4)), np.zeros(4), hp,
+            zeros, graphs, Khat, np.zeros((8, 4)), np.zeros(4), hp, penalty(Khat, E_list),
         )
         assert val == 0.0
 
     def test_duplicated_views_double_view_terms(self):
         graphs, state, Khat, E_list, W, b = toy_graphs_and_state(seed=10)
-        hp = HyperParams(P=4)
+        hp, alm = HyperParams(P=4), ALMConfig()
         single = hash_trainer.objective(
-            state, graphs[:1], Khat, E_list[:1], W, b, hp
+            state, graphs[:1], Khat, W, b, hp, penalty(Khat, E_list[:1])
         )
         state2 = CodeState(Y=state.Y, Y_view=[state.Y_view[0]] * 2)
         double = hash_trainer.objective(
-            state2, graphs[:1] * 2, Khat, E_list[:1] * 2, W, b, hp
+            state2, graphs[:1] * 2, Khat, W, b, hp, penalty(Khat, E_list[:1] * 2)
         )
         fixed = (
-            hp.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
+            alm.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
             + hp.beta
             * (np.sum((Khat.T @ W + b - state.Y) ** 2) + hp.delta * np.sum(W ** 2))
         )
@@ -181,8 +182,8 @@ class TestObjective:
 
     def test_matches_dense_oracle(self):
         graphs, state, Khat, E_list, W, b = toy_graphs_and_state(seed=11, n=20)
-        hp = HyperParams(P=4, gamma=0.3)
-        val = hash_trainer.objective(state, graphs, Khat, E_list, W, b, hp)
+        hp, alm = HyperParams(P=4, gamma=0.3), ALMConfig(alpha=0.2, lam=0.05)
+        val = hash_trainer.objective(state, graphs, Khat, W, b, hp, penalty(Khat, E_list, alm))
         total = 0.0
         for g, yv in zip(graphs, state.Y_view):
             S = anchor_graph.materialize(g)
@@ -190,12 +191,32 @@ class TestObjective:
                 for j in range(20):
                     total += S[i, j] * np.sum((yv[i] - yv[j]) ** 2)
             total += hp.gamma * np.sum((state.Y - yv) ** 2)
-        total += hp.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
-        total += hp.lam * sum(np.sum(np.linalg.norm(E, axis=0)) for E in E_list)
+        total += alm.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
+        total += alm.lam * sum(np.sum(np.linalg.norm(E, axis=0)) for E in E_list)
         total += hp.beta * (
             np.sum((Khat.T @ W + b - state.Y) ** 2) + hp.delta * np.sum(W ** 2)
         )
         assert val == pytest.approx(total, abs=1e-8)
+
+
+# Each float setting with a value just outside its range.
+FLOAT_SETTINGS = [
+    (HyperParams, "gamma", -1e-3), (HyperParams, "delta", -1e-9),
+    (HyperParams, "alpha", 0.0), (HyperParams, "beta", 0.0),
+    (HyperParams, "lam", -1e-3), (HyperParams, "outer_tol", 0.0),
+    (ALMConfig, "alpha", 0.0), (ALMConfig, "lam", -1e-3),
+    (ALMConfig, "rho", 1.0), (ALMConfig, "tol", 0.0),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "edge"])
+@pytest.mark.parametrize(
+    "cls, name, edge", FLOAT_SETTINGS, ids=[f"{c.__name__}.{n}" for c, n, _ in FLOAT_SETTINGS]
+)
+def test_bad_float_setting_rejected(cls, name, edge, value):
+    value = edge if value == "edge" else value
+    with pytest.raises(ValueError, match=rf"{cls.__name__}\.{name} must be finite"):
+        cls(**{name: value})
 
 
 class TestTrain:
@@ -228,8 +249,7 @@ class TestTrain:
     def test_negative_kernel_r_rejected(self):
         with pytest.raises(ValueError, match="KernelSelectConfig.R"):
             KernelSelectConfig(R=-3)
-        assert KernelSelectConfig(R=0).R == 0   # None and 0 mean "same as L"
-        assert KernelSelectConfig().R is None
+        assert KernelSelectConfig().R == 0   # 0 means "same as L"
 
     def test_rank_0_recovery_rejected(self):
         # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)

@@ -107,7 +107,7 @@ class TestInvariants:
     def test_stored_sum_consistency(self):
         ds = make_ds(seed=10, dims=(3, 4, 5), n=25)
         lm = kernel_sim.select_kernel_landmarks(ds, 7, seed=3)
-        cfg = kernel_sim.tune_config(ds, lm)
+        cfg = kernel_sim.tune_config(ds, lm, self_tuning_k=7)
         K_list = kernel_sim.build_view_kernels(ds, lm, cfg)
         total = sum(K_list)
         np.testing.assert_allclose(total, np.sum(K_list, axis=0), atol=1e-12)

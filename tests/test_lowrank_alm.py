@@ -141,7 +141,7 @@ def reference_recover(K_list, cfg):
         gap = np.linalg.norm(Khat - Q, "fro") / max(np.linalg.norm(Khat, "fro"), 1e-12)
         A = [a + (Khat + e - K) * mu for K, e, a in zip(K_list, E, A)]
         B = B + (Khat - Q) * mu
-        mu = min(cfg.rho * mu, cfg.mu_max)
+        mu = min(cfg.rho * mu, lowrank_alm._MU_MAX)
         if fit < cfg.tol and gap < cfg.tol:
             break
     return Khat, it
@@ -175,12 +175,13 @@ class TestInPlaceSweep:
 
 class TestSvdFallback:
     def test_tiny_alpha_counts_fallbacks(self, monkeypatch):
-        # alpha/mu falls below 1e3*sqrt(eps)*s_max as mu grows to mu_max (from
-        # the fourth sweep on); those sweeps take the full SVD and are counted
+        # alpha/mu falls below 1e3*sqrt(eps)*s_max as mu grows by rho each
+        # sweep (from the fourth of seven on); those sweeps take the full SVD
+        # and are counted
         rng = np.random.default_rng(29)
         K_list = [planted_nonneg_lowrank(rng, 10, 40, 2) + 0.01 * rng.random((10, 40))
                   for _ in range(2)]
-        cfg = ALMConfig(alpha=3e-5, lam=0.3, mu_max=0.5)
+        cfg = ALMConfig(alpha=3e-5, lam=0.3)
         svt = core_math.svt_with_basis
         ratios = []
 
@@ -344,9 +345,11 @@ class TestUpdateMultipliers:
 
     def test_mu_cap(self):
         state, cfg = make_state(seed=22)
-        state.mu = cfg.mu_max
+        state.mu = lowrank_alm._MU_MAX / 1.01
         lowrank_alm.update_multipliers(state, cfg)
-        assert state.mu == cfg.mu_max
+        assert state.mu == lowrank_alm._MU_MAX == 1e8
+        lowrank_alm.update_multipliers(state, cfg)
+        assert state.mu == lowrank_alm._MU_MAX
 
     def test_residual_decreases_across_sweeps(self):
         rng = np.random.default_rng(23)

@@ -162,7 +162,7 @@ JSON = st.recursive(
     max_leaves=6,
 )
 META_KEYS = st.sampled_from([
-    "n_views", "sigmas", "self_tuning_k", "has_base_set",
+    "n_views", "sigmas", "has_base_set",
     "base_k_oos", "base_sigma", "model_meta", "config",
 ])
 
@@ -219,6 +219,19 @@ class TestMalformedMetadata:
         path.write_bytes(resum(raw[:-8] + b"\0" * 8))
         with pytest.raises(ModelFileError, match="8 unread bytes"):
             model_io.load_model(path)
+
+    def test_file_with_self_tuning_k_loads(self, model_file, tmp_path):
+        # version-2 files written before self_tuning_k left the metadata
+        raw, path = model_file
+        assert b"self_tuning_k" not in raw
+        path.write_bytes(raw)
+        model, _ = model_io.load_model(path)
+        old = tmp_path / "old.rmvm"
+        old.write_bytes(edit_meta(raw, lambda m: {**m, "self_tuning_k": 7}))
+        back, snapshot = model_io.load_model(old)
+        np.testing.assert_array_equal(back.W, model.W)
+        assert back.kernel_config == model.kernel_config
+        assert snapshot == {"bits": 8}
 
     def test_landmark_rows_must_match_w(self, model_file):
         raw, path = model_file

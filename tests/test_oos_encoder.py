@@ -71,6 +71,17 @@ class TestInductiveEmbed:
         with pytest.raises(ValueError, match="non-finite"):
             oos_encoder.prototype_encode([0.0, bad], base)
 
+    @pytest.mark.parametrize("n_features", [1, 4, 6])
+    def test_query_length_rejected(self, n_features):
+        # lengths 1, d - 1 and d + 1 against d = 5 features
+        X = np.random.default_rng(3).normal(size=(6, 5))
+        base = oos_encoder.BaseSet(centers=X, embeddings=np.ones((6, 2)), sigma=1.0, k_oos=3)
+        msg = f"query has {n_features} features, expected 5"
+        with pytest.raises(ValueError, match=msg):
+            oos_encoder.inductive_embed(np.zeros(n_features), X, np.ones((6, 2)), k=3, sigma=1.0)
+        with pytest.raises(ValueError, match=msg):
+            oos_encoder.prototype_encode(np.zeros(n_features), base)
+
     def test_bad_arguments(self):
         X = np.zeros((3, 2))
         Y = np.zeros((3, 1))
@@ -126,7 +137,7 @@ class TestBaseSet:
     def test_too_many_centers_rejected(self):
         ds, model, _, _ = trained_model(seed=5)
         with pytest.raises(ValueError):
-            oos_encoder.build_base_set(ds, model, Z=ds.n_samples + 1)
+            oos_encoder.build_base_set(ds, model, Z=ds.n_samples + 1, k_oos=10)
 
     def test_bandwidth_positive(self):
         ds, model, _, _ = trained_model(seed=6)
