@@ -1,8 +1,9 @@
 """Landmark selection and the sparse truncated-affinity (anchor) graph.
 
-The graph stores F (N x L, row-stochastic with exactly k nonzeros per row)
-and Lambda = diag(F^T 1), representing the approximate adjacency
-S_hat = F Lambda^{-1} F^T in factored form so applying it costs O(N k).
+The graph stores F (N x L, row-stochastic with k stored entries per row, of
+which only the nearest cannot underflow to 0) and Lambda = diag(F^T 1),
+representing the approximate adjacency S_hat = F Lambda^{-1} F^T in factored
+form so applying it costs O(N k).
 It also holds the spectral factor H = F Lambda^{-1/2}, with S_hat = H H^T, and
 H^T H = V diag(sigma) V^T, the nonzero spectrum of S_hat (Liu et al., ICML 2011).
 """
@@ -17,7 +18,7 @@ from . import core_math
 
 @dataclass(frozen=True)
 class AnchorGraph:
-    F: sp.csr_matrix         # (N, L), row-stochastic, k nonzeros per row
+    F: sp.csr_matrix         # (N, L), row-stochastic, k stored entries per row
     lambda_diag: np.ndarray  # (L,), column sums of F, all positive
     H: sp.csr_matrix         # (N, L), F Lambda^{-1/2}
     sigma: np.ndarray        # (L,), eigenvalues of H^T H, clamped to [0, 1]
@@ -43,29 +44,23 @@ def select_graph_landmarks(view, L, mode="kmeans", seed=0):
 def build_truncated_affinity(view, landmarks, k):
     """Build the anchor graph for one view.
 
-    For each sample, the k nearest landmarks (ties broken by lower landmark
-    index) get weight exp(-d^2/t), normalized to sum to 1; all other entries
-    are zero. The bandwidth t is the mean squared distance from the samples to
-    their k-th nearest landmark (1 if that is 0). Landmarks that attract no
-    sample are dropped, and the survivors are selected again from the same
-    distances with the same t.
+    For each sample, the k nearest landmarks get the core_math.knn_weights
+    of exp(-d^2/t); all other entries are zero. The bandwidth t is the mean
+    squared distance from the samples to their k-th nearest landmark (1 if
+    that is 0). Landmarks that attract no sample are dropped, and the
+    survivors are selected again from the same distances with the same t.
     """
     view = np.asarray(view, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
-    n = view.shape[1]
     L = landmarks.shape[0]
     if k > L:
         raise ValueError(f"k={k} exceeds number of landmarks L={L}")
     d2 = core_math.sq_dists(view.T, landmarks)
     t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
     t = t if t > 0 else 1.0
-    rows = np.repeat(np.arange(n), k)
+    rows = np.repeat(np.arange(view.shape[1]), k)
     while True:
-        # stable sort: equal distances resolve to the lower landmark index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        sel = np.take_along_axis(d2, order, axis=1)
-        w = np.exp(-sel / t)
-        w /= w.sum(axis=1, keepdims=True)
+        order, w = core_math.knn_weights(d2, k, t)
         F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=d2.shape)
         col_mass = np.asarray(F.sum(axis=0)).ravel()
         dead = col_mass <= 0

@@ -12,7 +12,6 @@ import argparse
 import inspect
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -21,16 +20,8 @@ from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfi
 
 
 def _load_config(path):
-    cfg = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"bad config line (expected key=value): {line!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
+    kv = dataset.read_key_values(path, ValueError)
+    return {key.replace("-", "_"): val for key, val in kv.items()}
 
 
 # The config-file spellings of a boolean, in any case; others are errors.

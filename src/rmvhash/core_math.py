@@ -131,6 +131,18 @@ def sq_dists(points, centers):
     return np.maximum(d2, 0.0, out=d2)
 
 
+def knn_weights(d2, k, scale):
+    """Each row's k nearest columns of the squared distances d2, nearest first
+    (stable sort: ties go to the lower index), and their weights
+    exp(-(d2 - row minimum)/scale), normalized to sum to 1. The shift changes
+    no weight in exact arithmetic and makes the nearest one exactly 1, so no
+    row sums to 0; a weight past the nearest may still underflow to 0."""
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    sel = np.take_along_axis(d2, order, axis=1)
+    w = np.exp(-(sel - sel[:, :1]) / scale)
+    return order, w / w.sum(axis=1, keepdims=True)
+
+
 @dataclass
 class KMeansResult:
     centers: np.ndarray      # (L, d)

@@ -165,24 +165,32 @@ def save_dataset(ds, out_dir, name=None):
     return manifest
 
 
-def load_dataset(manifest_path):
-    """Load a dataset from a manifest of view files (see save_dataset)."""
-    manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"manifest not found: {manifest_path}")
+def read_key_values(path, error):
+    """The stripped key=value lines of a UTF-8 file, split on the first "=",
+    skipping blank and "#" lines; error(message) names the path for text
+    that is not UTF-8 and for a line without "="."""
     try:
-        text = manifest_path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DatasetFormatError(f"{manifest_path}: not UTF-8 text: {exc}") from exc
+        raise error(f"{path}: not UTF-8 text: {exc}") from exc
     kv = {}
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise DatasetFormatError(f"bad manifest line: {line!r}")
+            raise error(f"{path}: bad line (expected key=value): {line!r}")
         key, val = line.split("=", 1)
         kv[key.strip()] = val.strip()
+    return kv
+
+
+def load_dataset(manifest_path):
+    """Load a dataset from a manifest of view files (see save_dataset)."""
+    manifest_path = Path(manifest_path)
+    if not manifest_path.is_file():
+        raise FileNotFoundError(f"manifest not found: {manifest_path}")
+    kv = read_key_values(manifest_path, DatasetFormatError)
     base = manifest_path.parent
     views = []
     m = 0
@@ -219,6 +227,8 @@ def synth_multiview(n_clusters, per_cluster, dims, view_noise=0.1, seed=0):
         raise ValueError(f"dims must be positive, got {dims}")
     if per_cluster < 1 or n_clusters < 1:
         raise ValueError("n_clusters and per_cluster must be at least 1")
+    if not (np.isfinite(view_noise) and view_noise >= 0):
+        raise ValueError(f"view_noise must be finite and at least 0, got {view_noise}")
     rng = np.random.default_rng(seed)
     n = n_clusters * per_cluster
     latent_dim = max(4, n_clusters)

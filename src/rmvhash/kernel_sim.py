@@ -42,18 +42,15 @@ def select_kernel_landmarks(ds, R, seed=0):
     return KernelLandmarks(blocks=tuple(b.copy() for b in blocks))
 
 
-def _dists(points, landmarks):
-    return np.sqrt(core_math.sq_dists(points, landmarks))
-
-
 def self_tuning_sigma(view, z_view, k_st):
     """Self-tuned bandwidth: median over samples of the distance to the
     k_st-th nearest landmark."""
     z_view = np.asarray(z_view, dtype=float)
     if k_st > z_view.shape[0]:
         raise ValueError(f"k_st={k_st} exceeds R={z_view.shape[0]}")
-    d = _dists(np.asarray(view, dtype=float).T, z_view)
-    kth = np.partition(d, k_st - 1, axis=1)[:, k_st - 1]
+    d2 = core_math.sq_dists(np.asarray(view, dtype=float).T, z_view)
+    # sqrt is monotone: the root of the k-th squared distance is the k-th distance
+    kth = np.sqrt(np.partition(d2, k_st - 1, axis=1)[:, k_st - 1])
     sigma = float(np.median(kth))
     if sigma <= 0:
         raise ValueError("degenerate data: self-tuned bandwidth is zero")
@@ -70,8 +67,7 @@ def build_kernel_matrix(view, z_view, sigma):
         raise ValueError(
             f"view dim {view.shape[0]} != landmark dim {z_view.shape[1]}"
         )
-    d = _dists(z_view, view.T)   # (R, N)
-    return np.exp(-(d ** 2) / (2.0 * sigma ** 2))
+    return np.exp(-core_math.sq_dists(z_view, view.T) / (2.0 * sigma ** 2))
 
 
 def tune_config(ds, landmarks, self_tuning_k):

@@ -29,10 +29,10 @@ def _center_bandwidth(centers):
     z = centers.shape[0]
     if z == 1:
         return 1.0
-    d = np.sqrt(core_math.sq_dists(centers, centers))
+    d2 = core_math.sq_dists(centers, centers)
     # k-th nearest *other* center; the nearest is the center itself
     k = min(_CENTER_K, z - 1)
-    kth = np.partition(d, k, axis=1)[:, k]
+    kth = np.sqrt(np.partition(d2, k, axis=1)[:, k])
     sigma = float(np.median(kth))
     return sigma if sigma > 0 else 1.0
 
@@ -64,14 +64,8 @@ def _weighted_embed(x_q, points, embeddings, k, sigma):
         raise ValueError(f"query has {x_q.size} features, expected {points.shape[1]}")
     if not np.all(np.isfinite(x_q)):
         raise ValueError("query has non-finite entries")
-    d2 = np.sum((points - x_q) ** 2, axis=1)
-    order = np.argsort(d2, kind="stable")[:k]
-    w = np.exp(-d2[order] / sigma ** 2)
-    total = w.sum()
-    if total <= 0:
-        # weights underflowed: deterministic nearest-neighbor fallback
-        return embeddings[order[0]].astype(float).copy()
-    return (w @ embeddings[order]) / total
+    order, w = core_math.knn_weights(core_math.sq_dists(x_q[None], points), k, sigma ** 2)
+    return w[0] @ embeddings[order[0]]
 
 
 def inductive_embed(x_q, X, Y, k, sigma):

@@ -94,6 +94,21 @@ class TestTruncatedAffinity:
         assert np.all(np.count_nonzero(F, axis=1) == 3)
         assert np.all(g.lambda_diag > 0)
 
+    def test_far_sample_graph_finite(self):
+        # the far sample's unshifted weights all underflow to 0
+        rng = np.random.default_rng(0)
+        view = rng.normal(scale=1e-3, size=(4, 3000))
+        view[:, 0] = 5.0
+        lm = view[:, 1:11].T
+        g = anchor_graph.build_truncated_affinity(view, lm, k=3)
+        F = g.F.toarray()
+        assert np.all(np.isfinite(F)) and np.all(np.isfinite(g.sigma))
+        np.testing.assert_allclose(F.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        d2 = np.sum((lm - view[:, 0]) ** 2, axis=1)
+        np.testing.assert_array_equal(
+            np.flatnonzero(F[0]), np.sort(np.argsort(d2, kind="stable")[:3])
+        )
+
     def test_k_exceeds_landmarks_rejected(self):
         view = toy_view(seed=7)
         lm = view.T[:3].copy()

@@ -102,6 +102,15 @@ class TestSynthCorrupt:
         )
         assert changed > 0
 
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_view_noise_rejected(self, tmp_path, capsys, noise):
+        assert run([
+            "synth", "--out", str(tmp_path), "--name", "x", "--clusters", "2",
+            "--per-cluster", "5", "--dims", "3", "--view-noise", noise,
+        ]) == 1
+        assert "view_noise" in capsys.readouterr().err
+        assert not (tmp_path / "x.manifest").exists()
+
     def test_bad_manifest_exits_nonzero(self, tmp_path, capsys):
         assert run([
             "corrupt", "--manifest", str(tmp_path / "nope.manifest"),
@@ -244,6 +253,20 @@ class TestTrainArtifacts:
             "--model", str(tmp_path / "m.rmvm"), "--config", str(cfg),
         ]) == 1
         assert "alhpa" in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"bits=4\nalpha 0.5\n", "bad line (expected key=value): 'alpha 0.5'"),
+        (b"bits=\xff\n", "not UTF-8 text"),
+    ])
+    def test_bad_config_file_names_path(self, workspace, tmp_path, capsys, raw, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(raw)
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), "--config", str(cfg),
+        ]) == 1
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
     def test_rank_0_recovery_rejected(self, workspace, tmp_path, capsys):

@@ -61,6 +61,43 @@ class TestSqDists:
             )
 
 
+def far_sample_distances():
+    """Squared distances from 3,000 samples near the origin, and one sample at
+    (5, 5, 5, 5), to 10 of the near samples; the far sample's d^2/t exceeds
+    745, past which exp(-d^2/t) underflows to 0."""
+    rng = np.random.default_rng(0)
+    view = rng.normal(scale=1e-3, size=(4, 3000))
+    view[:, 0] = 5.0
+    return core_math.sq_dists(view.T, view[:, 1:11].T)
+
+
+class TestKnnWeights:
+    def test_ties_go_to_lower_index(self):
+        d2 = np.array([[1.0, 0.5, 0.5, 0.5], [2.0, 2.0, 2.0, 2.0]])
+        order, w = core_math.knn_weights(d2, 2, 1.0)
+        np.testing.assert_array_equal(order, [[1, 2], [0, 1]])
+        np.testing.assert_array_equal(w, 0.5)
+
+    def test_matches_unshifted_formula(self):
+        rng = np.random.default_rng(1)
+        d2 = rng.uniform(0.0, 5.0, size=(40, 12))
+        order, w = core_math.knn_weights(d2, 4, 1.3)
+        want_order = np.argsort(d2, axis=1, kind="stable")[:, :4]
+        want = np.exp(-np.take_along_axis(d2, want_order, axis=1) / 1.3)
+        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_array_equal(order, want_order)
+        np.testing.assert_allclose(w, want, rtol=0, atol=1e-15)
+
+    def test_far_row_finite_and_normalised(self):
+        d2 = far_sample_distances()
+        t = float(np.mean(np.partition(d2, 2, axis=1)[:, 2]))
+        order, w = core_math.knn_weights(d2, 3, t)
+        # the unshifted weights of the far row are all 0: 0/0
+        assert not np.any(np.exp(-d2[0, order[0]] / t))
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
 class TestSvt:
     def test_diagonal(self):
         out = core_math.svt(np.diag([3.0, 1.0, 0.2]), 1.0)

@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -66,6 +67,19 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match="row 1, col 2"):
             dataset.load_view(path)
 
+    def test_manifest_line_without_equals_names_path(self, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_text("name=x\nview0 a.mvh\n")
+        want = f"{path}: bad line (expected key=value): 'view0 a.mvh'"
+        with pytest.raises(DatasetFormatError, match=re.escape(want)):
+            dataset.load_dataset(path)
+
+    def test_non_utf8_manifest_names_path(self, tmp_path):
+        path = tmp_path / "m.manifest"
+        path.write_bytes(b"name=\xff\n")
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: not UTF-8 text")):
+            dataset.load_dataset(path)
+
     def test_truncated_payload(self, tmp_path):
         ds = make_random_ds(seed=5, dims=(6,), n=10)
         manifest = dataset.save_dataset(ds, tmp_path)
@@ -99,6 +113,11 @@ class TestSynth:
     def test_empty_dims_rejected(self):
         with pytest.raises(ValueError):
             dataset.synth_multiview(2, 5, ())
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -1.0])
+    def test_bad_view_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="view_noise"):
+            dataset.synth_multiview(2, 5, (3,), view_noise=noise)
 
 
 class TestCorruption:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import dataset, kernel_sim
+from rmvhash import core_math, dataset, kernel_sim
 from rmvhash.dataset import MultiViewDataset
 
 
@@ -50,6 +50,16 @@ class TestSelfTuningSigma:
         s1 = kernel_sim.self_tuning_sigma(view, z, k_st=2)
         s2 = kernel_sim.self_tuning_sigma(2.5 * view, 2.5 * z, k_st=2)
         assert s2 == pytest.approx(2.5 * s1, rel=1e-10)
+
+    @pytest.mark.parametrize("k_st", [1, 3, 7])
+    def test_bits_match_root_first_oracle(self, k_st):
+        # oracle: the root of every distance first, then the partition
+        rng = np.random.default_rng(k_st)
+        view = rng.normal(size=(5, 60))
+        z = rng.normal(size=(9, 5))
+        d = np.sqrt(core_math.sq_dists(view.T, z))
+        want = float(np.median(np.partition(d, k_st - 1, axis=1)[:, k_st - 1]))
+        assert kernel_sim.self_tuning_sigma(view, z, k_st) == want
 
 
 class TestBuildKernelMatrix:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import dataset, hash_trainer, oos_encoder
+from rmvhash import core_math, dataset, hash_trainer, oos_encoder
 from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
 
 
@@ -138,6 +138,15 @@ class TestBaseSet:
         ds, model, _, _ = trained_model(seed=5)
         with pytest.raises(ValueError):
             oos_encoder.build_base_set(ds, model, Z=ds.n_samples + 1, k_oos=10)
+
+    @pytest.mark.parametrize("z", [2, 5, 8, 40])
+    def test_bandwidth_bits_match_root_first_oracle(self, z):
+        # oracle: the root of every distance first, then the partition
+        centers = np.random.default_rng(z).normal(size=(z, 6))
+        d = np.sqrt(core_math.sq_dists(centers, centers))
+        k = min(oos_encoder._CENTER_K, z - 1)
+        want = float(np.median(np.partition(d, k, axis=1)[:, k]))
+        assert oos_encoder._center_bandwidth(centers) == want
 
     def test_bandwidth_positive(self):
         ds, model, _, _ = trained_model(seed=6)
