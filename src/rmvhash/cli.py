@@ -20,8 +20,13 @@ from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfi
 
 
 def _load_config(path):
-    kv = dataset.read_key_values(path, ValueError)
-    return {key.replace("-", "_"): val for key, val in kv.items()}
+    cfg = {}
+    for key, val in dataset.read_key_values(path, ValueError).items():
+        name = key.replace("-", "_")
+        if name in cfg:
+            raise ValueError(f"{path}: key {key!r} gives config key {name} a second time")
+        cfg[name] = val
+    return cfg
 
 
 # The config-file spellings of a boolean, in any case; others are errors.
@@ -206,8 +211,7 @@ def cmd_inspect(args):
     print(f"kernel landmarks R: {model.landmarks.R}")
     print(f"view dims: {[b.shape[1] for b in model.landmarks.blocks]}")
     print(f"sigmas: {[round(s, 6) for s in model.kernel_config.sigmas]}")
-    if model.base_set is not None:
-        print(f"base set: Z={model.base_set.Z}, k_oos={model.base_set.k_oos}")
+    print(f"base set: Z={model.base_set.Z}, k_oos={model.base_set.k_oos}")
     print(f"meta: {model.meta}")
     if snapshot:
         print(f"training config: {snapshot}")

@@ -168,7 +168,7 @@ def save_dataset(ds, out_dir, name=None):
 def read_key_values(path, error):
     """The stripped key=value lines of a UTF-8 file, split on the first "=",
     skipping blank and "#" lines; error(message) names the path for text
-    that is not UTF-8 and for a line without "="."""
+    that is not UTF-8, a line without "=" and a repeated key."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -180,8 +180,10 @@ def read_key_values(path, error):
             continue
         if "=" not in line:
             raise error(f"{path}: bad line (expected key=value): {line!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in kv:
+            raise error(f"{path}: key {key!r} is repeated")
+        kv[key] = val
     return kv
 
 
@@ -192,13 +194,14 @@ def load_dataset(manifest_path):
         raise FileNotFoundError(f"manifest not found: {manifest_path}")
     kv = read_key_values(manifest_path, DatasetFormatError)
     base = manifest_path.parent
-    views = []
-    m = 0
-    while f"view{m}" in kv:
-        views.append(load_view(base / kv[f"view{m}"]))
-        m += 1
-    if not views:
+    # every key but name and labels is a view, and the views are view0, view1, ...
+    view_keys = [f"view{m}" for m in range(len(kv.keys() - {"name", "labels"}))]
+    unknown = sorted(kv.keys() - {"name", "labels", *view_keys})
+    if unknown:
+        raise DatasetFormatError(f"{manifest_path}: unknown key(s) {', '.join(map(repr, unknown))}")
+    if not view_keys:
         raise DatasetFormatError(f"{manifest_path}: no view entries")
+    views = [load_view(base / kv[key]) for key in view_keys]
     labels = None
     if "labels" in kv:
         lpath = base / kv["labels"]

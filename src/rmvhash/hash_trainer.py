@@ -287,11 +287,8 @@ def train(
         W = alm_diag.U @ (alm_diag.U.T @ W)
 
     model = HashModel(
-        W=W,
-        b=b,
-        landmarks=klm,
-        kernel_config=kcfg,
-        meta={"P": hp.P, "N": n, "M": ds.n_views, "seed": seed, "recovery": recovery},
+        W=W, b=b, landmarks=klm, kernel_config=kcfg,
+        meta={"N": n, "seed": seed, "recovery": recovery},
     )
     Z = min(oos_cfg.Z, n)
     model.base_set = oos_encoder.build_base_set(

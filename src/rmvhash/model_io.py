@@ -4,7 +4,11 @@ Layout (little-endian throughout, like the MVH1 data format):
 magic "RMVM", uint32 format version, uint64-length-prefixed UTF-8 JSON
 metadata, a sequence of float64 matrices (uint64 rows, uint64 cols, row-major
 payload), and a trailing 8-byte checksum (leading 8 bytes of the SHA-256 of
-everything before it). Version 1 models fit a kernel no longer served.
+everything before it). Version 3 holds the metadata "sigmas" (one per view),
+"base_k_oos", "model_meta" and "config", then W (R, P), b (1, P), one (R, d_m)
+landmark block per sigma and the (Z, d) base-set centers: only what training
+chose. load_model rebuilds the rest of the base set with the builder train
+uses. Version 1 and 2 files are refused.
 """
 
 import hashlib
@@ -18,7 +22,7 @@ import numpy as np
 from . import dataset, hash_trainer, kernel_sim, oos_encoder
 
 MAGIC = b"RMVM"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class ModelFileError(ValueError):
@@ -26,14 +30,7 @@ class ModelFileError(ValueError):
 
 
 # The JSON type of each metadata key load_model reads; others are ignored.
-_META_TYPES = dict(
-    n_views=int, sigmas=list, has_base_set=bool,
-    base_k_oos=int, base_sigma=float, model_meta=dict, config=dict,
-)
-
-
-def _positive(x):
-    return type(x) is float and 0 < x < math.inf
+_META_TYPES = dict(sigmas=list, base_k_oos=int, model_meta=dict, config=dict)
 
 
 def _check_meta(meta, path):
@@ -43,10 +40,8 @@ def _check_meta(meta, path):
         if type(meta.get(key)) is not kind:
             raise ModelFileError(f"{path}: metadata {key!r} is missing or not a {kind.__name__}")
     sigmas = meta["sigmas"]
-    if meta["n_views"] < 1 or len(sigmas) != meta["n_views"] or not all(map(_positive, sigmas)):
+    if not sigmas or not all(type(s) is float and 0 < s < math.inf for s in sigmas):
         raise ModelFileError(f"{path}: metadata needs one positive finite sigma per view")
-    if meta["has_base_set"] and not _positive(meta["base_sigma"]):
-        raise ModelFileError(f"{path}: metadata base_sigma is not positive and finite")
 
 
 def _pack_matrix(arr):
@@ -68,17 +63,18 @@ class _Reader:
 
     def matrix(self):
         mtx, self.pos = dataset.read_block(self.buf, self.pos, "<f8", ModelFileError)
+        if not (mtx.size and np.isfinite(mtx).all()):
+            raise ModelFileError("model file holds an empty matrix or a non-finite value")
         return mtx.copy()
 
 
 def save_model(model, path, config_snapshot=None):
-    """Serialize a HashModel (including its base set) to path."""
+    """Serialize a trained HashModel to path; the model needs its base set."""
+    if model.base_set is None:
+        raise ValueError("cannot save a model without a base set; train builds one")
     meta = {
         "sigmas": list(model.kernel_config.sigmas),
-        "n_views": len(model.landmarks.blocks),
-        "has_base_set": model.base_set is not None,
-        "base_k_oos": model.base_set.k_oos if model.base_set is not None else 0,
-        "base_sigma": model.base_set.sigma if model.base_set is not None else 0.0,
+        "base_k_oos": model.base_set.k_oos,
         "model_meta": model.meta,
         "config": config_snapshot or {},
     }
@@ -89,9 +85,7 @@ def save_model(model, path, config_snapshot=None):
     body += _pack_matrix(model.b.reshape(1, -1))
     for block in model.landmarks.blocks:
         body += _pack_matrix(block)
-    if model.base_set is not None:
-        body += _pack_matrix(model.base_set.centers)
-        body += _pack_matrix(model.base_set.embeddings)
+    body += _pack_matrix(model.base_set.centers)
     checksum = hashlib.sha256(body).digest()[:8]
     Path(path).write_bytes(body + checksum)
 
@@ -112,7 +106,7 @@ def load_model(path):
     if version != FORMAT_VERSION:
         raise ModelFileError(
             f"{path}: format version {version} is not the supported version {FORMAT_VERSION}"
-            + ("" if version > FORMAT_VERSION else "; it fits an older kernel, retrain the model")
+            + ("" if version > FORMAT_VERSION else "; older files are not read, retrain the model")
         )
     (blob_len,) = struct.unpack("<Q", r.take(8))
     try:
@@ -122,24 +116,24 @@ def load_model(path):
     _check_meta(meta, path)
     W = r.matrix()
     b = r.matrix().ravel()
-    blocks = tuple(r.matrix() for _ in range(meta["n_views"]))
+    blocks = tuple(r.matrix() for _ in meta["sigmas"])
     if b.shape != (W.shape[1],) or any(z.shape[0] != W.shape[0] for z in blocks):
         raise ModelFileError(f"{path}: W, b and landmark shapes disagree")
-    base_set = None
-    if meta["has_base_set"]:
-        centers, embeddings = r.matrix(), r.matrix()
-        if embeddings.shape != (len(centers), W.shape[1]) or centers.shape[1] != sum(
-            z.shape[1] for z in blocks
-        ):
-            raise ModelFileError(f"{path}: base-set shapes disagree with the model")
-        if not 1 <= meta["base_k_oos"] <= len(centers):
-            raise ModelFileError(f"{path}: metadata base_k_oos is not in [1, Z]")
-        base_set = oos_encoder.BaseSet(centers, embeddings, meta["base_sigma"], meta["base_k_oos"])
+    centers = r.matrix()
+    if centers.shape[1] != sum(z.shape[1] for z in blocks):
+        raise ModelFileError(f"{path}: base-set and landmark shapes disagree")
+    if not 1 <= meta["base_k_oos"] <= len(centers):
+        raise ModelFileError(f"{path}: metadata base_k_oos is not in [1, Z]")
     if r.pos != len(body):
         raise ModelFileError(f"{path}: {len(body) - r.pos} unread bytes before the checksum")
     model = hash_trainer.HashModel(
         W=W, b=b, landmarks=kernel_sim.KernelLandmarks(blocks=blocks),
-        kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"])),
-        base_set=base_set, meta=meta["model_meta"],
+        kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"])), meta=meta["model_meta"],
     )
+    # Far kernel entries underflow on healthy models; an extreme stored value can overflow.
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            model.base_set = oos_encoder.make_base_set(model, centers, meta["base_k_oos"])
+    except FloatingPointError as exc:
+        raise ModelFileError(f"{path}: cannot rebuild the base set: {exc}") from exc
     return model, meta["config"]

@@ -255,6 +255,20 @@ class TestTrainArtifacts:
         assert "alhpa" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
+    @pytest.mark.parametrize("raw, key", [
+        ("bits=4\nbits=16\n", "'bits'"), ("outer-iters=3\nouter_iters=4\n", "outer_iters"),
+    ], ids=["same-spelling", "dash-and-underscore"])
+    def test_repeated_config_key_rejected(self, workspace, tmp_path, capsys, raw, key):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(raw)
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), "--config", str(cfg),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}: key " in err and key in err
+        assert not (tmp_path / "m.rmvm").exists()
+
     @pytest.mark.parametrize("raw, message", [
         (b"bits=4\nalpha 0.5\n", "bad line (expected key=value): 'alpha 0.5'"),
         (b"bits=\xff\n", "not UTF-8 text"),
@@ -433,8 +447,20 @@ class TestEncodeQueryEval:
             workspace / "model.rmvm", tmp_path / "v1.rmvm",
             lambda meta: meta.update(sigma_concat=1.0),
         )
+        self.assert_older_version_says_retrain(workspace, tmp_path, capsys, old, 1)
+
+    def test_version_2_model_rejected(self, workspace, tmp_path, capsys):
+        # version 2 also stored the base-set embeddings and bandwidth
+        old = rewrite_meta(
+            workspace / "model.rmvm", tmp_path / "v2.rmvm",
+            lambda meta: meta.update(n_views=2, has_base_set=True, base_sigma=1.0),
+        )
+        self.assert_older_version_says_retrain(workspace, tmp_path, capsys, old, 2)
+
+    @staticmethod
+    def assert_older_version_says_retrain(workspace, tmp_path, capsys, old, version):
         body = bytearray(old.read_bytes()[:-8])
-        body[4:8] = struct.pack("<I", 1)
+        body[4:8] = struct.pack("<I", version)
         old.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])
         with pytest.raises(model_io.ModelFileError, match="retrain"):
             model_io.load_model(old)

@@ -74,6 +74,29 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match=re.escape(want)):
             dataset.load_dataset(path)
 
+    @pytest.mark.parametrize("lines, key", [
+        ("view0=a.mvh\nview0=b.mvh\n", "view0"),
+        ("name=x\nview0=a.mvh\nname=y\n", "name"),
+    ], ids=["view0", "name"])
+    def test_repeated_manifest_key_names_key_and_path(self, tmp_path, lines, key):
+        dataset.save_view(tmp_path / "a.mvh", np.ones((2, 3)))
+        dataset.save_view(tmp_path / "b.mvh", np.ones((4, 3)))
+        path = tmp_path / "m.manifest"
+        path.write_text(lines)
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: key {key!r} is repeated")):
+            dataset.load_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["veiw1", "view3", "View1", "view01", "labels_file"])
+    def test_unknown_manifest_key_names_key_and_path(self, tmp_path, bad):
+        # a misspelt or misnumbered view must not load as a dataset of fewer views
+        ds = make_random_ds(seed=6, dims=(3, 4, 5), n=10)
+        manifest = dataset.save_dataset(ds, tmp_path)
+        manifest.write_text(manifest.read_text().replace("view1=", f"{bad}="))
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{manifest}: unknown key(s) ")):
+            dataset.load_dataset(manifest)
+        with pytest.raises(DatasetFormatError, match=repr(bad)):
+            dataset.load_dataset(manifest)
+
     def test_non_utf8_manifest_names_path(self, tmp_path):
         path = tmp_path / "m.manifest"
         path.write_bytes(b"name=\xff\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -41,6 +42,7 @@ class TestRoundTrip:
             back.base_set.embeddings, model.base_set.embeddings
         )
         assert back.base_set.sigma == model.base_set.sigma
+        assert back.base_set.k_oos == model.base_set.k_oos == 10
         assert snapshot == {"bits": 8, "seed": 1}
 
     def test_loaded_model_encodes_identically(self, tmp_path):
@@ -56,6 +58,26 @@ class TestRoundTrip:
             hash_trainer.encode_queries(back, ds),
             hash_trainer.encode_queries(model, ds),
         )
+
+    def test_file_holds_only_what_training_chose(self, tmp_path):
+        _, model, _ = trained(seed=9)
+        path = tmp_path / "m.rmvm"
+        model_io.save_model(model, path)
+        body = path.read_bytes()[:-8]
+        (n,) = struct.unpack("<Q", body[8:16])
+        meta = json.loads(body[16:16 + n])
+        assert set(meta) == {"sigmas", "base_k_oos", "model_meta", "config"}
+        assert set(meta["model_meta"]) == {"N", "seed", "recovery"}
+        assert [struct.unpack_from("<QQ", body, pos) for pos in matrix_offsets(body)] == [
+            model.W.shape, (1, model.code_length),
+            *(z.shape for z in model.landmarks.blocks), model.base_set.centers.shape,
+        ]
+
+    def test_model_without_base_set_not_saved(self, tmp_path):
+        _, model, _ = trained(seed=9)
+        with pytest.raises(ValueError, match="base set"):
+            model_io.save_model(dataclasses.replace(model, base_set=None), tmp_path / "m.rmvm")
+        assert not (tmp_path / "m.rmvm").exists()
 
     def test_save_is_deterministic(self, tmp_path):
         _, model, _ = trained(seed=3)
@@ -112,6 +134,17 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match=rf"99.*{model_io.FORMAT_VERSION}"):
             model_io.load_model(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_version_says_retrain(self, tmp_path, version):
+        _, model, _ = trained(seed=7)
+        path = tmp_path / "m.rmvm"
+        model_io.save_model(model, path)
+        body = bytearray(path.read_bytes()[:-8])
+        body[4:8] = struct.pack("<I", version)
+        path.write_bytes(resum(bytes(body)))
+        with pytest.raises(ModelFileError, match=rf"version {version} .*retrain"):
+            model_io.load_model(path)
+
     def test_tiny_file(self, tmp_path):
         path = tmp_path / "m.rmvm"
         path.write_bytes(b"RM")
@@ -128,6 +161,25 @@ def with_meta_blob(raw, blob):
     body = raw[:-8]
     (n,) = struct.unpack("<Q", body[8:16])
     return resum(body[:8] + struct.pack("<Q", len(blob)) + blob + body[16 + n:])
+
+
+def matrix_offsets(body):
+    """The offset of each matrix stored after the metadata of a model file's body."""
+    (n,) = struct.unpack("<Q", body[8:16])
+    pos, out = 16 + n, []
+    while pos < len(body):
+        out.append(pos)
+        pos = dataset.read_block(body, pos, "<f8", AssertionError)[1]
+    return out
+
+
+def with_value(raw, index, row, value):
+    """raw with entry [row, 0] of its index-th matrix set to value, re-checksummed."""
+    body = bytearray(raw[:-8])
+    pos = matrix_offsets(body)[index]
+    cols = struct.unpack_from("<QQ", body, pos)[1]
+    struct.pack_into("<d", body, pos + 16 + 8 * row * cols, value)
+    return resum(bytes(body))
 
 
 def edit_meta(raw, edit):
@@ -161,35 +213,32 @@ JSON = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-META_KEYS = st.sampled_from([
-    "n_views", "sigmas", "has_base_set",
-    "base_k_oos", "base_sigma", "model_meta", "config",
-])
+META_KEYS = st.sampled_from(sorted(model_io._META_TYPES))
 
 
 class TestMalformedMetadata:
-    @pytest.mark.parametrize("edit", [
-        lambda m: {k: v for k, v in m.items() if k != "n_views"},
-        lambda m: {**m, "n_views": "2"},
-        lambda m: {**m, "n_views": True},
-        lambda m: {**m, "n_views": 0, "sigmas": []},
-        lambda m: {**m, "sigmas": m["sigmas"][:1]},
-        lambda m: {**m, "sigmas": [-1.0] + m["sigmas"][1:]},
-        lambda m: list(m),
-        lambda m: None,
-        lambda m: {**m, "base_k_oos": 0},
-        lambda m: {**m, "base_k_oos": 21},
-        lambda m: {**m, "base_sigma": -1.0},
-        lambda m: {**m, "base_sigma": float("inf")},
+    # The number of views is the number of sigmas, so the view-count cases
+    # edit "sigmas". One sigma too few reads the second landmark block as the
+    # base-set centres, whose width then disagrees with the first block.
+    @pytest.mark.parametrize("edit, match", [
+        (lambda m: {k: v for k, v in m.items() if k != "sigmas"}, "metadata"),
+        (lambda m: {**m, "sigmas": "2"}, "metadata"),
+        (lambda m: {**m, "sigmas": [True] + m["sigmas"][1:]}, "metadata"),
+        (lambda m: {**m, "sigmas": []}, "metadata"),
+        (lambda m: {**m, "sigmas": m["sigmas"][:1]}, "shapes"),
+        (lambda m: {**m, "sigmas": [-1.0] + m["sigmas"][1:]}, "metadata"),
+        (lambda m: list(m), "metadata"),
+        (lambda m: None, "metadata"),
+        (lambda m: {**m, "base_k_oos": 0}, "metadata"),
+        (lambda m: {**m, "base_k_oos": 21}, "metadata"),
     ], ids=[
         "no-n_views", "str-n_views", "bool-n_views", "zero-views", "short-sigmas",
         "negative-sigma", "list", "null", "zero-k_oos", "k_oos-above-Z",
-        "negative-base_sigma", "infinite-base_sigma",
     ])
-    def test_rejected(self, model_file, edit):
+    def test_rejected(self, model_file, edit, match):
         raw, path = model_file
         path.write_bytes(edit_meta(raw, edit))
-        with pytest.raises(ModelFileError, match="metadata"):
+        with pytest.raises(ModelFileError, match=match):
             model_io.load_model(path)
 
     @pytest.mark.parametrize("blob", [b"{", b"\xff\xfe", b""], ids=["open", "not-utf8", "empty"])
@@ -208,12 +257,6 @@ class TestMalformedMetadata:
         with pytest.raises(ModelFileError):
             model_io.load_model(path)
 
-    def test_unread_base_set_rejected(self, model_file):
-        raw, path = model_file
-        path.write_bytes(edit_meta(raw, lambda m: {**m, "has_base_set": False}))
-        with pytest.raises(ModelFileError, match="unread bytes"):
-            model_io.load_model(path)
-
     def test_trailing_bytes_rejected(self, model_file):
         raw, path = model_file
         path.write_bytes(resum(raw[:-8] + b"\0" * 8))
@@ -221,7 +264,7 @@ class TestMalformedMetadata:
             model_io.load_model(path)
 
     def test_file_with_self_tuning_k_loads(self, model_file, tmp_path):
-        # version-2 files written before self_tuning_k left the metadata
+        # a metadata key the loader does not read is ignored
         raw, path = model_file
         assert b"self_tuning_k" not in raw
         path.write_bytes(raw)
@@ -236,10 +279,29 @@ class TestMalformedMetadata:
     def test_landmark_rows_must_match_w(self, model_file):
         raw, path = model_file
         # a third view reads the base-set centres as its landmark block
-        path.write_bytes(edit_meta(
-            raw, lambda m: {**m, "n_views": 3, "sigmas": m["sigmas"] + m["sigmas"][:1]}
-        ))
+        path.write_bytes(edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"] + m["sigmas"][:1]}))
         with pytest.raises(ModelFileError, match="shapes"):
+            model_io.load_model(path)
+
+    # W, b, the two landmark blocks and the base-set centres
+    @pytest.mark.parametrize("index", range(5))
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, model_file, index, value):
+        raw, path = model_file
+        path.write_bytes(with_value(raw, index, 0, value))
+        with pytest.raises(ModelFileError, match="non-finite"):
+            model_io.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e-300] + m["sigmas"][1:]}),
+        lambda raw: with_value(raw, 4, 3, 1e200),
+    ], ids=["sigma-squared-underflows", "far-centre"])
+    def test_base_set_that_cannot_be_rebuilt_rejected(self, model_file, edit):
+        # extreme finite values overflow or divide by zero while the base set
+        # is rebuilt; that is a bad file, not a floating-point warning
+        raw, path = model_file
+        path.write_bytes(edit(raw))
+        with pytest.raises(ModelFileError, match="cannot rebuild the base set"):
             model_io.load_model(path)
 
 
