@@ -13,8 +13,6 @@ import inspect
 import json
 import sys
 
-import numpy as np
-
 from . import dataset, evaluation, hash_trainer, model_io
 from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfig, OosConfig
 
@@ -94,6 +92,24 @@ _TRAIN_SPEC = {
 _TRAIN_SPEC["seed"] = (int, _default(hash_trainer.train, "seed"))
 _TRAIN_SPEC["no_recovery"] = (bool, not _default(hash_trainer.train, "recovery"))
 
+_SYNTH_SPEC = {
+    "clusters": (int, 10),
+    "per_cluster": (int, 200),
+    "dims": (_dims, (32, 48)),
+    "view_noise": (float, _default(dataset.synth_multiview, "view_noise")),
+    "seed": (int, _default(dataset.synth_multiview, "seed")),
+    "name": (str, "synthetic"),
+}
+
+_CORRUPT_SPEC = {
+    "kind": (str, "gaussian-fraction"),
+    "fraction": (float, 0.2),
+    "seed": (int, _default(dataset.CorruptionSpec, "seed")),
+    "name": (str, ""),
+}
+
+_EVAL_SPEC = {key: (int, _default(evaluation.evaluate, key)) for key in ("top_k", "radius")}
+
 
 def _train_configs(p):
     """HyperParams, ALMConfig, GraphConfig, KernelSelectConfig and OosConfig
@@ -110,14 +126,7 @@ def _train_configs(p):
 
 
 def cmd_synth(args):
-    p = _resolve(args, {
-        "clusters": (int, 10),
-        "per_cluster": (int, 200),
-        "dims": (_dims, (32, 48)),
-        "view_noise": (float, _default(dataset.synth_multiview, "view_noise")),
-        "seed": (int, _default(dataset.synth_multiview, "seed")),
-        "name": (str, "synthetic"),
-    })
+    p = _resolve(args, _SYNTH_SPEC)
     ds = dataset.synth_multiview(
         p["clusters"], p["per_cluster"], p["dims"],
         view_noise=p["view_noise"], seed=p["seed"],
@@ -128,14 +137,9 @@ def cmd_synth(args):
 
 
 def cmd_corrupt(args):
-    p = _resolve(args, {
-        "kind": (str, "gaussian-fraction"),
-        "fraction": (float, 0.2),
-        "seed": (int, _default(dataset.CorruptionSpec, "seed")),
-        "name": (str, ""),
-    })
-    ds = dataset.load_dataset(args.manifest)
+    p = _resolve(args, _CORRUPT_SPEC)
     spec = dataset.CorruptionSpec(kind=p["kind"], fraction=p["fraction"], seed=p["seed"])
+    ds = dataset.load_dataset(args.manifest)
     out = dataset.corrupt(ds, spec)
     name = p["name"] or f"{ds.name}_corrupted"
     manifest = dataset.save_dataset(out, args.out, name=name)
@@ -166,25 +170,18 @@ def cmd_train(args):
     return 0
 
 
-def _write_codes(codes, path):
-    # codes are (n, P) +/-1; stored as a (P, n) MVH1 matrix
-    dataset.save_view(path, codes.T.astype(np.float32))
-
-
 def cmd_encode(args):
     """Codes of every item of a manifest, for both encode and query."""
     model, _ = model_io.load_model(args.model)
     ds = dataset.load_dataset(args.manifest)
     codes = hash_trainer.encode_queries(model, ds)
-    _write_codes(codes, args.out)
+    dataset.save_view(args.out, codes.T)      # (n, P) +/-1 codes as a (P, n) MVH1 view
     print(f"wrote {args.out} ({codes.shape[0]} codes of {codes.shape[1]} bits)")
     return 0
 
 
 def cmd_eval(args):
-    p = _resolve(args, {
-        key: (int, _default(evaluation.evaluate, key)) for key in ("top_k", "radius")
-    })
+    p = _resolve(args, _EVAL_SPEC)
     model, _ = model_io.load_model(args.model)
     db = dataset.load_dataset(args.db)
     queries = dataset.load_dataset(args.queries)
@@ -194,9 +191,8 @@ def cmd_eval(args):
     query_codes = hash_trainer.encode_queries(model, queries)
     relevant = evaluation.relevance_matrix(queries.labels, db.labels)
     report = evaluation.evaluate(query_codes, db_codes, relevant, **p)
-    prefix = args.out_prefix
-    report.to_json(f"{prefix}_report.json")
-    report.pr_csv(f"{prefix}_pr.csv")
+    report.to_json(f"{args.out_prefix}_report.json")
+    report.pr_csv(f"{args.out_prefix}_pr.csv")
     print(
         f"MAP@{report.top_k}={report.map:.4f}  "
         f"lookup@r{report.radius}={report.lookup_precision_mean:.4f} "
@@ -218,9 +214,16 @@ def cmd_inspect(args):
     return 0
 
 
-def _add_common(sub):
+def _add_options(sub, spec, notes=None):
+    """--config and one flag per spec key, with notes[key] and the default as
+    its help; a bool key is a flag without a value. A flag left out stays
+    None, so _resolve falls back to the config file, then to the default."""
+    notes = notes or {}
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int)
+    for key, (cast, default) in spec.items():
+        how = dict(action="store_const", const=True) if cast is bool else dict(type=cast)
+        note = f"{notes.get(key, '')} (default {default!r})".lstrip()
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, help=note, **how)
 
 
 def build_parser():
@@ -231,35 +234,22 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("synth", help="generate a synthetic multi-view dataset")
-    _add_common(s)
     s.add_argument("--out", required=True, help="output directory")
-    s.add_argument("--name")
-    s.add_argument("--clusters", type=int)
-    s.add_argument("--per-cluster", dest="per_cluster", type=int)
-    s.add_argument("--dims", type=_dims)
-    s.add_argument("--view-noise", dest="view_noise", type=float)
+    _add_options(s, _SYNTH_SPEC)
     s.set_defaults(func=cmd_synth)
 
     s = subs.add_parser("corrupt", help="apply a corruption protocol to a dataset")
-    _add_common(s)
     s.add_argument("--manifest", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--name")
-    s.add_argument("--kind", choices=["gaussian-fraction", "block-zero"])
-    s.add_argument("--fraction", type=float)
+    _add_options(s, _CORRUPT_SPEC, {"kind": "gaussian-fraction or block-zero"})
     s.set_defaults(func=cmd_corrupt)
 
     s = subs.add_parser("train", help="train a hash model on a dataset")
-    _add_common(s)
     s.add_argument("--manifest", required=True)
     s.add_argument("--model", required=True, help="output model file")
-    for key, (cls, name) in _TRAIN_FIELDS.items():
-        cast, default = _TRAIN_SPEC[key]
-        s.add_argument(
-            "--" + key.replace("_", "-"), dest=key, type=cast,
-            help=f"{cls.__name__}.{name} (default {default})",
-        )
-    s.add_argument("--no-recovery", dest="no_recovery", action="store_const", const=True)
+    _add_options(s, _TRAIN_SPEC, {
+        key: f"{cls.__name__}.{name}" for key, (cls, name) in _TRAIN_FIELDS.items()
+    })
     s.set_defaults(func=cmd_train)
 
     for name in ("encode", "query"):
@@ -270,13 +260,11 @@ def build_parser():
         s.set_defaults(func=cmd_encode)
 
     s = subs.add_parser("eval", help="retrieval metrics for a model on db/query sets")
-    s.add_argument("--config", help="flat key=value config file")
     s.add_argument("--model", required=True)
     s.add_argument("--db", required=True)
     s.add_argument("--queries", required=True)
     s.add_argument("--out-prefix", dest="out_prefix", required=True)
-    s.add_argument("--top-k", dest="top_k", type=int)
-    s.add_argument("--radius", type=int)
+    _add_options(s, _EVAL_SPEC)
     s.set_defaults(func=cmd_eval)
 
     s = subs.add_parser("inspect", help="print model metadata")

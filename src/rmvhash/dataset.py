@@ -91,16 +91,19 @@ def _opener(path, mode):
 
 
 def save_view(path, view):
-    """Write one view matrix in the MVH1 binary format.
-
-    Layout: magic "MVH1", little-endian uint64 rows (d_m) and cols (N),
-    then rows*cols little-endian float32 values in row-major order.
-    """
-    view = np.ascontiguousarray(view, dtype="<f4")
+    """Write one (d_m, N) view matrix in the MVH1 binary format: magic
+    "MVH1", then the view as a float32 block (see pack_block)."""
+    block = pack_block(view, "<f4")
     with _opener(path, "wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<QQ", view.shape[0], view.shape[1]))
-        f.write(view.tobytes())
+        f.write(block)
+
+
+def pack_block(arr, dtype):
+    """The bytes of a 2-D array as the block read_block reads: little-endian
+    uint64 rows and cols, then its values as dtype in row-major order."""
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    return struct.pack("<QQ", arr.shape[0], arr.shape[1]) + arr.tobytes()
 
 
 def read_block(buf, offset, dtype, error):

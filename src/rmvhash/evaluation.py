@@ -8,7 +8,7 @@ distance are broken by ascending database index.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,30 +23,18 @@ class EvalReport:
     lookup_precision_std: float
     lookup_precision_nonempty: float   # mean over queries with non-empty balls
     lookup_coverage: float
-    pr_curve: list                     # (recall, precision) pairs per radius
     top_k: int
     radius: int
+    pr_curve: list                     # (recall, precision) pairs per radius
 
     def to_json(self, path):
-        payload = {
-            "map": self.map,
-            "lookup_precision_mean": self.lookup_precision_mean,
-            "lookup_precision_std": self.lookup_precision_std,
-            "lookup_precision_nonempty": self.lookup_precision_nonempty,
-            "lookup_coverage": self.lookup_coverage,
-            "top_k": self.top_k,
-            "radius": self.radius,
-            "pr_curve": [[float(r), float(p)] for r, p in self.pr_curve],
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
 
     def pr_csv(self, path):
-        lines = ["radius,recall,precision"]
-        for radius, (rec, prec) in enumerate(self.pr_curve):
-            lines.append(f"{radius},{rec:.12g},{prec:.12g}")
+        rows = [f"{r},{rec:.12g},{prec:.12g}" for r, (rec, prec) in enumerate(self.pr_curve)]
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(["radius,recall,precision", *rows]) + "\n")
 
 
 def hamming_distance(a, b):

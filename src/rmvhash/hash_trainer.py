@@ -201,12 +201,6 @@ def spectral_code_init(graphs, p, seed=0):
     return Y @ (q * np.where(np.diag(r) < 0, -1.0, 1.0))
 
 
-def mean_kernel_baseline(K_list):
-    """No-recovery consensus: the plain view average of the kernel matrices,
-    projected onto Khat >= 0 like the recovered one."""
-    return core_math.project_nonneg(sum(K_list) / len(K_list))
-
-
 def train(
     ds,
     hp=None,
@@ -261,7 +255,8 @@ def train(
                 "so every item would get the same code; lower alpha"
             )
     else:
-        Khat = mean_kernel_baseline(K_list)
+        # kernel entries lie in [0, 1], so the view average is already >= 0
+        Khat = sum(K_list) / len(K_list)
         E_list = [K - Khat for K in K_list]
 
     Y0 = spectral_code_init(graphs, hp.P, seed=seed)

@@ -87,6 +87,18 @@ class TestSynthCorrupt:
         fb = (tmp_path / "b" / "x_view0.mvh").read_bytes()
         assert fa == fb
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_bad_kind_exits_1_naming_it(self, workspace, tmp_path, capsys, how):
+        cfg = tmp_path / "corrupt.cfg"
+        cfg.write_text("kind=bogus\n")
+        assert run([
+            "corrupt", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--out", str(tmp_path / "o"),
+            *(["--kind", "bogus"] if how == "flag" else ["--config", str(cfg)]),
+        ]) == 1
+        assert "'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_corrupt(self, workspace, tmp_path):
         out = tmp_path / "corr"
         assert run([
@@ -307,6 +319,21 @@ class TestTrainArtifacts:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, spec", [
+        ("synth", cli._SYNTH_SPEC), ("corrupt", cli._CORRUPT_SPEC),
+        ("train", cli._TRAIN_SPEC), ("eval", cli._EVAL_SPEC),
+    ])
+    def test_options_are_the_spec(self, command, spec):
+        # every optional flag but --config is one spec key, and the reverse
+        subs = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = [
+            a.dest for a in subs.choices[command]._actions
+            if a.option_strings and not a.required and a.dest not in ("help", "config")
+        ]
+        assert dests == list(spec)
+
     def test_cli_matches_library_defaults(self, workspace, tmp_path):
         model, _ = model_io.load_model(workspace / "model.rmvm")
         ds = dataset.load_dataset(workspace / "db" / "db.manifest")
@@ -473,6 +500,15 @@ class TestEncodeQueryEval:
         ):
             assert run([*argv, "--model", str(old)]) == 1
             assert "retrain" in capsys.readouterr().err
+
+    def test_inspect_names_file_cut_in_w_header(self, workspace, tmp_path, capsys):
+        body = (workspace / "model.rmvm").read_bytes()[:-8]
+        (n,) = struct.unpack("<Q", body[8:16])
+        cut = tmp_path / "cut.rmvm"
+        body = body[:16 + n + 8]      # half of W's 16-byte header
+        cut.write_bytes(body + hashlib.sha256(body).digest()[:8])
+        assert run(["inspect", "--model", str(cut)]) == 1
+        assert f"error: {cut}: truncated header" in capsys.readouterr().err
 
     def test_corrupt_model_file_reported(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken.rmvm"

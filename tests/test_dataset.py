@@ -235,6 +235,24 @@ def view_bytes(rows, cols, payload):
     return b"MVH1" + struct.pack("<QQ", rows, cols) + payload
 
 
+class TestBlock:
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4, 0)])
+    def test_pack_read_round_trip(self, dtype, shape):
+        a = np.random.default_rng(0).normal(size=shape).astype(dtype)
+        prefix = b"\xff" * 3   # read_block starts at any offset
+        buf = prefix + dataset.pack_block(a, dtype)
+        back, end = dataset.read_block(buf, len(prefix), dtype, AssertionError)
+        assert end == len(buf) == len(prefix) + 16 + a.nbytes
+        assert back.dtype == np.dtype(dtype) and back.shape == shape
+        np.testing.assert_array_equal(back, a)
+
+    def test_view_file_is_magic_and_block(self, tmp_path):
+        v = np.arange(6.0).reshape(2, 3)
+        dataset.save_view(tmp_path / "v.mvh", v)
+        assert (tmp_path / "v.mvh").read_bytes() == b"MVH1" + dataset.pack_block(v, "<f4")
+
+
 class TestViewHeader:
     """A 28-byte view file: a header and two float32 values."""
 

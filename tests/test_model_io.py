@@ -343,3 +343,80 @@ class TestFuzz:
                 body[pos] ^= mask
         out = resum(bytes(body)) if recheck else bytes(body) + raw[-8:]
         loads_or_rejects(path, out)
+
+
+def error_message(path, data):
+    """The message of the ModelFileError load_model raises for data, or None
+    when data loads."""
+    path.write_bytes(data)
+    try:
+        model_io.load_model(path)
+    except ModelFileError as exc:
+        return str(exc)
+    return None
+
+
+def cut(raw, length):
+    """raw's body cut to length bytes, re-checksummed."""
+    return resum(raw[:-8][:length])
+
+
+def meta_end(raw):
+    return 16 + struct.unpack("<Q", raw[8:16])[0]
+
+
+class TestErrorsNameTheFile:
+    @pytest.mark.parametrize("variant", [
+        lambda raw: b"RM",
+        lambda raw: raw[:50],
+        lambda raw: raw[:30] + bytes([raw[30] ^ 0xFF]) + raw[31:],
+        lambda raw: resum(b"XXXX" + raw[4:-8]),
+        lambda raw: resum(raw[:4] + struct.pack("<I", 99) + raw[8:-8]),
+        lambda raw: resum(raw[:4] + struct.pack("<I", 2) + raw[8:-8]),
+        lambda raw: cut(raw, meta_end(raw) - 1),
+        lambda raw: with_meta_blob(raw, b"{"),
+        lambda raw: edit_meta(raw, lambda m: None),
+        lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"][:1]}),
+        lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"] + m["sigmas"][:1]}),
+        lambda raw: edit_meta(raw, lambda m: {**m, "base_k_oos": 0}),
+        lambda raw: cut(raw, meta_end(raw) + 8),
+        lambda raw: cut(raw, meta_end(raw) + 20),
+        lambda raw: resum(raw[:meta_end(raw)] + struct.pack("<QQ", 0, 2 ** 62)
+                          + raw[meta_end(raw) + 16:-8]),
+        lambda raw: resum(raw[:-8] + b"\0" * 8),
+        lambda raw: with_value(raw, 0, 0, np.nan),
+        lambda raw: with_value(raw, 4, 0, np.inf),
+        lambda raw: with_value(raw, 4, 3, 1e200),
+    ], ids=[
+        "tiny", "truncated", "flipped", "bad-magic", "newer-version", "older-version",
+        "cut-in-metadata", "not-json", "null-metadata", "short-sigmas", "extra-sigma",
+        "zero-k_oos", "cut-in-W-header", "cut-in-W-payload", "zero-row-huge-width",
+        "trailing-bytes", "nan-in-W", "inf-in-centres", "far-centre",
+    ])
+    def test_fixed_inputs(self, model_file, variant):
+        raw, path = model_file
+        message = error_message(path, variant(raw))
+        assert message is not None and message.startswith(f"{path}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), recheck=st.booleans())
+    def test_truncated_or_flipped(self, model_file, data, recheck):
+        raw, path = model_file
+        body = bytearray(raw[:-8])
+        if data.draw(st.booleans(), label="truncate"):
+            body = body[:data.draw(st.integers(0, len(body) - 1), label="length")]
+        else:
+            for pos, mask in data.draw(st.lists(
+                st.tuples(st.integers(0, len(body) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4,
+            ), label="flips"):
+                body[pos] ^= mask
+        message = error_message(path, resum(bytes(body)) if recheck else bytes(body) + raw[-8:])
+        assert message is None or message.startswith(f"{path}: ")
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=META_KEYS, value=JSON)
+    def test_metadata_value(self, model_file, key, value):
+        raw, path = model_file
+        message = error_message(path, edit_meta(raw, lambda m: {**m, key: value}))
+        assert message is None or message.startswith(f"{path}: ")
