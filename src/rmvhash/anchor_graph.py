@@ -8,10 +8,11 @@ It also holds the spectral factor H = F Lambda^{-1/2}, with S_hat = H H^T, and
 H^T H = V diag(sigma) V^T, the nonzero spectrum of S_hat (Liu et al., ICML 2011).
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import core_math
 
@@ -50,6 +51,7 @@ def build_truncated_affinity(view, landmarks, k):
     that is 0). Landmarks that attract no sample are dropped, and the
     survivors are selected again from the same distances with the same t.
     """
+    import scipy.sparse as sp  # here, so that only training loads scipy
     view = np.asarray(view, dtype=float)
     landmarks = np.asarray(landmarks, dtype=float)
     L = landmarks.shape[0]

@@ -4,7 +4,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 
 class NumericError(RuntimeError):
@@ -178,6 +177,7 @@ def kmeans(points, L, max_iters=25, seed=0):
     ties). Every center is then the mean of its members, summed in index order
     by one one-hot sparse product.
     """
+    import scipy.sparse as sp  # here, so that only training loads scipy
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if L > n:

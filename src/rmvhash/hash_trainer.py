@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError, check_range
@@ -183,6 +182,7 @@ def spectral_code_init(graphs, p, seed=0):
     seeded random orthonormal basis when the spectrum is too flat. The top
     eigenvalues are degenerate, so the codes are rotated to the canonical basis
     Y Q_c of their span, Q_c the sign-fixed QR factor of Y^T G, G seeded."""
+    import scipy.sparse as sp  # here, so that only training loads scipy
     m = len(graphs)
     n = graphs[0].n_samples
     H = sp.hstack([g.H / np.sqrt(m) for g in graphs], format="csr")
