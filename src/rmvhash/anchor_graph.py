@@ -1,11 +1,11 @@
 """Landmark selection and the sparse truncated-affinity (anchor) graph.
 
 The graph stores F (N x L, row-stochastic with k stored entries per row, of
-which only the nearest cannot underflow to 0) and Lambda = diag(F^T 1),
-representing the approximate adjacency S_hat = F Lambda^{-1} F^T in factored
-form so applying it costs O(N k).
-It also holds the spectral factor H = F Lambda^{-1/2}, with S_hat = H H^T, and
-H^T H = V diag(sigma) V^T, the nonzero spectrum of S_hat (Liu et al., ICML 2011).
+which only the nearest cannot underflow to 0) and its spectral factor
+H = F Lambda^{-1/2}, Lambda = diag(F^T 1). The approximate adjacency is
+S_hat = F Lambda^{-1} F^T = H H^T, applied through H alone so that it costs
+O(N k), and H^T H = V diag(sigma) V^T is the nonzero spectrum of S_hat
+(Liu et al., ICML 2011).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from . import core_math
 @dataclass(frozen=True)
 class AnchorGraph:
     F: sp.csr_matrix         # (N, L), row-stochastic, k stored entries per row
-    lambda_diag: np.ndarray  # (L,), column sums of F, all positive
     H: sp.csr_matrix         # (N, L), F Lambda^{-1/2}
     sigma: np.ndarray        # (L,), eigenvalues of H^T H, clamped to [0, 1]
     V: np.ndarray            # (L, L), orthonormal eigenvectors of H^T H
@@ -29,17 +28,13 @@ class AnchorGraph:
     def n_samples(self):
         return self.F.shape[0]
 
-    @property
-    def n_landmarks(self):
-        return self.F.shape[1]
-
 
 def select_graph_landmarks(view, L, mode="kmeans", seed=0):
     """Pick L landmark rows from a (d_m, N) view: the centers of Lloyd k-means
     with capped iterations on its columns, the only mode."""
     if mode != "kmeans":
         raise ValueError(f"unknown landmark mode {mode!r}")
-    return core_math.kmeans(np.asarray(view, dtype=float).T, L, seed=seed).centers
+    return core_math.kmeans(np.asarray(view, dtype=float).T, L, seed=seed)
 
 
 def build_truncated_affinity(view, landmarks, k):
@@ -71,17 +66,15 @@ def build_truncated_affinity(view, landmarks, k):
         d2 = d2[:, ~dead]
     H = F @ sp.diags(1.0 / np.sqrt(col_mass))
     sigma, V = np.linalg.eigh((H.T @ H).toarray())
-    return AnchorGraph(
-        F=F, lambda_diag=col_mass, H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V,
-    )
+    return AnchorGraph(F=F, H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V)
 
 
 def adjacency_apply(g, v):
-    """Compute S_hat @ v = F (Lambda^{-1} (F^T v)) without forming S_hat."""
+    """Compute S_hat @ v = H (H^T v) without forming S_hat."""
     v = np.asarray(v, dtype=float)
     if v.shape[0] != g.n_samples:
         raise ValueError(f"expected {g.n_samples} rows, got {v.shape[0]}")
-    return g.F @ ((g.F.T @ v) / g.lambda_diag.reshape(-1, *([1] * (v.ndim - 1))))
+    return g.H @ (g.H.T @ v)
 
 
 def laplacian_apply(g, v):
@@ -91,6 +84,5 @@ def laplacian_apply(g, v):
 
 
 def materialize(g):
-    """Dense S_hat = F Lambda^{-1} F^T, for tests and small instances only."""
-    F = g.F.toarray()
-    return (F / g.lambda_diag) @ F.T
+    """Dense S_hat = H H^T, for tests and small instances only."""
+    return (g.H @ g.H.T).toarray()

@@ -1,7 +1,6 @@
 """Proximal operators, projections, and K-means used by the solver modules."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,34 +141,28 @@ def knn_weights(d2, k, scale):
     return order, w / w.sum(axis=1, keepdims=True)
 
 
-@dataclass
-class KMeansResult:
-    centers: np.ndarray      # (L, d)
-    assignments: np.ndarray  # (N,) int
-    inertia: float
+# Lloyd iterations per kmeans call; every landmark and base-set caller uses it.
+_KMEANS_ITERS = 25
 
 
 def _kmeanspp_init(points, L, rng):
     n = points.shape[0]
-    centers = np.empty((L, points.shape[1]))
-    first = rng.integers(n)
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, L):
+    idx = [rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for _ in range(1, L):
+        d2 = np.minimum(d2, sq_dists(points, points[idx[-1:]])[:, 0])
         total = d2.sum()
         if total <= 0:
             # all remaining mass at existing centers; fall back to uniform
-            idx = rng.integers(n)
+            idx.append(rng.integers(n))
         else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+            idx.append(rng.choice(n, p=d2 / total))
+    return points[idx]
 
 
-def kmeans(points, L, max_iters=25, seed=0):
-    """At most max_iters Lloyd iterations with k-means++ seeding; deterministic
-    for a fixed seed. Every landmark and base-set caller uses the default cap.
+def kmeans(points, L, seed=0):
+    """The (L, d) centers of at most _KMEANS_ITERS Lloyd iterations with
+    k-means++ seeding; deterministic for a fixed seed.
 
     No cluster is left empty: before the centers are updated, each empty
     cluster in index order takes the point farthest from its assigned center,
@@ -182,14 +175,11 @@ def kmeans(points, L, max_iters=25, seed=0):
     n = points.shape[0]
     if L > n:
         raise ValueError(f"cannot form {L} clusters from {n} points")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    rng = np.random.default_rng(seed)
-    centers = _kmeanspp_init(points, L, rng)
+    centers = _kmeanspp_init(points, L, np.random.default_rng(seed))
     assignments = np.zeros(n, dtype=int)
     # the sparse product would copy a non-C-ordered points on every iteration
     rows = np.ascontiguousarray(points)
-    for _ in range(max_iters):
+    for _ in range(_KMEANS_ITERS):
         d2 = sq_dists(points, centers)
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=L)
@@ -208,8 +198,6 @@ def kmeans(points, L, max_iters=25, seed=0):
         centers = onehot @ rows
         centers /= counts[:, None]
         if np.array_equal(new_assign, assignments):
-            assignments = new_assign
             break
         assignments = new_assign
-    inertia = float(np.sum((points - centers[assignments]) ** 2))
-    return KMeansResult(centers=centers, assignments=assignments, inertia=inertia)
+    return centers

@@ -291,8 +291,8 @@ def corrupt(ds, spec):
 def split(ds, n_query, seed=0):
     """Disjoint uniform train/query split, deterministic per seed."""
     n = ds.n_samples
-    if n_query >= n:
-        raise ValueError(f"n_query={n_query} must be smaller than N={n}")
+    if not 1 <= n_query < n:
+        raise ValueError(f"n_query={n_query} must be at least 1 and below N={n}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     query_idx = np.sort(perm[:n_query])

@@ -231,8 +231,16 @@ def train(
 
     n = ds.n_samples
     R = kernel_cfg.R or graph_cfg.L
-    if n < R or n < graph_cfg.L:
-        raise ValueError(f"need at least max(R, L) samples, got N={n}")
+    # settings the data cannot satisfy fail here, before any k-means runs
+    for name, value, limit_name, limit in (
+        ("GraphConfig.L", graph_cfg.L, "N", n),
+        ("KernelSelectConfig.R", R, "N", n),
+        ("HyperParams.P", hp.P, "N", n),
+        ("GraphConfig.k", graph_cfg.k, "GraphConfig.L", graph_cfg.L),
+        ("KernelSelectConfig.self_tuning_k", kernel_cfg.self_tuning_k, "R", R),
+    ):
+        if value > limit:
+            raise ValueError(f"{name}={value} exceeds {limit_name}={limit}")
 
     graphs = []
     for m, view in enumerate(ds.views):

@@ -37,7 +37,7 @@ def select_kernel_landmarks(ds, R, seed=0):
     if R > n:
         raise ValueError(f"cannot select {R} landmarks from {n} samples")
     concat = ds.concatenated().T                     # (N, d)
-    centers = core_math.kmeans(concat, R, seed=seed).centers
+    centers = core_math.kmeans(concat, R, seed=seed)
     blocks = np.split(centers, np.cumsum(ds.dims)[:-1], axis=1)
     return KernelLandmarks(blocks=tuple(b.copy() for b in blocks))
 

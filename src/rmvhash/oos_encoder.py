@@ -56,7 +56,7 @@ def build_base_set(ds, model, Z, k_oos, seed=0, centers=None):
         raise ValueError(f"cannot build {Z} base centers from {n} samples")
     if centers is None:
         concat = ds.concatenated().T                 # (N, d)
-        centers = concat.copy() if Z == n else core_math.kmeans(concat, Z, seed=seed).centers
+        centers = concat.copy() if Z == n else core_math.kmeans(concat, Z, seed=seed)
     return make_base_set(model, centers, k_oos)
 
 

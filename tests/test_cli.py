@@ -295,6 +295,20 @@ class TestTrainArtifacts:
         assert f"error: {cfg}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--bits", "101", "HyperParams.P"),
+        ("--graph-k", "13", "GraphConfig.k"),
+        ("--self-tuning-k", "13", "KernelSelectConfig.self_tuning_k"),
+    ])
+    def test_setting_beyond_data_rejected(self, workspace, tmp_path, capsys, flag, value, field):
+        # the db has N = 100 items and TRAIN_FLAGS set L = R = 12
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, flag, value,
+        ]) == 1
+        assert f"{field}={value} exceeds" in capsys.readouterr().err
+        assert not (tmp_path / "m.rmvm").exists()
+
     def test_rank_0_recovery_rejected(self, workspace, tmp_path, capsys):
         assert run([
             "train", "--manifest", str(workspace / "db" / "db.manifest"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import core_math
+from rmvhash import core_math, dataset
 
 
 def three_term_sq_dists(points, centers):
@@ -14,14 +14,35 @@ def three_term_sq_dists(points, centers):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def reference_kmeans(points, L, max_iters, seed):
-    """Lloyd with a boolean-mask mean per cluster, as kmeans ran before its
-    one-hot update; it agrees with kmeans whenever no cluster empties."""
+def reference_kmeanspp_init(points, L, rng):
+    """k-means++ seeding with each new center's distances summed as
+    sum((points - c) ** 2), the formula kmeans seeded with before it took
+    them from sq_dists."""
+    n = points.shape[0]
+    centers = np.empty((L, points.shape[1]))
+    first = rng.integers(n)
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, L):
+        total = d2.sum()
+        if total <= 0:
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=d2 / total)
+        centers[j] = points[idx]
+        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def reference_kmeans(points, L, iters, seed):
+    """Lloyd from the reference seeding with a boolean-mask mean per cluster,
+    as kmeans ran before its one-hot update; it agrees with kmeans whenever no
+    cluster empties and both seedings pick the same centers."""
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    centers = core_math._kmeanspp_init(points, L, np.random.default_rng(seed))
+    centers = reference_kmeanspp_init(points, L, np.random.default_rng(seed))
     assignments = np.zeros(n, dtype=int)
-    for _ in range(max_iters):
+    for _ in range(iters):
         d2 = three_term_sq_dists(points, centers)
         new_assign = np.argmin(d2, axis=1)
         for j in range(L):
@@ -29,11 +50,55 @@ def reference_kmeans(points, L, max_iters, seed):
             assert mask.any(), "reference input emptied a cluster"
             centers[j] = points[mask].mean(axis=0)
         if np.array_equal(new_assign, assignments):
-            assignments = new_assign
             break
         assignments = new_assign
-    inertia = float(np.sum((points - centers[assignments]) ** 2))
-    return centers, assignments, inertia
+    return centers
+
+
+def inertia(points, centers):
+    """Sum over points of the squared distance to the nearest center, by
+    brute force."""
+    return float(((points[:, None, :] - centers[None]) ** 2).sum(axis=2).min(axis=1).sum())
+
+
+# The three sites of TestKmeans.test_no_cluster_left_empty and their counts.
+SITES = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+SITE_COUNTS = [4, 3, 2]
+
+# (n, d, L, iters, seed) of TestKmeans.test_matches_reference_lloyd.
+LLOYD_CASES = [(50, 2, 3, 10, 0), (200, 5, 12, 25, 1), (400, 16, 40, 8, 2), (120, 33, 7, 3, 3)]
+
+
+def lloyd_points(n, d, seed):
+    rng = np.random.default_rng(100 + seed)
+    return rng.normal(size=(n, d)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+
+
+def kmeans_case(name):
+    """(points, L, seed) of each TestKmeans input, by name."""
+    kind, *args = name.split("-")
+    args = [int(a) for a in args]
+    if kind == "exact":
+        centers = np.random.default_rng(9).normal(size=(4, 3)) * 5
+        return np.repeat(centers, 10, axis=0), 4, 0
+    if kind == "sites":
+        return np.repeat(SITES, SITE_COUNTS, axis=0), *args
+    if kind == "lloyd":
+        n, d, L, _, seed = args
+        return lloyd_points(n, d, seed), L, seed
+    rng_seed, n, d, L, seed = {
+        "single": (10, 30, 2, 1, 0),
+        "descent": (12, 200, 4, 5, 3),
+        "deterministic": (13, 80, 3, 7, 5),
+    }[kind]
+    return np.random.default_rng(rng_seed).normal(size=(n, d)), L, seed
+
+
+KMEANS_CASES = (
+    ["exact", "single", "descent", "deterministic"]
+    + ["lloyd-" + "-".join(map(str, c)) for c in LLOYD_CASES]
+    + [f"sites-{L}-{seed}" for L in (5, 6) for seed in range(3)]
+)
 
 
 class TestSqDists:
@@ -340,77 +405,87 @@ class TestProjections:
 
 class TestKmeans:
     def test_exact_clusters(self):
-        rng = np.random.default_rng(9)
-        centers = rng.normal(size=(4, 3)) * 5
-        points = np.repeat(centers, 10, axis=0)
-        res = core_math.kmeans(points, 4, max_iters=20, seed=0)
-        assert res.inertia == pytest.approx(0.0, abs=1e-18)
-        got = res.centers[np.lexsort(res.centers.T)]
-        want = centers[np.lexsort(centers.T)]
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        points, L, seed = kmeans_case("exact")
+        got = core_math.kmeans(points, L, seed=seed)
+        assert inertia(points, got) == pytest.approx(0.0, abs=1e-18)
+        want = points[::10]
+        np.testing.assert_allclose(
+            got[np.lexsort(got.T)], want[np.lexsort(want.T)], atol=1e-12
+        )
 
     def test_single_cluster_is_mean(self):
-        rng = np.random.default_rng(10)
-        points = rng.normal(size=(30, 2))
-        res = core_math.kmeans(points, 1, max_iters=5, seed=0)
-        np.testing.assert_allclose(res.centers[0], points.mean(axis=0), atol=1e-12)
+        points, L, seed = kmeans_case("single")
+        got = core_math.kmeans(points, L, seed=seed)
+        np.testing.assert_allclose(got[0], points.mean(axis=0), atol=1e-12)
 
-    def test_inertia_matches_recomputation(self):
-        rng = np.random.default_rng(11)
-        points = rng.normal(size=(100, 3))
-        res = core_math.kmeans(points, 6, max_iters=30, seed=1)
-        recomputed = np.sum((points - res.centers[res.assignments]) ** 2)
-        assert res.inertia == pytest.approx(recomputed, rel=1e-9)
-
-    def test_inertia_non_increasing(self):
+    def test_inertia_non_increasing(self, monkeypatch):
         # prefix runs share the seeded trajectory, so inertia at increasing
         # iteration caps traces the per-iteration sequence
-        rng = np.random.default_rng(12)
-        points = rng.normal(size=(200, 4))
-        inertias = [
-            core_math.kmeans(points, 5, max_iters=t, seed=3).inertia
-            for t in range(1, 12)
-        ]
+        points, L, seed = kmeans_case("descent")
+        inertias = []
+        for t in range(1, 12):
+            monkeypatch.setattr(core_math, "_KMEANS_ITERS", t)
+            inertias.append(inertia(points, core_math.kmeans(points, L, seed=seed)))
         for a, b in zip(inertias, inertias[1:]):
             assert b <= a + 1e-9
 
-    def test_deterministic(self):
-        rng = np.random.default_rng(13)
-        points = rng.normal(size=(80, 3))
-        a = core_math.kmeans(points, 7, max_iters=15, seed=5)
-        b = core_math.kmeans(points, 7, max_iters=15, seed=5)
-        np.testing.assert_array_equal(a.centers, b.centers)
-        np.testing.assert_array_equal(a.assignments, b.assignments)
+    def test_deterministic(self, monkeypatch):
+        monkeypatch.setattr(core_math, "_KMEANS_ITERS", 15)
+        points, L, seed = kmeans_case("deterministic")
+        np.testing.assert_array_equal(
+            core_math.kmeans(points, L, seed=seed), core_math.kmeans(points, L, seed=seed)
+        )
 
-    @pytest.mark.parametrize(
-        "n, d, L, max_iters, seed",
-        [(50, 2, 3, 10, 0), (200, 5, 12, 25, 1), (400, 16, 40, 8, 2), (120, 33, 7, 3, 3)],
-    )
-    def test_matches_reference_lloyd(self, n, d, L, max_iters, seed):
-        rng = np.random.default_rng(100 + seed)
-        points = rng.normal(size=(n, d)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+    @pytest.mark.parametrize("n, d, L, iters, seed", LLOYD_CASES)
+    def test_matches_reference_lloyd(self, monkeypatch, n, d, L, iters, seed):
+        monkeypatch.setattr(core_math, "_KMEANS_ITERS", iters)
+        points = lloyd_points(n, d, seed)
         for p in (points, np.asfortranarray(points)):
-            centers, assignments, inertia = reference_kmeans(p, L, max_iters, seed)
-            res = core_math.kmeans(p, L, max_iters=max_iters, seed=seed)
-            np.testing.assert_array_equal(res.centers, centers)
-            np.testing.assert_array_equal(res.assignments, assignments)
-            assert res.inertia == inertia
+            np.testing.assert_array_equal(
+                core_math.kmeans(p, L, seed=seed), reference_kmeans(p, L, iters, seed)
+            )
+
+    @pytest.mark.parametrize("name", KMEANS_CASES)
+    def test_seeding_matches_old_formula(self, name):
+        points, L, seed = kmeans_case(name)
+        for p in (points, np.asfortranarray(points)):
+            np.testing.assert_array_equal(
+                core_math._kmeanspp_init(p, L, np.random.default_rng(seed)),
+                reference_kmeanspp_init(p, L, np.random.default_rng(seed)),
+            )
+
+    @pytest.mark.parametrize("recipe", ["criterion-6", "scale-10k"])
+    def test_seeding_matches_old_formula_on_bench_recipes(self, recipe):
+        # the base-set call (L = 300) on the training split of data seed 0
+        if recipe == "criterion-6":
+            ds = dataset.corrupt(
+                dataset.synth_multiview(10, 200, (32, 48), seed=0),
+                dataset.CorruptionSpec("gaussian-fraction", 0.2, 0),
+            )
+            db, _ = dataset.split(ds, 200, seed=0)
+        else:
+            db, _ = dataset.split(dataset.synth_multiview(10, 1050, (16, 16), seed=0), 500, seed=0)
+        points = db.concatenated().T
+        np.testing.assert_array_equal(
+            core_math._kmeanspp_init(points, 300, np.random.default_rng(0)),
+            reference_kmeanspp_init(points, 300, np.random.default_rng(0)),
+        )
 
     @pytest.mark.parametrize("L", [5, 6])
     @pytest.mark.parametrize("seed", range(3))
-    def test_no_cluster_left_empty(self, L, seed):
+    def test_no_cluster_left_empty(self, monkeypatch, L, seed):
         # 9 points on 3 sites: k-means++ seeds duplicate centers, so clusters
-        # empty and must be re-seeded from clusters that can spare a point
-        points = np.repeat([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]], [4, 3, 2], axis=0)
-        res = core_math.kmeans(points, L, max_iters=5, seed=seed)
-        assert np.bincount(res.assignments, minlength=L).min() >= 1
-        for j in range(L):
-            np.testing.assert_array_equal(
-                res.centers[j], points[res.assignments == j].mean(axis=0)
-            )
-        again = core_math.kmeans(points, L, max_iters=5, seed=seed)
-        np.testing.assert_array_equal(again.centers, res.centers)
-        np.testing.assert_array_equal(again.assignments, res.assignments)
+        # empty and must be re-seeded from clusters that can spare a point.
+        # Every center is then the mean of points on one site, and a site
+        # holding c points holds at most c centers.
+        monkeypatch.setattr(core_math, "_KMEANS_ITERS", 5)
+        points, _, _ = kmeans_case(f"sites-{L}-{seed}")
+        got = core_math.kmeans(points, L, seed=seed)
+        on_site = np.all(got[:, None, :] == SITES[None], axis=2)
+        assert np.all(on_site.sum(axis=1) == 1)
+        assert np.all(on_site.sum(axis=0) <= SITE_COUNTS)
+        again = core_math.kmeans(points, L, seed=seed)
+        np.testing.assert_array_equal(again, got)
 
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):

@@ -212,11 +212,12 @@ class TestSplit:
         assert train.n_samples == 50
         assert query.n_samples == 10
 
-    def test_zero_query(self):
+    @pytest.mark.parametrize("n_query", [-1, 0])
+    def test_query_count_below_1_rejected(self, n_query):
+        # -1 used to give 19 queries and 0 an empty query set
         ds = make_random_ds(seed=14, n=20)
-        train, query = dataset.split(ds, 0, seed=0)
-        assert query.n_samples == 0
-        np.testing.assert_array_equal(train.views[0], ds.views[0])
+        with pytest.raises(ValueError, match=f"n_query={n_query} must be at least 1"):
+            dataset.split(ds, n_query, seed=0)
 
     def test_partition_property(self):
         # the only view holds each sample's index, so the split's columns name it
@@ -227,7 +228,7 @@ class TestSplit:
 
     def test_too_large_query_rejected(self):
         ds = make_random_ds(seed=16, n=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_query=10 must be at least 1 and below N=10"):
             dataset.split(ds, 10, seed=0)
 
 

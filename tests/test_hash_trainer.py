@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import anchor_graph, dataset, hash_trainer, kernel_sim, model_io
+from rmvhash import anchor_graph, core_math, dataset, hash_trainer, kernel_sim, model_io
 from rmvhash.dataset import MultiViewDataset
 from rmvhash.hash_trainer import (
     ALMConfig,
@@ -250,6 +250,30 @@ class TestTrain:
         with pytest.raises(ValueError, match="KernelSelectConfig.R"):
             KernelSelectConfig(R=-3)
         assert KernelSelectConfig().R == 0   # 0 means "same as L"
+
+    @pytest.mark.parametrize("field, hp, cfg", [
+        pytest.param("GraphConfig.L", HyperParams(P=8), dict(graph_cfg=GraphConfig(L=21)),
+                     id="L"),
+        pytest.param("KernelSelectConfig.R", HyperParams(P=8),
+                     dict(kernel_cfg=KernelSelectConfig(R=21)), id="R"),
+        pytest.param("HyperParams.P", HyperParams(P=32), {}, id="P"),
+        pytest.param("GraphConfig.k", HyperParams(P=8),
+                     dict(graph_cfg=GraphConfig(L=10, k=11)), id="k"),
+        pytest.param("KernelSelectConfig.self_tuning_k", HyperParams(P=8),
+                     dict(kernel_cfg=KernelSelectConfig(R=10, self_tuning_k=11)), id="k_st"),
+    ])
+    def test_unsatisfiable_setting_rejected_before_kmeans(self, monkeypatch, field, hp, cfg):
+        # on 20 items P=32 used to train 20 bits; k > L and k_st > R failed
+        # only after the k-means, without naming the setting
+        def no_kmeans(*args, **kwargs):
+            raise AssertionError("k-means ran before the settings were checked")
+
+        monkeypatch.setattr(core_math, "kmeans", no_kmeans)
+        ds = dataset.synth_multiview(4, 5, (6, 7), seed=0)
+        kw = dict(graph_cfg=GraphConfig(L=10), kernel_cfg=KernelSelectConfig(R=10),
+                  oos_cfg=OosConfig(Z=10, k_oos=5))
+        with pytest.raises(ValueError, match=rf"^{field}=\d+ exceeds "):
+            hash_trainer.train(ds, hp, **{**kw, **cfg})
 
     def test_rank_0_recovery_rejected(self):
         # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)
