@@ -175,7 +175,8 @@ def cmd_encode(args):
     model, _ = model_io.load_model(args.model)
     ds = dataset.load_dataset(args.manifest)
     codes = hash_trainer.encode_queries(model, ds)
-    dataset.save_view(args.out, codes.T)      # (n, P) +/-1 codes as a (P, n) MVH1 view
+    # (n, P) +/-1 codes as a sign-packed (P, n) view: ceil(P / 8) bytes per item
+    dataset.save_view(args.out, codes.T)
     print(f"wrote {args.out} ({codes.shape[0]} codes of {codes.shape[1]} bits)")
     return 0
 

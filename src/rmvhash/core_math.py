@@ -131,11 +131,21 @@ def sq_dists(points, centers):
 
 def knn_weights(d2, k, scale):
     """Each row's k nearest columns of the squared distances d2, nearest first
-    (stable sort: ties go to the lower index), and their weights
+    (ties go to the lower index, as in a stable sort), and their weights
     exp(-(d2 - row minimum)/scale), normalized to sum to 1. The shift changes
     no weight in exact arithmetic and makes the nearest one exactly 1, so no
-    row sums to 0; a weight past the nearest may still underflow to 0."""
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    row sums to 0; a weight past the nearest may still underflow to 0.
+
+    The columns come from k passes of argmin, which takes the first of equal
+    minima, over a copy of d2 in which each chosen entry is set to +inf: the
+    first k columns of a stable argsort of any row with k values below +inf.
+    """
+    left = np.array(d2, dtype=float)
+    rows = np.arange(len(left))
+    order = np.empty((len(left), k), dtype=np.intp)
+    for j in range(k):
+        order[:, j] = np.argmin(left, axis=1)
+        left[rows, order[:, j]] = np.inf
     sel = np.take_along_axis(d2, order, axis=1)
     w = np.exp(-(sel - sel[:, :1]) / scale)
     return order, w / w.sum(axis=1, keepdims=True)

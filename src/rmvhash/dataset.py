@@ -1,4 +1,5 @@
-"""Multi-view dataset container, MVH1 file I/O, synthetic data, corruptions."""
+"""Multi-view dataset container, view file I/O (float32 MVH1 and sign-packed
+MVS1), synthetic data, corruptions."""
 
 import gzip
 import struct
@@ -8,7 +9,10 @@ from pathlib import Path
 
 import numpy as np
 
-MAGIC = b"MVH1"
+MAGIC = b"MVH1"          # a float32 view
+SIGN_MAGIC = b"MVS1"     # a sign-packed view, every value +1 or -1
+SIGNS = "signs"          # the pack_block / read_block dtype of a sign-packed block
+_VIEW_DTYPES = {MAGIC: "<f4", SIGN_MAGIC: SIGNS}
 COMPRESSED_SUFFIXES = (".gz", ".gzip")
 
 
@@ -91,17 +95,30 @@ def _opener(path, mode):
 
 
 def save_view(path, view):
-    """Write one (d_m, N) view matrix in the MVH1 binary format: magic
-    "MVH1", then the view as a float32 block (see pack_block)."""
-    block = pack_block(view, "<f4")
+    """Write one (d_m, N) view matrix: a view whose values are all +1 or -1
+    as magic "MVS1" and a sign-packed block, 24 + N * ceil(d_m / 8) bytes;
+    any other as magic "MVH1" and a float32 block (see pack_block)."""
+    view = np.asarray(view)
+    magic = SIGN_MAGIC if np.all(np.abs(view) == 1) else MAGIC
+    block = pack_block(view, _VIEW_DTYPES[magic])
     with _opener(path, "wb") as f:
-        f.write(MAGIC)
+        f.write(magic)
         f.write(block)
 
 
 def pack_block(arr, dtype):
     """The bytes of a 2-D array as the block read_block reads: little-endian
-    uint64 rows and cols, then its values as dtype in row-major order."""
+    uint64 rows and cols, then its values as dtype in row-major order.
+
+    With dtype SIGNS, arr holds only +1 and -1 and the payload is one bit per
+    value, 1 for +1: each column's rows fill ceil(rows / 8) bytes, value j at
+    bit j % 8 of byte j // 8, the padding bits 0. A little-endian uint32
+    CRC-32 of the header and payload follows it."""
+    if dtype == SIGNS:
+        arr = np.asarray(arr)
+        body = struct.pack("<QQ", arr.shape[0], arr.shape[1])
+        body += np.packbits(arr.T > 0, axis=1, bitorder="little").tobytes()
+        return body + struct.pack("<I", zlib.crc32(body))
     arr = np.ascontiguousarray(arr, dtype=dtype)
     return struct.pack("<QQ", arr.shape[0], arr.shape[1]) + arr.tobytes()
 
@@ -109,24 +126,39 @@ def pack_block(arr, dtype):
 def read_block(buf, offset, dtype, error):
     """Read the `uint64 rows, uint64 cols, row-major payload of dtype` block at
     buf[offset:]; returns (read-only view into buf, offset past the block).
+    A SIGNS block comes back as a new int8 array of +1 and -1.
     Raises error(message) for a short header, a short payload, or a dimension
-    too large for a float64 copy."""
+    too large for a float64 copy, and for a SIGNS block whose checksum does
+    not match or whose padding bits are not 0."""
     if len(buf) - offset < 16:
         raise error("truncated header")
     rows, cols = struct.unpack_from("<QQ", buf, offset)
     start = offset + 16
-    end = start + rows * cols * np.dtype(dtype).itemsize
-    if end > len(buf):
+    signs = dtype == SIGNS
+    width = -(-rows // 8)    # bytes per column of a SIGNS block
+    end = start + (cols * width if signs else rows * cols * np.dtype(dtype).itemsize)
+    if end + 4 * signs > len(buf):
         raise error(f"truncated payload, {len(buf) - start} bytes for {rows} x {cols}")
     if max(rows, cols) > np.iinfo(np.intp).max // 8:
         # only a zero-size block gets here past the payload-size check
         raise error(f"header claims {rows} x {cols}, too many for an array")
-    return np.frombuffer(buf, dtype, rows * cols, start).reshape(rows, cols), end
+    if not signs:
+        return np.frombuffer(buf, dtype, rows * cols, start).reshape(rows, cols), end
+    if zlib.crc32(buf[offset:end]) != struct.unpack_from("<I", buf, end)[0]:
+        raise error("checksum mismatch")
+    bits = np.unpackbits(
+        np.frombuffer(buf, np.uint8, cols * width, start).reshape(cols, width),
+        axis=1, bitorder="little",
+    )
+    if bits[:, rows:].any():
+        raise error("nonzero padding bits")
+    return np.ascontiguousarray(bits[:, :rows].T).view(np.int8) * 2 - 1, end + 4
 
 
 def load_view(path):
-    """Read one MVH1 view; raises DatasetFormatError unless the file holds
-    exactly the header's rows x cols values, with at least one row."""
+    """Read one view file, float32 or sign-packed; raises DatasetFormatError
+    unless the file holds exactly the header's rows x cols values, with at
+    least one row."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"view file not found: {path}")
@@ -135,9 +167,12 @@ def load_view(path):
             raw = f.read()
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise DatasetFormatError(f"{path}: corrupt compressed file: {exc}") from exc
-    if raw[:4] != MAGIC:
-        raise DatasetFormatError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    view, end = read_block(raw, 4, "<f4", lambda msg: DatasetFormatError(f"{path}: {msg}"))
+    dtype = _VIEW_DTYPES.get(raw[:4])
+    if dtype is None:
+        raise DatasetFormatError(
+            f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r} or {SIGN_MAGIC!r}"
+        )
+    view, end = read_block(raw, 4, dtype, lambda msg: DatasetFormatError(f"{path}: {msg}"))
     if len(view) < 1:
         raise DatasetFormatError(f"{path}: header claims no rows")
     if end != len(raw):

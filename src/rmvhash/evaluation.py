@@ -1,7 +1,8 @@
 """Retrieval evaluation: Hamming ranking, radius-2 hash lookup, AP/MAP,
 precision-recall curves.
 
-Codes are (n, P) arrays of +/-1. Relevance follows the shared-label rule:
+Codes are (n, P) arrays of +/-1; any other value is a ValueError naming its
+argument. Relevance follows the shared-label rule:
 two items are true neighbors when they share at least one label; with one
 label per sample this is plain label equality. Ranking ties at equal Hamming
 distance are broken by ascending database index.
@@ -37,30 +38,55 @@ class EvalReport:
             fh.write("\n".join(["radius,recall,precision", *rows]) + "\n")
 
 
+def _signs(codes, name):
+    """codes as a C-ordered int8 array; ValueError naming name unless every
+    value is +1 or -1."""
+    codes = np.asarray(codes)
+    if not np.all(np.abs(codes) == 1):
+        raise ValueError(f"{name} must hold only +1 and -1")
+    return np.ascontiguousarray(codes, dtype=np.int8)
+
+
+def _words(codes):
+    """(n, max(1, ceil(P / 64))) uint64 words of (n, P) +/-1 codes: bit j of a
+    code's word j // 64 is set for +1 at j, and the padding bits are 0."""
+    n, p = codes.shape
+    bits = np.zeros((n, max(1, -(-p // 64)) * 64), dtype=bool)
+    np.greater(codes, 0, out=bits[:, :p])
+    return np.packbits(bits, bitorder="little").view("<u8").reshape(n, -1)
+
+
 def hamming_distance(a, b):
     """Number of differing bits between two +/-1 codes of equal length."""
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = _signs(a, "a")
+    b = _signs(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"code length mismatch: {a.shape} vs {b.shape}")
     return int(np.count_nonzero(a != b))
 
 
 def hamming_distances(query_codes, db_codes):
-    """(F, n) matrix of Hamming distances between query and database codes.
+    """(F, n) matrix of Hamming distances between (F, P) query and (n, P)
+    database codes of +/-1.
 
-    The +/-1 inner products run in float32 through BLAS, exact while
-    P < 2**24. The distances come back in np.min_scalar_type(P), uint8 for
+    Each code is packed into uint64 words, one bit per value, and a distance
+    is the popcount of the XOR of two codes' words, summed over words; exact
+    for every P. The distances come back in np.min_scalar_type(P), uint8 for
     P <= 255, so a stable argsort of them is a radix sort. They are unsigned:
     subtracting from them, or adding a Python int, wraps around modulo the
     dtype's range instead of going negative or growing; widen them first.
     """
-    q = np.asarray(query_codes, dtype=np.float32)
-    d = np.asarray(db_codes, dtype=np.float32)
-    if q.shape[1] != d.shape[1]:
-        raise ValueError(f"code length mismatch: {q.shape[1]} vs {d.shape[1]}")
+    q = _signs(query_codes, "query_codes")
+    d = _signs(db_codes, "db_codes")
     p = q.shape[1]
-    return ((p - q @ d.T) / 2).astype(np.min_scalar_type(p))
+    if d.shape[1] != p:
+        raise ValueError(f"code length mismatch: {p} vs {d.shape[1]}")
+    qw, dw = _words(q), _words(d)
+    # widened to the result dtype before a second word is added
+    dist = np.bitwise_count(qw[:, 0, None] ^ dw[:, 0]).astype(np.min_scalar_type(p), copy=False)
+    for w in range(1, qw.shape[1]):
+        dist += np.bitwise_count(qw[:, w, None] ^ dw[:, w])
+    return dist
 
 
 def relevance_matrix(query_labels, db_labels):
@@ -119,8 +145,8 @@ def evaluate(query_codes, db_codes, relevant, top_k=100, radius=2):
     and ranks its top_k with one stable sort. Every radius metric is read from
     the cumulative counts.
     """
-    q = np.asarray(query_codes, dtype=np.float32)
-    d = np.asarray(db_codes, dtype=np.float32)
+    q = _signs(query_codes, "query_codes")
+    d = _signs(db_codes, "db_codes")
     relevant = np.asarray(relevant, dtype=bool)
     if top_k < 1 or radius < 0:
         raise ValueError(f"need top_k >= 1 and radius >= 0, got {top_k} and {radius}")

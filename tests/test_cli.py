@@ -469,6 +469,18 @@ class TestEncodeQueryEval:
         assert report["map"] == want.map
         assert report["lookup_precision_mean"] == want.lookup_precision_mean
 
+    def test_code_files_are_sign_packed(self, workspace, tmp_path):
+        # 11 bits: two bytes per item, five of them padding
+        path = train_model(workspace, tmp_path / "m.rmvm", "--bits", "11")
+        model, _ = model_io.load_model(path)
+        for command, manifest in [("encode", "db/db.manifest"), ("query", "queries/q.manifest")]:
+            ds = dataset.load_dataset(workspace / manifest)
+            out = tmp_path / f"{command}.mvh"
+            codes = encode_codes(path, workspace / manifest, out, command)
+            assert out.read_bytes()[:4] == b"MVS1"
+            assert out.stat().st_size == 24 + ds.n_samples * 2
+            np.testing.assert_array_equal(codes, hash_trainer.encode_queries(model, ds))
+
     def test_subset_encodes_as_rows_of_full(self, workspace, tmp_path):
         # a code depends only on the model and the item, not on its batch
         model_path = workspace / "model.rmvm"

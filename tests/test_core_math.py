@@ -153,6 +153,19 @@ class TestKnnWeights:
         np.testing.assert_array_equal(order, want_order)
         np.testing.assert_allclose(w, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("rows", ["random", "tied", "inf"])
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_order_is_stable_argsort(self, rows, k):
+        rng = np.random.default_rng(2)
+        if rows == "random":
+            d2 = rng.uniform(0.0, 5.0, size=(60, 12))
+        else:   # three distinct values: many ties
+            d2 = rng.integers(0, 3, size=(60, 12)).astype(float)
+        if rows == "inf":   # about half past column k, so every row keeps k below +inf
+            d2[:, k:][rng.random((60, 12 - k)) < 0.5] = np.inf
+        order, _ = core_math.knn_weights(d2, k, 1.0)
+        np.testing.assert_array_equal(order, np.argsort(d2, axis=1, kind="stable")[:, :k])
+
     def test_far_row_finite_and_normalised(self):
         d2 = far_sample_distances()
         t = float(np.mean(np.partition(d2, 2, axis=1)[:, 2]))

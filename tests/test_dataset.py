@@ -1,6 +1,7 @@
 import gzip
 import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -254,6 +255,81 @@ class TestBlock:
         assert (tmp_path / "v.mvh").read_bytes() == b"MVH1" + dataset.pack_block(v, "<f4")
 
 
+def sign_bytes(rows, cols, payload, crc=None):
+    """A sign-packed view file; crc defaults to the header and payload's."""
+    body = struct.pack("<QQ", rows, cols) + payload
+    return b"MVS1" + body + struct.pack("<I", zlib.crc32(body) if crc is None else crc)
+
+
+def claiming(rows, cols, claim_rows, claim_cols):
+    """A checksummed sign-packed file of rows x cols -1 values whose header is
+    then changed to claim claim_rows x claim_cols."""
+    raw = sign_bytes(rows, cols, bytes(cols * -(-rows // 8)))
+    return raw[:4] + struct.pack("<QQ", claim_rows, claim_cols) + raw[20:]
+
+
+class TestSignPacked:
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 130), n=st.integers(0, 9), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip(self, fuzz_dir, p, n, seed):
+        v = np.random.default_rng(seed).choice([-1.0, 1.0], size=(p, n))
+        path = fuzz_dir / "f.mvh"
+        dataset.save_view(path, v)
+        raw = path.read_bytes()
+        assert raw[:4] == b"MVS1" and len(raw) == 24 + n * -(-p // 8)
+        back = dataset.load_view(path)
+        assert back.dtype == np.float64 and back.flags.c_contiguous
+        np.testing.assert_array_equal(back, v)
+
+    def test_layout(self, tmp_path):
+        # column 0 sets bits 0, 2, 3 of byte 0 and bit 0 of byte 1; column 1 is all -1
+        v = np.array([[1, -1, 1, 1, -1, -1, -1, -1, 1], [-1] * 9], dtype=np.int8).T
+        want = sign_bytes(9, 2, bytes([0x0D, 0x01, 0, 0]))
+        dataset.save_view(tmp_path / "v.mvh", v)
+        assert (tmp_path / "v.mvh").read_bytes() == want
+        assert dataset.pack_block(v, dataset.SIGNS) == want[4:]
+
+    @pytest.mark.parametrize("odd", [0.0, 2.0, 0.5, -1 - 1e-9, np.nan], ids=str)
+    def test_other_values_write_float32_bytes(self, tmp_path, odd):
+        v = np.ones((3, 4))
+        v[1, 2] = odd
+        dataset.save_view(tmp_path / "v.mvh", v)
+        assert (tmp_path / "v.mvh").read_bytes() == b"MVH1" + dataset.pack_block(v, "<f4")
+
+    @pytest.mark.parametrize("data, match", [
+        (b"MVS1" + struct.pack("<QQ", 9, 2)[:10], "truncated header"),
+        (sign_bytes(9, 2, bytes(4))[:-1], "truncated payload"),
+        (sign_bytes(9, 2, bytes(3)), "truncated payload"),
+        (sign_bytes(9, 2, bytes(4)) + b"\0", "trailing bytes"),
+        (sign_bytes(9, 2, bytes([0, 0x02, 0, 0])), "nonzero padding bits"),
+        (sign_bytes(8, 2, bytes([0, 0]), crc=0), "checksum mismatch"),
+        (sign_bytes(9, 2, bytes([1, 0, 0, 0]),
+                    crc=zlib.crc32(struct.pack("<QQ", 9, 2) + bytes(4))),
+         "checksum mismatch"),
+        (claiming(16, 8, 8, 16), "checksum mismatch"),
+        (claiming(16, 1, 15, 1), "checksum mismatch"),
+        (claiming(8, 2, 9, 2), "truncated payload"),
+        (claiming(8, 2, 8, 3), "truncated payload"),
+        (sign_bytes(0, 3, b""), "no rows"),
+        (sign_bytes(2 ** 62, 0, b""), "too many"),
+    ], ids=[
+        "short-header", "short-checksum", "short-payload", "trailing-bytes", "padding-bit",
+        "bad-checksum", "flipped-payload-bit", "swapped-shape", "fewer-rows", "more-rows",
+        "more-cols", "zero-rows", "huge-rows",
+    ])
+    def test_rejected_naming_file(self, tmp_path, data, match):
+        path = tmp_path / "codes.mvh"
+        path.write_bytes(data)
+        with pytest.raises(DatasetFormatError, match=match) as info:
+            dataset.load_view(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_zero_columns_load(self, tmp_path):
+        path = tmp_path / "v.mvh"
+        path.write_bytes(sign_bytes(5, 0, b""))
+        assert dataset.load_view(path).shape == (5, 0)
+
+
 class TestViewHeader:
     """A 28-byte view file: a header and two float32 values."""
 
@@ -336,6 +412,24 @@ class TestFuzz:
     @given(data=st.data(), gz=st.booleans())
     def test_view_truncated_or_flipped(self, fuzz_dir, data, gz):
         raw = bytearray(view_bytes(2, 3, np.arange(6, dtype="<f4").tobytes()))
+        if gz:
+            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for pos, mask in data.draw(st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4,
+            ), label="flips"):
+                raw[pos] ^= mask
+        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
+        path.write_bytes(bytes(raw))
+        loads_or_rejects(dataset.load_view, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), gz=st.booleans())
+    def test_sign_view_truncated_or_flipped(self, fuzz_dir, data, gz):
+        raw = bytearray(sign_bytes(11, 3, bytes([0x5A, 0x03, 0xFF, 0x07, 0x00, 0x01])))
         if gz:
             raw = bytearray(gzip.compress(bytes(raw), mtime=0))
         if data.draw(st.booleans(), label="truncate"):

@@ -93,6 +93,31 @@ class TestHammingDistance:
         assert dist.tolist() == [[evaluation.hamming_distance(a, b) for b in d] for a in q]
         assert evaluation.hamming_distances(q[:, :255], d[:, :255]).dtype == np.uint8
 
+    @pytest.mark.parametrize("p", [1, 7, 8, 9, 32, 63, 64, 65, 255, 256, 300])
+    def test_matches_inner_product_formula(self, p):
+        rng = np.random.default_rng(p)
+        q = random_codes(rng, 5, p)
+        d = np.vstack([q, -q, random_codes(rng, 11, p)])
+        want = ((p - q.astype(float) @ d.T.astype(float)) / 2).astype(np.min_scalar_type(p))
+        got = evaluation.hamming_distances(q, d)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [[[1, 0, 1, 1]], [[1, 2, 1, 1]], [[1, np.nan, 1, 1]]],
+                             ids=["zero", "two", "nan"])
+    @pytest.mark.parametrize("which", ["query_codes", "db_codes"])
+    def test_non_sign_codes_rejected(self, bad, which):
+        good = [[1, 1, 1, 1], [-1, -1, -1, -1]]
+        q, d = (bad, good) if which == "query_codes" else (good, bad)
+        with pytest.raises(ValueError, match=f"^{which} must hold only"):
+            evaluation.hamming_distances(q, d)
+        with pytest.raises(ValueError, match=f"^{which} must hold only"):
+            evaluation.evaluate(q, d, np.ones((len(q), len(d)), bool))
+        a, b = (bad[0], good[0]) if which == "query_codes" else (good[0], bad[0])
+        arg = "a" if which == "query_codes" else "b"
+        with pytest.raises(ValueError, match=f"^{arg} must hold only"):
+            evaluation.hamming_distance(a, b)
+
     def test_range(self):
         rng = np.random.default_rng(1)
         dist = evaluation.hamming_distances(random_codes(rng, 5, 8), random_codes(rng, 7, 8))
