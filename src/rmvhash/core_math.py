@@ -114,17 +114,20 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def sq_dists(points, centers):
+def sq_dists(points, centers, points_sq=None):
     """(n, L) squared Euclidean distances between the rows of points (n, d)
-    and centers (L, d), clamped at 0 against cancellation.
+    and centers (L, d), clamped at 0 against cancellation. points_sq, when
+    given, must be np.sum(points ** 2, axis=1); a caller that measures the same
+    points against many centers computes it once.
 
-    Built in place in one (n, L) array, in the order -2 x.c, + ||x||^2,
+    Built in place in one (n, L) array, in the order x.(-2c), + ||x||^2,
     + ||c||^2, clamp; scaling by -2 is exact, so the bits are those of
     ||x||^2 - 2 x.c + ||c||^2.
     """
-    d2 = points @ centers.T
-    d2 *= -2.0
-    d2 += np.sum(points ** 2, axis=1)[:, None]
+    if points_sq is None:
+        points_sq = np.sum(points ** 2, axis=1)
+    d2 = points @ (-2.0 * centers).T
+    d2 += points_sq[:, None]
     d2 += np.sum(centers ** 2, axis=1)[None, :]
     return np.maximum(d2, 0.0, out=d2)
 
@@ -155,12 +158,12 @@ def knn_weights(d2, k, scale):
 _KMEANS_ITERS = 25
 
 
-def _kmeanspp_init(points, L, rng):
+def _kmeanspp_init(points, points_sq, L, rng):
     n = points.shape[0]
     idx = [rng.integers(n)]
     d2 = np.full(n, np.inf)
     for _ in range(1, L):
-        d2 = np.minimum(d2, sq_dists(points, points[idx[-1:]])[:, 0])
+        d2 = np.minimum(d2, sq_dists(points, points[idx[-1:]], points_sq)[:, 0])
         total = d2.sum()
         if total <= 0:
             # all remaining mass at existing centers; fall back to uniform
@@ -178,19 +181,25 @@ def kmeans(points, L, seed=0):
     cluster in index order takes the point farthest from its assigned center,
     chosen among clusters that hold at least two points (lowest index on
     ties). Every center is then the mean of its members, summed in index order
-    by one one-hot sparse product.
+    by one one-hot sparse product. An empty or non-finite point set and L
+    outside 1..n are rejected with ValueError before seeding.
     """
     import scipy.sparse as sp  # here, so that only training loads scipy
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
-    if L > n:
-        raise ValueError(f"cannot form {L} clusters from {n} points")
-    centers = _kmeanspp_init(points, L, np.random.default_rng(seed))
+    if n == 0:
+        raise ValueError("cannot cluster an empty set of points")
+    if not 1 <= L <= n:
+        raise ValueError(f"cannot form {L} clusters from {n} points: need 1 <= L <= {n}")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("kmeans points must be finite")
+    points_sq = np.sum(points ** 2, axis=1)
+    centers = _kmeanspp_init(points, points_sq, L, np.random.default_rng(seed))
     assignments = np.zeros(n, dtype=int)
     # the sparse product would copy a non-C-ordered points on every iteration
     rows = np.ascontiguousarray(points)
     for _ in range(_KMEANS_ITERS):
-        d2 = sq_dists(points, centers)
+        d2 = sq_dists(points, centers, points_sq)
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=L)
         far = d2[np.arange(n), new_assign]

@@ -6,6 +6,10 @@ by alternating closed-form block updates (Q via singular value thresholding,
 E^(m) via columnwise shrinkage, Khat via averaging plus projection) with a
 single multiplier/penalty update per sweep.
 
+The multipliers are kept scaled (Boyd et al., ADMM, 2011, section 3.1.1):
+ALMState.A[m] holds A^(m)/mu and ALMState.B holds B/mu, so no update divides
+an R x N array by mu; the multiplier step rescales both by mu/mu_next.
+
 The thresholding takes its singular pairs from the R x R Gram matrix of
 Khat + B/mu (see core_math.svt_with_basis); a sweep whose threshold alpha/mu
 is too small for the Gram matrix to resolve takes the full SVD instead and is
@@ -48,8 +52,8 @@ class ALMState:
     Khat: np.ndarray
     Q: np.ndarray
     E: list
-    A: list                       # multipliers for K = Khat + E
-    B: np.ndarray                 # multiplier for Khat = Q
+    A: list                       # multipliers for K = Khat + E, divided by mu
+    B: np.ndarray                 # multiplier for Khat = Q, divided by mu
     work: np.ndarray              # (R, N) scratch reused by every update
     mu: float
     U: np.ndarray | None = None   # (R, rank Q), orthonormal basis of range(Q)
@@ -94,8 +98,7 @@ def update_Q(state, cfg):
     """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
     the Lagrangian, Q = svt(Khat + B/mu, alpha/mu); state.U spans range(Q),
     and a full-SVD fallback is counted in state.svd_fallbacks."""
-    target = np.divide(state.B, state.mu, out=state.work)
-    target += state.Khat
+    target = np.add(state.Khat, state.B, out=state.work)
     Q, state.U, fallback = core_math.svt_with_basis(target, cfg.alpha / state.mu)
     state.svd_fallbacks += fallback
     return Q
@@ -105,7 +108,7 @@ def update_E(state, cfg, m):
     """Columnwise shrinkage step on the view-m error: prox of
     (lam/mu) * ||.||_{2,1} at K - Khat - A/mu, written into state.E[m]."""
     E = np.subtract(state.K_list[m], state.Khat, out=state.E[m])
-    E -= np.divide(state.A[m], state.mu, out=state.work)
+    E -= state.A[m]
     return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E)
 
 
@@ -113,33 +116,35 @@ def update_Khat(state, cfg):
     """Average the M+1 quadratic pulls and project onto Khat >= 0, written
     into state.Khat (which no pull reads)."""
     M = len(state.K_list)
-    acc = np.subtract(state.Q, np.divide(state.B, state.mu, out=state.work), out=state.Khat)
+    acc = np.subtract(state.Q, state.B, out=state.Khat)
     for m in range(M):
         acc += state.K_list[m]
         acc -= state.E[m]
-        acc -= np.divide(state.A[m], state.mu, out=state.work)
+        acc -= state.A[m]
     acc /= M + 1
     return core_math.project_nonneg(acc, out=acc)
 
 
 def update_multipliers(state, cfg):
     """Gradient-ascent multiplier step and penalty growth (in place). Each
-    constraint violation is formed once, measured, scaled by mu and added to
-    its multiplier; returns the relative residuals (fit, gap), max_m
+    constraint violation is formed once, measured and added to its scaled
+    multiplier, which is then rescaled by mu/mu_next: the unscaled step
+    A += mu * viol. Returns the relative residuals (fit, gap), max_m
     ||Khat+E-K||/||K|| and ||Khat-Q||/||Khat||."""
     viol = state.work    # one R x N buffer holds each violation in turn
+    mu_next = min(cfg.rho * state.mu, _MU_MAX)
     fit = 0.0
     for m, (K, K_norm) in enumerate(zip(state.K_list, state.K_norms)):
         np.add(state.Khat, state.E[m], out=viol)
         viol -= K
         fit = max(fit, np.linalg.norm(viol, "fro") / K_norm)
-        viol *= state.mu
         state.A[m] += viol
+        state.A[m] *= state.mu / mu_next
     np.subtract(state.Khat, state.Q, out=viol)
     gap = np.linalg.norm(viol, "fro") / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
-    viol *= state.mu
     state.B += viol
-    state.mu = min(cfg.rho * state.mu, _MU_MAX)
+    state.B *= state.mu / mu_next
+    state.mu = mu_next
     return float(fit), float(gap)
 
 

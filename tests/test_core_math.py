@@ -121,8 +121,11 @@ class TestSqDists:
         scale = 10.0 ** rng.uniform(-3, 3)
         pts, ctr = scale * rng.normal(size=(n, d)), scale * rng.normal(size=(L, d))
         for p in (pts, np.asfortranarray(pts)):
+            want = three_term_sq_dists(p, ctr)
+            np.testing.assert_array_equal(core_math.sq_dists(p, ctr), want)
+            # precomputed row norms give the same bits
             np.testing.assert_array_equal(
-                core_math.sq_dists(p, ctr), three_term_sq_dists(p, ctr)
+                core_math.sq_dists(p, ctr, np.sum(p ** 2, axis=1)), want
             )
 
 
@@ -463,7 +466,9 @@ class TestKmeans:
         points, L, seed = kmeans_case(name)
         for p in (points, np.asfortranarray(points)):
             np.testing.assert_array_equal(
-                core_math._kmeanspp_init(p, L, np.random.default_rng(seed)),
+                core_math._kmeanspp_init(
+                    p, np.sum(p ** 2, axis=1), L, np.random.default_rng(seed)
+                ),
                 reference_kmeanspp_init(p, L, np.random.default_rng(seed)),
             )
 
@@ -480,7 +485,9 @@ class TestKmeans:
             db, _ = dataset.split(dataset.synth_multiview(10, 1050, (16, 16), seed=0), 500, seed=0)
         points = db.concatenated().T
         np.testing.assert_array_equal(
-            core_math._kmeanspp_init(points, 300, np.random.default_rng(0)),
+            core_math._kmeanspp_init(
+                points, np.sum(points ** 2, axis=1), 300, np.random.default_rng(0)
+            ),
             reference_kmeanspp_init(points, 300, np.random.default_rng(0)),
         )
 
@@ -503,3 +510,36 @@ class TestKmeans:
     def test_too_many_clusters_rejected(self):
         with pytest.raises(ValueError):
             core_math.kmeans(np.zeros((3, 2)), 4)
+
+    @pytest.mark.parametrize("points, L, match", [
+        (np.ones((5, 2)), 0, "cannot form 0 clusters from 5 points"),
+        (np.ones((5, 2)), -2, "cannot form -2 clusters from 5 points"),
+        (np.zeros((0, 3)), 0, "empty set of points"),
+        (np.zeros((0, 3)), 1, "empty set of points"),
+        (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), 2, "must be finite"),
+        (np.array([[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0]]), 2, "must be finite"),
+    ])
+    def test_bad_input_rejected_before_seeding(self, monkeypatch, points, L, match):
+        def no_seeding(*args):
+            raise AssertionError("seeding started")
+
+        monkeypatch.setattr(core_math, "_kmeanspp_init", no_seeding)
+        with pytest.raises(ValueError, match=match):
+            core_math.kmeans(points, L)
+
+    def test_every_distance_reuses_row_norms(self, monkeypatch):
+        # kmeans computes ||x||^2 once; seeding and every Lloyd iteration
+        # take their distances from sq_dists with those norms
+        points, L, seed = kmeans_case("lloyd-200-5-12-25-1")
+        calls = []
+        sq_dists = core_math.sq_dists
+
+        def spy(pts, centers, points_sq=None):
+            calls.append(points_sq)
+            return sq_dists(pts, centers, points_sq)
+
+        monkeypatch.setattr(core_math, "sq_dists", spy)
+        core_math.kmeans(points, L, seed=seed)
+        assert len(calls) > L - 1
+        for points_sq in calls:
+            np.testing.assert_array_equal(points_sq, np.sum(points ** 2, axis=1))

@@ -119,8 +119,40 @@ class TestRecover:
 
 
 def reference_recover(K_list, cfg):
-    """The inexact-ALM sweep written out of place: every update builds fresh
-    arrays, in the operation order of lowrank_alm. Returns (Khat, sweeps)."""
+    """The inexact-ALM sweep written out of place, with the multipliers scaled
+    by 1/mu as lowrank_alm keeps them: every update builds fresh arrays, in
+    the operation order of lowrank_alm. Returns (Khat, sweeps)."""
+    M = len(K_list)
+    Kbar = sum(K_list) / M
+    mu = 1.0 / max(np.sqrt(np.linalg.eigvalsh(Kbar @ Kbar.T)[-1]), 1e-12)
+    Khat = np.maximum(Kbar, 0.0)
+    Q, b = Khat.copy(), np.zeros_like(Khat)
+    a = [np.zeros_like(Khat) for _ in K_list]
+    for it in range(1, cfg.max_iters + 1):
+        Q = core_math.svt_with_basis(Khat + b, cfg.alpha / mu)[0]
+        E = [core_math.col_l21_prox(K - Khat - a_m, cfg.lam / mu) for K, a_m in zip(K_list, a)]
+        acc = Q - b
+        for K, e, a_m in zip(K_list, E, a):
+            acc = acc + K - e - a_m
+        Khat = np.maximum(acc / (M + 1), 0.0)
+        fit = max(
+            np.linalg.norm(Khat + e - K, "fro") / max(np.linalg.norm(K, "fro"), 1e-12)
+            for K, e in zip(K_list, E)
+        )
+        gap = np.linalg.norm(Khat - Q, "fro") / max(np.linalg.norm(Khat, "fro"), 1e-12)
+        mu_next = min(cfg.rho * mu, lowrank_alm._MU_MAX)
+        a = [(a_m + (Khat + e - K)) * (mu / mu_next) for K, e, a_m in zip(K_list, E, a)]
+        b = (b + (Khat - Q)) * (mu / mu_next)
+        mu = mu_next
+        if fit < cfg.tol and gap < cfg.tol:
+            break
+    return Khat, it
+
+
+def unscaled_reference_recover(K_list, cfg):
+    """The same sweep with unscaled multipliers A and B, each divided by mu
+    where the Lagrangian needs it: an independent oracle, equal to
+    reference_recover in exact arithmetic. Returns (Khat, sweeps)."""
     M = len(K_list)
     Kbar = sum(K_list) / M
     mu = 1.0 / max(np.sqrt(np.linalg.eigvalsh(Kbar @ Kbar.T)[-1]), 1e-12)
@@ -147,17 +179,34 @@ def reference_recover(K_list, cfg):
     return Khat, it
 
 
+def planted_views(seed):
+    """Three views of one planted rank-3 nonnegative 20 x 80 matrix, each
+    with 4 corrupted columns."""
+    rng = np.random.default_rng(seed)
+    Kstar = planted_nonneg_lowrank(rng, 20, 80, 3)
+    return [corrupt_columns(rng, Kstar, rng.choice(80, 4, replace=False)) for _ in range(3)]
+
+
 class TestInPlaceSweep:
     def test_matches_out_of_place_reference(self):
-        rng = np.random.default_rng(27)
-        Kstar = planted_nonneg_lowrank(rng, 20, 80, 3)
-        K_list = [corrupt_columns(rng, Kstar, rng.choice(80, 4, replace=False)) for _ in range(3)]
+        K_list = planted_views(27)
         cfg = ALMConfig(alpha=0.05, lam=0.3)
         Khat, _, diag = lowrank_alm.recover(K_list, cfg)
         want, sweeps = reference_recover(K_list, cfg)
         assert diag.converged
         assert diag.iterations == sweeps
         np.testing.assert_array_equal(Khat, want)
+
+    @pytest.mark.parametrize("seed", [27, 31, 32])
+    def test_matches_unscaled_reference(self, seed):
+        # scaling the multipliers by 1/mu moves only the rounding
+        K_list = planted_views(seed)
+        cfg = ALMConfig(alpha=0.05, lam=0.3)
+        Khat, _, diag = lowrank_alm.recover(K_list, cfg)
+        want, sweeps = unscaled_reference_recover(K_list, cfg)
+        assert diag.converged
+        assert diag.iterations == sweeps
+        assert np.linalg.norm(Khat - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_updates_leave_inputs_and_multipliers(self):
         state, cfg = make_state(seed=28, M=3)
@@ -220,7 +269,7 @@ class TestUpdateQ:
         state, cfg = make_state(seed=8)
         state.mu = 1e12
         q = lowrank_alm.update_Q(state, cfg)
-        target = state.Khat + state.B / state.mu
+        target = state.Khat + state.B  # state.B holds B/mu
         np.testing.assert_allclose(q, target, atol=1e-8)
 
     def test_perturbation_oracle(self):
@@ -228,7 +277,7 @@ class TestUpdateQ:
         state, cfg = make_state(seed=9, M=1)
         state.mu = 2.0
         q = lowrank_alm.update_Q(state, cfg)
-        target = state.Khat + state.B / state.mu
+        target = state.Khat + state.B
 
         def obj(x):
             return cfg.alpha * np.sum(np.linalg.svd(x, compute_uv=False)) + (
@@ -255,7 +304,7 @@ class TestUpdateE:
         state, cfg = make_state(seed=12, M=2)
         cfg.lam = 0.0
         e = lowrank_alm.update_E(state, cfg, 1)
-        resid = state.K_list[1] - state.Khat - state.A[1] / state.mu
+        resid = state.K_list[1] - state.Khat - state.A[1]  # state.A[m] holds A/mu
         np.testing.assert_allclose(e, resid, atol=1e-14)
 
     def test_grid_oracle(self):
@@ -263,7 +312,7 @@ class TestUpdateE:
         state.mu = 0.7
         cfg.lam = 0.2
         e = lowrank_alm.update_E(state, cfg, 0)
-        resid = state.K_list[0] - state.Khat - state.A[0] / state.mu
+        resid = state.K_list[0] - state.Khat - state.A[0]
         kappa = cfg.lam / state.mu
 
         def obj(x):
@@ -311,10 +360,8 @@ class TestUpdateKhat:
         M = len(state.K_list)
         c = (
             state.Q
-            - state.B / state.mu
-            + sum(
-                state.K_list[m] - state.E[m] - state.A[m] / state.mu for m in range(M)
-            )
+            - state.B
+            + sum(state.K_list[m] - state.E[m] - state.A[m] for m in range(M))
         ) / (M + 1)
 
         def obj(x):
@@ -338,10 +385,26 @@ class TestUpdateMultipliers:
         b_before = state.B.copy()
         mu_before = state.mu
         assert lowrank_alm.update_multipliers(state, cfg) == (0.0, 0.0)
+        # the unscaled multipliers mu * A and mu * B stay put
         for a, a0 in zip(state.A, a_before):
-            np.testing.assert_allclose(a, a0, atol=1e-12)
-        np.testing.assert_allclose(state.B, b_before, atol=1e-12)
+            np.testing.assert_allclose(a * state.mu, a0 * mu_before, atol=1e-12)
+        np.testing.assert_allclose(state.B * state.mu, b_before * mu_before, atol=1e-12)
         assert state.mu == pytest.approx(cfg.rho * mu_before)
+
+    @pytest.mark.parametrize("mu", [0.7, lowrank_alm._MU_MAX])
+    def test_step_is_unscaled_ascent(self, mu):
+        # mu_next * A_next = mu * A + mu * (Khat + E - K), and likewise for B
+        state, cfg = make_state(seed=25, M=2)
+        state.mu = mu
+        state.Q = state.Khat + 0.01
+        a0, b0 = [a.copy() for a in state.A], state.B.copy()
+        lowrank_alm.update_multipliers(state, cfg)
+        assert state.mu == min(cfg.rho * mu, lowrank_alm._MU_MAX)
+        for m in range(2):
+            want = mu * a0[m] + mu * (state.Khat + state.E[m] - state.K_list[m])
+            np.testing.assert_allclose(state.A[m] * state.mu, want, rtol=1e-13, atol=1e-15 * mu)
+        want = mu * b0 + mu * (state.Khat - state.Q)
+        np.testing.assert_allclose(state.B * state.mu, want, rtol=1e-13, atol=1e-15 * mu)
 
     def test_mu_cap(self):
         state, cfg = make_state(seed=22)
