@@ -23,38 +23,47 @@ def check_range(cfg, low, *names, strict=False):
 
 def svt(mtx, tau):
     """Singular value thresholding: U S_tau(Sigma) V^T, the prox of tau*||.||_*."""
-    return svt_with_basis(mtx, tau)[0]
+    left, right, _, _ = svt_factors(mtx, tau)
+    return left @ right
 
 
 # The Gram path resolves tau only above this multiple of sqrt(eps) * s_max.
 _GRAM_MIN_TAU = 1e3 * np.sqrt(np.finfo(float).eps)
 
 
-def svt_with_basis(mtx, tau):
-    """svt(mtx, tau), the columns of U with nonzero S_tau(Sigma) (an
-    orthonormal basis of its column space, largest singular value first), and
-    whether the full SVD was taken.
+def svt_factors(mtx, tau):
+    """svt(mtx, tau) as rank-r factors (left (rows, r), right (r, cols)) with
+    left @ right = svt(mtx, tau), r the number of singular values above tau;
+    the columns of U with nonzero S_tau(Sigma) (an orthonormal basis of its
+    column space, largest singular value first); and whether the full SVD was
+    taken.
 
     The singular pairs come from eigh of the Gram matrix of the short side
     (mtx mtx^T when rows <= cols), so the cost is one small eigenproblem plus
-    products with the few kept pairs. Gram eigenvalues carry an absolute
-    error of about eps * s_max^2, which resolves a singular value s only to
-    about eps * s_max^2 / s; when tau <= 1e3 * sqrt(eps) * s_max the values
-    near tau drown in that error, and the full SVD of mtx is taken instead.
+    products with the few kept pairs. Its diagonal holds the sums of squares
+    of the rows (columns), so it is finite exactly when every entry is finite
+    and no square overflows; any other mtx is rejected with ValueError. Gram
+    eigenvalues carry an absolute error of about eps * s_max^2, which resolves
+    a singular value s only to about eps * s_max^2 / s; when
+    tau <= 1e3 * sqrt(eps) * s_max the values near tau drown in that error,
+    and the full SVD of mtx is taken instead.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     mtx = np.asarray(mtx, dtype=float)
-    if not np.all(np.isfinite(mtx)):
-        raise ValueError("svt input must be finite")
     wide = mtx.shape[0] <= mtx.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):   # rejected just below
+        gram = mtx @ mtx.T if wide else mtx.T @ mtx
+    if not np.all(np.isfinite(np.diagonal(gram))):
+        raise ValueError("svt input must be finite, with no square that overflows")
     try:
-        lam, vec = np.linalg.eigh(mtx @ mtx.T if wide else mtx.T @ mtx)
+        lam, vec = np.linalg.eigh(gram)
         s = np.sqrt(np.maximum(lam, 0.0))
         if tau <= _GRAM_MIN_TAU * s.max(initial=0.0):
             u, s, vt = np.linalg.svd(mtx, full_matrices=False)
             s = np.maximum(s - tau, 0.0)
-            return (u * s) @ vt, u[:, s > 0], True
+            keep = s > 0
+            return u[:, keep] * s[keep], vt[keep], u[:, keep], True
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"SVD or Gram eigh did not converge on a {mtx.shape} matrix: {exc}"
@@ -62,9 +71,9 @@ def svt_with_basis(mtx, tau):
     keep = np.flatnonzero(s > tau)[::-1]
     v, s = vec[:, keep], s[keep]
     if wide:   # v holds left singular vectors: Q = V diag((s-tau)/s) V^T mtx
-        return (v * ((s - tau) / s)) @ (v.T @ mtx), v, False
+        return v * ((s - tau) / s), v.T @ mtx, v, False
     mv = mtx @ v   # v holds right singular vectors: mtx v = U diag(s)
-    return (mv * ((s - tau) / s)) @ v.T, mv / s, False
+    return mv * ((s - tau) / s), v.T, mv / s, False
 
 
 def _singular_values(mtx):
@@ -76,17 +85,20 @@ def _singular_values(mtx):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
 
 
-def col_l21_prox(c, kappa, out=None):
+def col_l21_prox(c, kappa, out=None, work=None):
     """Columnwise shrinkage: prox of kappa*||.||_{2,1}.
 
     Column i is scaled by max(0, 1 - kappa/||c_i||); columns with norm <= kappa
     (including zero columns) are zeroed. The result goes to out when given,
-    which may be c itself.
+    which may be c itself. The squares behind the column norms go to work
+    when given (an array of c's shape and memory order, not c itself); they
+    and the norms are those of np.linalg.norm(c, axis=0), which takes a fresh
+    array for the squares.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     c = np.asarray(c, dtype=float)
-    norms = np.linalg.norm(c, axis=0)
+    norms = np.sqrt(np.add.reduce(np.multiply(c, c, out=work), axis=0))
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])

@@ -4,6 +4,7 @@ A kernelized similarity matrix K^(m) is the rectangular R x N matrix of RBF
 similarities between R landmark objects and the N samples of view m.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,17 +58,32 @@ def self_tuning_sigma(view, z_view, k_st):
     return sigma
 
 
+# Kernel entries below sqrt(tiny) are set to 0: the product of two kept
+# entries is then a normal float, so no Gram product or K^T W over kernels
+# takes the slow subnormal path. A dropped entry is below 1.5e-154; the
+# kernel's peak is 1. exp is itself about 100 times slower where its result
+# underflows, so exponents are first clamped at _FLOOR_EXPONENT, whose exp,
+# floor / e, is zeroed like every other entry below the floor.
+_KERNEL_FLOOR = np.sqrt(np.finfo(float).tiny)
+_FLOOR_EXPONENT = math.log(_KERNEL_FLOOR) - 1.0
+
+
 def build_kernel_matrix(view, z_view, sigma):
-    """R x N matrix with entries exp(-||z_r - x_i||^2 / (2 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    """R x N matrix with entries exp(-||z_r - x_i||^2 / (2 sigma^2)), each
+    entry below sqrt(tiny) set to exactly 0."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     view = np.asarray(view, dtype=float)
     z_view = np.asarray(z_view, dtype=float)
     if view.shape[0] != z_view.shape[1]:
         raise ValueError(
             f"view dim {view.shape[0]} != landmark dim {z_view.shape[1]}"
         )
-    return np.exp(-core_math.sq_dists(z_view, view.T) / (2.0 * sigma ** 2))
+    K = core_math.sq_dists(z_view, view.T)
+    K /= -2.0 * sigma ** 2
+    np.exp(np.maximum(K, _FLOOR_EXPONENT, out=K), out=K)
+    K *= K >= _KERNEL_FLOOR
+    return K
 
 
 def tune_config(ds, landmarks, self_tuning_k):

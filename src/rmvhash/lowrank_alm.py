@@ -11,12 +11,15 @@ ALMState.A[m] holds A^(m)/mu and ALMState.B holds B/mu, so no update divides
 an R x N array by mu; the multiplier step rescales both by mu/mu_next.
 
 The thresholding takes its singular pairs from the R x R Gram matrix of
-Khat + B/mu (see core_math.svt_with_basis); a sweep whose threshold alpha/mu
+Khat + B/mu (see core_math.svt_factors); a sweep whose threshold alpha/mu
 is too small for the Gram matrix to resolve takes the full SVD instead and is
-counted in ALMDiagnostics.svd_fallbacks. E^(m), Khat and the violations of the
-multiplier step are computed in place, in the state's own arrays and one
-R x N scratch buffer, so a sweep allocates no R x N temporary besides Q and
-the norms' squares.
+counted in ALMDiagnostics.svd_fallbacks. The low-rank iterate Q is held as its
+rank-r factors (left (R, r), right (r, N)), as the inexact ALM of Lin, Chen &
+Ma (2010) keeps its partial SVD; each update that reads Q multiplies them out
+into the buffer it already fills. E^(m), Khat, the column norms' squares and
+the violations of the multiplier step are computed in place, in the state's
+own arrays and one R x N scratch buffer, so a sweep that takes no full SVD
+allocates no R x N array.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +53,7 @@ class ALMState:
     K_list: list                  # M observed (R, N) matrices
     K_norms: list                 # max(||K^(m)||_F, 1e-12), fixed for the run
     Khat: np.ndarray
-    Q: np.ndarray
+    Q: tuple                      # (left (R, r), right (r, N)): Q = left @ right
     E: list
     A: list                       # multipliers for K = Khat + E, divided by mu
     B: np.ndarray                 # multiplier for Khat = Q, divided by mu
@@ -85,7 +88,7 @@ def init_state(K_list, cfg):
         K_list=K_list,
         K_norms=[max(np.linalg.norm(K, "fro"), 1e-12) for K in K_list],
         Khat=Khat,
-        Q=Khat.copy(),
+        Q=(np.zeros((shape[0], 0)), np.zeros((0, shape[1]))),   # Q = 0 until update_Q
         E=[np.zeros(shape) for _ in K_list],
         A=[np.zeros(shape) for _ in K_list],
         B=np.zeros(shape),
@@ -96,12 +99,13 @@ def init_state(K_list, cfg):
 
 def update_Q(state, cfg):
     """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
-    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu); state.U spans range(Q),
-    and a full-SVD fallback is counted in state.svd_fallbacks."""
+    the Lagrangian, Q = svt(Khat + B/mu, alpha/mu), returned as its factors
+    (left, right); state.U spans range(Q), and a full-SVD fallback is counted
+    in state.svd_fallbacks."""
     target = np.add(state.Khat, state.B, out=state.work)
-    Q, state.U, fallback = core_math.svt_with_basis(target, cfg.alpha / state.mu)
+    left, right, state.U, fallback = core_math.svt_factors(target, cfg.alpha / state.mu)
     state.svd_fallbacks += fallback
-    return Q
+    return left, right
 
 
 def update_E(state, cfg, m):
@@ -109,14 +113,15 @@ def update_E(state, cfg, m):
     (lam/mu) * ||.||_{2,1} at K - Khat - A/mu, written into state.E[m]."""
     E = np.subtract(state.K_list[m], state.Khat, out=state.E[m])
     E -= state.A[m]
-    return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E)
+    return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E, work=state.work)
 
 
 def update_Khat(state, cfg):
     """Average the M+1 quadratic pulls and project onto Khat >= 0, written
     into state.Khat (which no pull reads)."""
     M = len(state.K_list)
-    acc = np.subtract(state.Q, state.B, out=state.Khat)
+    acc = np.matmul(*state.Q, out=state.Khat)
+    acc -= state.B
     for m in range(M):
         acc += state.K_list[m]
         acc -= state.E[m]
@@ -140,7 +145,8 @@ def update_multipliers(state, cfg):
         fit = max(fit, np.linalg.norm(viol, "fro") / K_norm)
         state.A[m] += viol
         state.A[m] *= state.mu / mu_next
-    np.subtract(state.Khat, state.Q, out=viol)
+    np.matmul(*state.Q, out=viol)
+    np.subtract(state.Khat, viol, out=viol)
     gap = np.linalg.norm(viol, "fro") / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
     state.B += viol
     state.B *= state.mu / mu_next

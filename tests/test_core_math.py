@@ -179,6 +179,12 @@ class TestKnnWeights:
         np.testing.assert_allclose(w.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
+def svt_dense(m, tau):
+    """svt_factors(m, tau) with Q multiplied out: (Q, U, full_svd)."""
+    left, right, u, full_svd = core_math.svt_factors(m, tau)
+    return left @ right, u, full_svd
+
+
 class TestSvt:
     def test_diagonal(self):
         out = core_math.svt(np.diag([3.0, 1.0, 0.2]), 1.0)
@@ -233,7 +239,7 @@ class TestSvt:
         rng = np.random.default_rng(5)
         m = rng.normal(size=(6, 9))
         tau = 1.5
-        q, u, _ = core_math.svt_with_basis(m, tau)
+        q, u, _ = svt_dense(m, tau)
         np.testing.assert_array_equal(q, core_math.svt(m, tau))
         assert u.shape == (6, np.count_nonzero(np.linalg.svd(m, compute_uv=False) > tau))
         np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
@@ -260,10 +266,12 @@ class TestSvt:
         m = self.rank_10_plus_noise(shape, 6)
         s = np.linalg.svd(m, compute_uv=False)
         tau = 0.5 * s[9]   # keeps the 10 planted values, drops the noise
-        q, u, full_svd = core_math.svt_with_basis(m, tau)
+        left, right, u, full_svd = core_math.svt_factors(m, tau)
+        q = left @ right
         want_q, want_u = self.svd_oracle(m, tau)
         assert not full_svd
-        assert u.shape == want_u.shape == (shape[0], 10)
+        assert left.shape == u.shape == want_u.shape == (shape[0], 10)
+        assert right.shape == (10, shape[1])
         assert np.linalg.norm(q - want_q) <= 1e-12 * np.linalg.norm(want_q)
         np.testing.assert_allclose(u @ u.T, want_u @ want_u.T, atol=1e-10)
         np.testing.assert_allclose(u.T @ u, np.eye(10), atol=1e-10)
@@ -281,14 +289,14 @@ class TestSvt:
     def test_tau_above_spectrum_gives_zero(self, shape):
         m = self.rank_10_plus_noise(shape, 7)
         tau = 1.5 * np.linalg.norm(m, 2)
-        q, u, full_svd = core_math.svt_with_basis(m, tau)
+        q, u, full_svd = svt_dense(m, tau)
         assert not full_svd
         np.testing.assert_array_equal(q, np.zeros(shape))
         assert u.shape == (shape[0], 0)
 
     def test_tau_zero_falls_back_and_returns_input(self):
         m = self.rank_10_plus_noise((40, 300), 8)
-        q, u, full_svd = core_math.svt_with_basis(m, 0.0)
+        q, u, full_svd = svt_dense(m, 0.0)
         assert full_svd
         assert np.linalg.norm(q - m) <= 1e-12 * np.linalg.norm(m)
         assert u.shape == (40, 40)
@@ -300,7 +308,7 @@ class TestSvt:
         u0, _ = np.linalg.qr(rng.normal(size=(6, 2)))
         v0, _ = np.linalg.qr(rng.normal(size=(30, 2)))
         m = (u0 * [1.0, 1e-9]) @ v0.T
-        q, u, full_svd = core_math.svt_with_basis(m, 5e-10)
+        q, u, full_svd = svt_dense(m, 5e-10)
         want_q, want_u = self.svd_oracle(m, 5e-10)
         assert full_svd
         np.testing.assert_array_equal(q, want_q)
@@ -309,8 +317,17 @@ class TestSvt:
     def test_fallback_rule_boundary(self):
         m = self.rank_10_plus_noise((40, 300), 10)
         rule = core_math._GRAM_MIN_TAU * np.linalg.norm(m, 2)
-        assert core_math.svt_with_basis(m, 0.5 * rule)[2]
-        assert not core_math.svt_with_basis(m, 2.0 * rule)[2]
+        assert core_math.svt_factors(m, 0.5 * rule)[3]
+        assert not core_math.svt_factors(m, 2.0 * rule)[3]
+
+    @pytest.mark.parametrize("shape", [(6, 30), (30, 6)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+    def test_non_finite_gram_rejected(self, shape, bad):
+        # 1e200 is finite, but its square overflows the Gram diagonal
+        m = self.rank_10_plus_noise(shape, 11)
+        m[2, 3] = bad
+        with pytest.raises(ValueError, match="must be finite, with no square that overflows"):
+            core_math.svt_factors(m, 0.1)
 
 
 class TestColL21Prox:

@@ -393,6 +393,22 @@ class TestEncodeQueries:
             pre = self.model.W.T @ mean_kernel_oracle(self.model, x) + self.model.b
             np.testing.assert_array_equal(codes[i], np.where(pre >= 0, 1, -1))
 
+    def test_far_samples_match_raw_kernel_codes(self):
+        # sample 0 walked out to 60 bandwidths along the diagonal: its raw
+        # kernel vectors pass through the subnormal range, which the kernel
+        # map zeroes, and the codes are those of the raw kernel
+        steps = np.linspace(0.0, 30.0, 121) * self.model.kernel_config.sigmas[0]
+        far = self.ds.concatenated()[:, :1] + steps
+        ds = MultiViewDataset(views=(far[:4], far[4:]))
+        tiny = np.finfo(float).tiny
+        for v, z, s in zip(ds.views, self.model.landmarks.blocks, self.model.kernel_config.sigmas):
+            raw = np.exp(-core_math.sq_dists(z, v.T) / (2.0 * s ** 2))
+            assert np.any((raw > 0) & (raw < tiny))
+        codes = hash_trainer.encode_queries(self.model, ds)
+        for i, x in enumerate(far.T):
+            pre = self.model.W.T @ mean_kernel_oracle(self.model, x) + self.model.b
+            np.testing.assert_array_equal(codes[i], np.where(pre >= 0, 1, -1))
+
     def test_subset_rows_across_chunks(self, monkeypatch):
         monkeypatch.setattr(hash_trainer, "_CHUNK", 7)
         full = hash_trainer.encode_queries(self.model, self.ds)

@@ -101,6 +101,42 @@ class TestBuildKernelMatrix:
         with pytest.raises(ValueError):
             kernel_sim.build_kernel_matrix(np.zeros((3, 5)), np.zeros((2, 4)), 1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            kernel_sim.build_kernel_matrix(np.zeros((1, 3)), np.zeros((2, 1)), sigma)
+
+
+class TestKernelFloor:
+    """Samples on a line out to 40 bandwidths from the landmarks, so that
+    exp(-d^2 / (2 sigma^2)) runs through normal, subnormal and zero values."""
+
+    floor = np.sqrt(np.finfo(float).tiny)
+
+    @staticmethod
+    def line_input():
+        view = np.linspace(0.0, 40.0, 401).reshape(1, -1)
+        z = np.array([[0.0], [3.0], [-2.5]])
+        return view, z, 1.0
+
+    def raw(self):
+        view, z, sigma = self.line_input()
+        return np.exp(-core_math.sq_dists(z, view.T) / (2.0 * sigma ** 2))
+
+    def test_entries_are_zero_or_above_floor(self):
+        raw = self.raw()
+        assert np.any((raw > 0) & (raw < np.finfo(float).tiny))   # subnormals
+        K = kernel_sim.build_kernel_matrix(*self.line_input())
+        assert np.all((K == 0) | (K >= self.floor))
+        np.testing.assert_array_equal(K == 0, raw < self.floor)
+
+    def test_kept_entries_bit_equal_raw_formula(self):
+        raw = self.raw()
+        K = kernel_sim.build_kernel_matrix(*self.line_input())
+        kept = raw >= self.floor
+        assert 0 < np.count_nonzero(kept) < raw.size
+        np.testing.assert_array_equal(K[kept], raw[kept])
+
 
 class TestInvariants:
     def test_column_permutation_equivariance(self):

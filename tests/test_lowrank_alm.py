@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,14 @@ def make_state(seed=0, M=2, shape=(8, 20)):
     state.B = rng.normal(size=shape) * 0.1
     state.A = [rng.normal(size=shape) * 0.1 for _ in range(M)]
     state.E = [rng.normal(size=shape) * 0.05 for _ in range(M)]
+    state.Q = (rng.normal(size=(shape[0], 2)), rng.normal(size=(2, shape[1])))
     return state, cfg
+
+
+def as_factors(q):
+    """A dense Q in the factor form ALMState.Q holds, (I, Q): the product
+    I @ Q reproduces Q exactly."""
+    return np.eye(q.shape[0]), q.copy()
 
 
 class TestRecover:
@@ -129,7 +138,7 @@ def reference_recover(K_list, cfg):
     Q, b = Khat.copy(), np.zeros_like(Khat)
     a = [np.zeros_like(Khat) for _ in K_list]
     for it in range(1, cfg.max_iters + 1):
-        Q = core_math.svt_with_basis(Khat + b, cfg.alpha / mu)[0]
+        Q = core_math.svt(Khat + b, cfg.alpha / mu)
         E = [core_math.col_l21_prox(K - Khat - a_m, cfg.lam / mu) for K, a_m in zip(K_list, a)]
         acc = Q - b
         for K, e, a_m in zip(K_list, E, a):
@@ -160,7 +169,7 @@ def unscaled_reference_recover(K_list, cfg):
     Q, B = Khat.copy(), np.zeros_like(Khat)
     A = [np.zeros_like(Khat) for _ in K_list]
     for it in range(1, cfg.max_iters + 1):
-        Q = core_math.svt_with_basis(Khat + B / mu, cfg.alpha / mu)[0]
+        Q = core_math.svt(Khat + B / mu, cfg.alpha / mu)
         E = [core_math.col_l21_prox(K - Khat - a / mu, cfg.lam / mu) for K, a in zip(K_list, A)]
         acc = Q - B / mu
         for K, e, a in zip(K_list, E, A):
@@ -222,6 +231,40 @@ class TestInPlaceSweep:
             np.testing.assert_array_equal(x, x0)
 
 
+class TestSweepMemory:
+    def test_sweep_allocates_no_full_size_array(self):
+        # Q is held as rank-r factors and the column norms' squares go to the
+        # scratch buffer, so after the first sweep the peak of a sweep's
+        # allocations stays below one R x N array
+        rng = np.random.default_rng(33)
+        Kstar = planted_nonneg_lowrank(rng, 40, 2000, 3)
+        K_list = [corrupt_columns(rng, Kstar, rng.choice(2000, 40, replace=False))
+                  for _ in range(3)]
+        cfg = ALMConfig(alpha=0.05, lam=0.3)
+        state = lowrank_alm.init_state(K_list, cfg)
+
+        def sweep():
+            state.Q = lowrank_alm.update_Q(state, cfg)
+            for m in range(3):
+                state.E[m] = lowrank_alm.update_E(state, cfg, m)
+            state.Khat = lowrank_alm.update_Khat(state, cfg)
+            lowrank_alm.update_multipliers(state, cfg)
+
+        sweep()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.svd_fallbacks == 0
+        r = state.U.shape[1]
+        assert 0 < r < 40
+        assert state.Q[0].shape == (40, r) and state.Q[1].shape == (r, 2000)
+        assert (peak - base) / Kstar.nbytes < 1
+
+
 class TestSvdFallback:
     def test_tiny_alpha_counts_fallbacks(self, monkeypatch):
         # alpha/mu falls below 1e3*sqrt(eps)*s_max as mu grows by rho each
@@ -231,14 +274,14 @@ class TestSvdFallback:
         K_list = [planted_nonneg_lowrank(rng, 10, 40, 2) + 0.01 * rng.random((10, 40))
                   for _ in range(2)]
         cfg = ALMConfig(alpha=3e-5, lam=0.3)
-        svt = core_math.svt_with_basis
+        svt = core_math.svt_factors
         ratios = []
 
         def recording(mtx, tau):
             ratios.append(tau / np.linalg.norm(mtx, 2))
             return svt(mtx, tau)
 
-        monkeypatch.setattr(core_math, "svt_with_basis", recording)
+        monkeypatch.setattr(core_math, "svt_factors", recording)
         Khat, E_list, diag = lowrank_alm.recover(K_list, cfg)
         want = sum(r <= core_math._GRAM_MIN_TAU for r in ratios)
         assert 0 < diag.svd_fallbacks == want < diag.iterations
@@ -260,7 +303,7 @@ class TestUpdateQ:
         state.Khat = np.diag([3.0, 1.0])
         state.B = np.zeros((2, 2))
         state.mu = cfg.alpha  # threshold alpha / mu = 1
-        q = lowrank_alm.update_Q(state, cfg)
+        q = np.matmul(*lowrank_alm.update_Q(state, cfg))
         np.testing.assert_allclose(
             np.linalg.svd(q, compute_uv=False), [2.0, 0.0], atol=1e-12
         )
@@ -268,7 +311,7 @@ class TestUpdateQ:
     def test_vanishing_threshold(self):
         state, cfg = make_state(seed=8)
         state.mu = 1e12
-        q = lowrank_alm.update_Q(state, cfg)
+        q = np.matmul(*lowrank_alm.update_Q(state, cfg))
         target = state.Khat + state.B  # state.B holds B/mu
         np.testing.assert_allclose(q, target, atol=1e-8)
 
@@ -276,7 +319,7 @@ class TestUpdateQ:
         # exact mode minimizes alpha*||Q||_* + (mu/2)||Q - (Khat + B/mu)||^2
         state, cfg = make_state(seed=9, M=1)
         state.mu = 2.0
-        q = lowrank_alm.update_Q(state, cfg)
+        q = np.matmul(*lowrank_alm.update_Q(state, cfg))
         target = state.Khat + state.B
 
         def obj(x):
@@ -337,7 +380,7 @@ class TestUpdateKhat:
     def test_fixed_point(self):
         state, cfg = make_state(seed=15, M=2)
         target = np.abs(np.random.default_rng(16).normal(size=state.Khat.shape))
-        state.Q = target.copy()
+        state.Q = as_factors(target)
         state.B = np.zeros_like(target)
         for m in range(2):
             state.E[m] = state.K_list[m] - target
@@ -347,10 +390,10 @@ class TestUpdateKhat:
 
     def test_negative_entries_zeroed(self):
         state, cfg = make_state(seed=17, M=1)
-        state.Q = np.full(state.Khat.shape, -5.0)
-        state.B = np.zeros_like(state.Q)
+        state.Q = (np.full((state.Khat.shape[0], 1), -5.0), np.ones((1, state.Khat.shape[1])))
+        state.B = np.zeros_like(state.Khat)
         state.E[0] = state.K_list[0].copy()  # K - E = 0
-        state.A[0] = np.zeros_like(state.Q)
+        state.A[0] = np.zeros_like(state.Khat)
         out = lowrank_alm.update_Khat(state, cfg)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -359,7 +402,7 @@ class TestUpdateKhat:
         out = lowrank_alm.update_Khat(state, cfg)
         M = len(state.K_list)
         c = (
-            state.Q
+            np.matmul(*state.Q)
             - state.B
             + sum(state.K_list[m] - state.E[m] - state.A[m] for m in range(M))
         ) / (M + 1)
@@ -378,7 +421,7 @@ class TestUpdateKhat:
 class TestUpdateMultipliers:
     def test_feasible_state_leaves_multipliers(self):
         state, cfg = make_state(seed=21, M=2)
-        state.Q = state.Khat.copy()
+        state.Q = as_factors(state.Khat)
         for m in range(2):
             state.K_list[m] = state.Khat + state.E[m]
         a_before = [a.copy() for a in state.A]
@@ -396,14 +439,14 @@ class TestUpdateMultipliers:
         # mu_next * A_next = mu * A + mu * (Khat + E - K), and likewise for B
         state, cfg = make_state(seed=25, M=2)
         state.mu = mu
-        state.Q = state.Khat + 0.01
+        state.Q = as_factors(state.Khat + 0.01)
         a0, b0 = [a.copy() for a in state.A], state.B.copy()
         lowrank_alm.update_multipliers(state, cfg)
         assert state.mu == min(cfg.rho * mu, lowrank_alm._MU_MAX)
         for m in range(2):
             want = mu * a0[m] + mu * (state.Khat + state.E[m] - state.K_list[m])
             np.testing.assert_allclose(state.A[m] * state.mu, want, rtol=1e-13, atol=1e-15 * mu)
-        want = mu * b0 + mu * (state.Khat - state.Q)
+        want = mu * b0 + mu * (state.Khat - np.matmul(*state.Q))
         np.testing.assert_allclose(state.B * state.mu, want, rtol=1e-13, atol=1e-15 * mu)
 
     def test_mu_cap(self):
