@@ -30,8 +30,8 @@ class AnchorGraph:
 
 
 def select_graph_landmarks(view, L, mode="kmeans", seed=0):
-    """Pick L landmark rows from a (d_m, N) view: the centers of Lloyd k-means
-    with capped iterations on its columns, the only mode."""
+    """The centers of capped Lloyd k-means on the columns of a (d_m, N) view,
+    the only mode; train takes view blocks of select_kernel_landmarks instead."""
     if mode != "kmeans":
         raise ValueError(f"unknown landmark mode {mode!r}")
     return core_math.kmeans(np.asarray(view, dtype=float).T, L, seed=seed)

@@ -215,6 +215,7 @@ def kmeans(points, L, seed=0):
         new_assign = np.argmin(d2, axis=1)
         counts = np.bincount(new_assign, minlength=L)
         far = d2[np.arange(n), new_assign]
+        del d2   # freed before the next sq_dists builds its n x L array
         for j in np.flatnonzero(counts == 0):
             # while a cluster is empty, L <= n leaves one with two points
             worst = int(np.argmax(np.where(counts[new_assign] >= 2, far, -np.inf)))

@@ -47,13 +47,29 @@ def _signs(codes, name):
     return np.ascontiguousarray(codes, dtype=np.int8)
 
 
-def _words(codes):
-    """(n, max(1, ceil(P / 64))) uint64 words of (n, P) +/-1 codes: bit j of a
+def _packed_pair(query_codes, db_codes):
+    """(F, W) and (n, W) uint64 words of (F, P) query and (n, P) database
+    codes, each checked by _signs, and P; W = max(1, ceil(P / 64)). Bit j of a
     code's word j // 64 is set for +1 at j, and the padding bits are 0."""
-    n, p = codes.shape
-    bits = np.zeros((n, max(1, -(-p // 64)) * 64), dtype=bool)
-    np.greater(codes, 0, out=bits[:, :p])
-    return np.packbits(bits, bitorder="little").view("<u8").reshape(n, -1)
+    q, d = _signs(query_codes, "query_codes"), _signs(db_codes, "db_codes")
+    p, words = q.shape[1], max(1, -(-q.shape[1] // 64))
+    if d.shape[1] != p:
+        raise ValueError(f"code length mismatch: {p} vs {d.shape[1]}")
+    packed = []
+    for codes in (q, d):
+        bits = np.zeros((len(codes), words * 64), dtype=bool)
+        np.greater(codes, 0, out=bits[:, :p])
+        packed.append(np.packbits(bits, bitorder="little").view("<u8").reshape(len(codes), words))
+    return *packed, p
+
+
+def _word_distances(qw, dw, p):
+    """hamming_distances of codes of length p from their _packed_pair words."""
+    # widened to the result dtype before a second word is added
+    dist = np.bitwise_count(qw[:, 0, None] ^ dw[:, 0]).astype(np.min_scalar_type(p), copy=False)
+    for w in range(1, qw.shape[1]):
+        dist += np.bitwise_count(qw[:, w, None] ^ dw[:, w])
+    return dist
 
 
 def hamming_distance(a, b):
@@ -76,17 +92,7 @@ def hamming_distances(query_codes, db_codes):
     subtracting from them, or adding a Python int, wraps around modulo the
     dtype's range instead of going negative or growing; widen them first.
     """
-    q = _signs(query_codes, "query_codes")
-    d = _signs(db_codes, "db_codes")
-    p = q.shape[1]
-    if d.shape[1] != p:
-        raise ValueError(f"code length mismatch: {p} vs {d.shape[1]}")
-    qw, dw = _words(q), _words(d)
-    # widened to the result dtype before a second word is added
-    dist = np.bitwise_count(qw[:, 0, None] ^ dw[:, 0]).astype(np.min_scalar_type(p), copy=False)
-    for w in range(1, qw.shape[1]):
-        dist += np.bitwise_count(qw[:, w, None] ^ dw[:, w])
-    return dist
+    return _word_distances(*_packed_pair(query_codes, db_codes))
 
 
 def relevance_matrix(query_labels, db_labels):
@@ -145,22 +151,21 @@ def evaluate(query_codes, db_codes, relevant, top_k=100, radius=2):
     and ranks its top_k with one stable sort. Every radius metric is read from
     the cumulative counts.
     """
-    q = _signs(query_codes, "query_codes")
-    d = _signs(db_codes, "db_codes")
+    qw, dw, p = _packed_pair(query_codes, db_codes)
     relevant = np.asarray(relevant, dtype=bool)
     if top_k < 1 or radius < 0:
         raise ValueError(f"need top_k >= 1 and radius >= 0, got {top_k} and {radius}")
-    if len(q) == 0 or len(d) == 0:
+    if len(qw) == 0 or len(dw) == 0:
         raise ValueError("query and database must be non-empty")
-    if relevant.shape != (len(q), len(d)):
-        raise ValueError(f"relevance is {relevant.shape}, expected {(len(q), len(d))}")
-    (f, n), p = relevant.shape, q.shape[1]
+    if relevant.shape != (len(qw), len(dw)):
+        raise ValueError(f"relevance is {relevant.shape}, expected {(len(qw), len(dw))}")
+    f, n = relevant.shape
     l_q = np.count_nonzero(relevant, axis=1)
     counts = np.zeros((2, f, p + 1), dtype=np.intp)   # items, relevant items at each distance
     aps = np.empty(f)
     step = max(1, _BLOCK // n)
     for lo in range(0, f, step):
-        dist = hamming_distances(q[lo:lo + step], d)
+        dist = _word_distances(qw[lo:lo + step], dw, p)
         rel = relevant[lo:lo + step]
         rows = len(dist)
         # an intp row offset widens the unsigned distances before the add

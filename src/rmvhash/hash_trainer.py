@@ -213,7 +213,10 @@ def train(
 ):
     """Full training pipeline.
 
-    Builds per-view anchor graphs and kernelized similarities, recovers the
+    Every landmark set is kernel_sim.select_kernel_landmarks(ds, count, seed),
+    one k-means per distinct count: view m's anchor graph takes view m's block
+    of the set at graph_cfg.L, the kernel similarities the set at R, and a
+    base set of Z < N centers the set at Z when Z is L or R. It recovers the
     consensus Khat by inexact ALM (or the plain view average when recovery is
     off), then alternates the closed-form (W, b) solve with the code sweep
     until the relative objective change drops below hp.outer_tol; the
@@ -242,14 +245,12 @@ def train(
         if value > limit:
             raise ValueError(f"{name}={value} exceeds {limit_name}={limit}")
 
-    graphs = []
-    for m, view in enumerate(ds.views):
-        landmarks = anchor_graph.select_graph_landmarks(
-            view, graph_cfg.L, seed=seed + 1000 * m
-        )
-        graphs.append(anchor_graph.build_truncated_affinity(view, landmarks, graph_cfg.k))
-
-    klm = kernel_sim.select_kernel_landmarks(ds, R, seed=seed)
+    joint = {c: kernel_sim.select_kernel_landmarks(ds, c, seed=seed) for c in {graph_cfg.L, R}}
+    graphs = [
+        anchor_graph.build_truncated_affinity(view, z, graph_cfg.k)
+        for view, z in zip(ds.views, joint[graph_cfg.L].blocks)
+    ]
+    klm = joint[R]
     kcfg = kernel_sim.tune_config(ds, klm, kernel_cfg.self_tuning_k)
     K_list = kernel_sim.build_view_kernels(ds, klm, kcfg)
 
@@ -296,8 +297,7 @@ def train(
     Z = min(oos_cfg.Z, n)
     model.base_set = oos_encoder.build_base_set(
         ds, model, Z=Z, k_oos=oos_cfg.k_oos, seed=seed,
-        # the kernel landmarks are the base set's own kmeans(concat, Z, seed)
-        centers=np.hstack(klm.blocks) if Z == R < n else None,
+        centers=np.hstack(joint[Z].blocks) if Z in joint and Z < n else None,
     )
     return model, state, Khat, diag
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -560,3 +562,16 @@ class TestKmeans:
         assert len(calls) > L - 1
         for points_sq in calls:
             np.testing.assert_array_equal(points_sq, np.sum(points ** 2, axis=1))
+
+    def test_one_distance_array_alive(self):
+        # each Lloyd iteration frees its n x L distances before the next
+        # sq_dists builds new ones, so the peak stays near one such array
+        points = np.random.default_rng(0).normal(size=(4000, 4))
+        core_math.kmeans(points[:50], 3)   # imports scipy outside the trace
+        tracemalloc.start()
+        try:
+            core_math.kmeans(points, 200, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 4000 * 200 * 8

@@ -83,6 +83,10 @@ class TestHammingDistance:
         with pytest.raises(ValueError):
             evaluation.hamming_distances(np.ones((2, 4)), np.ones((3, 5)))
 
+    def test_empty_side_gives_empty_matrix(self):
+        assert evaluation.hamming_distances(np.ones((0, 4)), np.ones((3, 4))).shape == (0, 3)
+        assert evaluation.hamming_distances(np.ones((2, 70)), np.ones((0, 70))).shape == (2, 0)
+
     def test_long_codes_take_uint16(self):
         rng = np.random.default_rng(12)
         q = random_codes(rng, 3, 300)
@@ -369,15 +373,20 @@ class TestBlockedPass:
         d = random_codes(rng, 23, 9)
         rel = rng.random((7, 23)) < 0.3
         rel[2] = False   # a query without neighbors
-        calls = []
-        distances = evaluation.hamming_distances
+        calls, packed = [], []
+        distances, pack = evaluation._word_distances, evaluation._packed_pair
         monkeypatch.setattr(
-            evaluation, "hamming_distances", lambda a, b: calls.append(len(a)) or distances(a, b)
+            evaluation, "_word_distances",
+            lambda a, b, p: calls.append(len(a)) or distances(a, b, p),
+        )
+        monkeypatch.setattr(
+            evaluation, "_packed_pair", lambda a, b: packed.append((len(a), len(b))) or pack(a, b)
         )
         if block_rows:
             monkeypatch.setattr(evaluation, "_BLOCK", block_rows * 23)
         report = evaluation.evaluate(q, d, rel, top_k=top_k, radius=radius)
         assert calls == blocks
+        assert packed == [(7, 23)]   # both code sets packed once, whatever the blocks
         assert_matches_brute_force(report, q, d, rel, top_k, radius)
 
     def test_long_codes_match_brute_force(self):
