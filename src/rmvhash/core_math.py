@@ -189,12 +189,20 @@ def kmeans(points, L, seed=0):
     """The (L, d) centers of at most _KMEANS_ITERS Lloyd iterations with
     k-means++ seeding; deterministic for a fixed seed.
 
+    Each Lloyd iteration assigns every point x by one product, to the argmin
+    over j of the score [x, 1].[-2 c_j, ||c_j||^2] = ||x - c_j||^2 - ||x||^2.
+    The two differ by a per-point constant, so they pick the same center up
+    to ties at rounding level; an exact tie goes to the lower index.
+
     No cluster is left empty: before the centers are updated, each empty
     cluster in index order takes the point farthest from its assigned center,
     chosen among clusters that hold at least two points (lowest index on
-    ties). Every center is then the mean of its members, summed in index order
-    by one one-hot sparse product. An empty or non-finite point set and L
-    outside 1..n are rejected with ValueError before seeding.
+    ties); those distances come from sq_dists, on the rare iteration that
+    empties a cluster. Every center is then the mean of its members, summed in
+    index order by one one-hot sparse product. An empty or non-finite point
+    set, squared norms past a quarter of the largest float (a squared distance
+    between two points could overflow) and L outside 1..n are rejected with
+    ValueError before seeding.
     """
     import scipy.sparse as sp  # here, so that only training loads scipy
     points = np.asarray(points, dtype=float)
@@ -205,18 +213,26 @@ def kmeans(points, L, seed=0):
         raise ValueError(f"cannot form {L} clusters from {n} points: need 1 <= L <= {n}")
     if not np.all(np.isfinite(points)):
         raise ValueError("kmeans points must be finite")
-    points_sq = np.sum(points ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        points_sq = np.sum(points ** 2, axis=1)
+    if not points_sq.max() <= np.finfo(float).max / 4:
+        raise ValueError("kmeans points overflow: their squared norms must stay "
+                         "below a quarter of the largest float")
     centers = _kmeanspp_init(points, points_sq, L, np.random.default_rng(seed))
     assignments = np.zeros(n, dtype=int)
     # the sparse product would copy a non-C-ordered points on every iteration
     rows = np.ascontiguousarray(points)
+    lifted = np.column_stack((points, np.ones(n)))
     for _ in range(_KMEANS_ITERS):
-        d2 = sq_dists(points, centers, points_sq)
-        new_assign = np.argmin(d2, axis=1)
+        weights = np.column_stack((-2.0 * centers, np.sum(centers ** 2, axis=1)))
+        scores = lifted @ weights.T
+        new_assign = np.argmin(scores, axis=1)
+        del scores   # freed before sq_dists or the next product
         counts = np.bincount(new_assign, minlength=L)
-        far = d2[np.arange(n), new_assign]
-        del d2   # freed before the next sq_dists builds its n x L array
-        for j in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        if empty.size:
+            far = sq_dists(points, centers, points_sq)[np.arange(n), new_assign]
+        for j in empty:
             # while a cluster is empty, L <= n leaves one with two points
             worst = int(np.argmax(np.where(counts[new_assign] >= 2, far, -np.inf)))
             counts[new_assign[worst]] -= 1

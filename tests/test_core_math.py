@@ -57,6 +57,72 @@ def reference_kmeans(points, L, iters, seed):
     return centers
 
 
+def reference_onehot_lloyd(points, L, seed):
+    """Lloyd from kmeans's own seeding that assigns by the argmin of
+    three_term_sq_dists, as kmeans did before it assigned by one product, and
+    updates the centers by the same one-hot product; it asserts that no
+    cluster empties."""
+    import scipy.sparse as sp
+    n = points.shape[0]
+    centers = core_math._kmeanspp_init(
+        points, np.sum(points ** 2, axis=1), L, np.random.default_rng(seed)
+    )
+    assignments = np.zeros(n, dtype=int)
+    for _ in range(core_math._KMEANS_ITERS):
+        new_assign = np.argmin(three_term_sq_dists(points, centers), axis=1)
+        counts = np.bincount(new_assign, minlength=L)
+        assert counts.min() > 0, "reference input emptied a cluster"
+        onehot = sp.csr_matrix(
+            (np.ones(n), np.argsort(new_assign, kind="stable"),
+             np.concatenate(([0], np.cumsum(counts)))),
+            shape=(L, n),
+        )
+        centers = onehot @ np.ascontiguousarray(points) / counts[:, None]
+        if np.array_equal(new_assign, assignments):
+            break
+        assignments = new_assign
+    return centers
+
+
+def bench_recipe_points(recipe):
+    """The (n, d) concatenated training split of data seed 0 that the
+    benchmark's k-means calls cluster."""
+    if recipe == "criterion-6":
+        ds = dataset.corrupt(
+            dataset.synth_multiview(10, 200, (32, 48), seed=0),
+            dataset.CorruptionSpec("gaussian-fraction", 0.2, 0),
+        )
+        db, _ = dataset.split(ds, 200, seed=0)
+    else:
+        db, _ = dataset.split(dataset.synth_multiview(10, 1050, (16, 16), seed=0), 500, seed=0)
+    return db.concatenated().T
+
+
+def distance_calls(monkeypatch, points, L, seed):
+    """The points_sq argument of every sq_dists call that kmeans makes."""
+    calls = []
+    sq_dists = core_math.sq_dists
+
+    def spy(pts, centers, points_sq=None):
+        calls.append(points_sq)
+        return sq_dists(pts, centers, points_sq)
+
+    monkeypatch.setattr(core_math, "sq_dists", spy)
+    core_math.kmeans(points, L, seed=seed)
+    return calls
+
+
+def kmeans_peak(points):
+    """The tracemalloc peak of kmeans(points, 200, seed=0), in bytes."""
+    core_math.kmeans(points[:50], 3)   # imports scipy outside the trace
+    tracemalloc.start()
+    try:
+        core_math.kmeans(points, 200, seed=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def inertia(points, centers):
     """Sum over points of the squared distance to the nearest center, by
     brute force."""
@@ -494,21 +560,40 @@ class TestKmeans:
     @pytest.mark.parametrize("recipe", ["criterion-6", "scale-10k"])
     def test_seeding_matches_old_formula_on_bench_recipes(self, recipe):
         # the base-set call (L = 300) on the training split of data seed 0
-        if recipe == "criterion-6":
-            ds = dataset.corrupt(
-                dataset.synth_multiview(10, 200, (32, 48), seed=0),
-                dataset.CorruptionSpec("gaussian-fraction", 0.2, 0),
-            )
-            db, _ = dataset.split(ds, 200, seed=0)
-        else:
-            db, _ = dataset.split(dataset.synth_multiview(10, 1050, (16, 16), seed=0), 500, seed=0)
-        points = db.concatenated().T
+        points = bench_recipe_points(recipe)
         np.testing.assert_array_equal(
             core_math._kmeanspp_init(
                 points, np.sum(points ** 2, axis=1), 300, np.random.default_rng(0)
             ),
             reference_kmeanspp_init(points, 300, np.random.default_rng(0)),
         )
+
+    @pytest.mark.parametrize("recipe, L", [
+        ("criterion-6", 100), ("criterion-6", 300), ("scale-10k", 200), ("scale-10k", 300),
+    ])
+    def test_product_assignment_matches_distances_on_bench_recipes(self, recipe, L):
+        # every k-means call of the benchmark at data seed 0: assigning by
+        # ||c||^2 - 2 x.c picks the centers that the distances pick
+        points = bench_recipe_points(recipe)
+        np.testing.assert_array_equal(
+            core_math.kmeans(points, L, seed=0), reference_onehot_lloyd(points, L, 0)
+        )
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_exact_tie_goes_to_lower_index(self, monkeypatch, order):
+        # p is exactly equidistant (3.25) from a and b, and both of its scores
+        # are exactly -1, so it joins whichever of them has the lower index
+        a, b, p = [1.0, 2.0], [3.0, -1.0], [2.0, 0.5]
+        points = np.array([a, b, p])
+        seeds = points[order]
+        monkeypatch.setattr(core_math, "_KMEANS_ITERS", 1)
+        monkeypatch.setattr(core_math, "_kmeanspp_init", lambda *args: seeds.copy())
+        d2 = ((points[:, None, :] - seeds[None]) ** 2).sum(axis=2)
+        assert d2[2, 0] == d2[2, 1] == 3.25
+        assign = np.argmin(d2, axis=1)
+        assert assign[2] == 0
+        want = np.array([points[assign == j].mean(axis=0) for j in range(2)])
+        np.testing.assert_array_equal(core_math.kmeans(points, 2), want)
 
     @pytest.mark.parametrize("L", [5, 6])
     @pytest.mark.parametrize("seed", range(3))
@@ -537,6 +622,9 @@ class TestKmeans:
         (np.zeros((0, 3)), 1, "empty set of points"),
         (np.array([[0.0, 1.0], [np.nan, 2.0], [3.0, 4.0]]), 2, "must be finite"),
         (np.array([[0.0, 1.0], [np.inf, 2.0], [3.0, 4.0]]), 2, "must be finite"),
+        (np.array([[0.0, 1.0], [1e200, 2.0], [3.0, 4.0]]), 2, "overflow"),
+        # a squared norm of 1e308 is finite, but a squared distance could not be
+        (np.array([[0.0, 1.0], [1e154, 2.0], [3.0, 4.0]]), 2, "overflow"),
     ])
     def test_bad_input_rejected_before_seeding(self, monkeypatch, points, L, match):
         def no_seeding(*args):
@@ -547,31 +635,36 @@ class TestKmeans:
             core_math.kmeans(points, L)
 
     def test_every_distance_reuses_row_norms(self, monkeypatch):
-        # kmeans computes ||x||^2 once; seeding and every Lloyd iteration
-        # take their distances from sq_dists with those norms
+        # kmeans computes ||x||^2 once; seeding takes its L - 1 distance
+        # columns from sq_dists with those norms, and Lloyd iterations that
+        # empty no cluster assign by products alone
         points, L, seed = kmeans_case("lloyd-200-5-12-25-1")
-        calls = []
-        sq_dists = core_math.sq_dists
+        calls = distance_calls(monkeypatch, points, L, seed)
+        assert len(calls) == L - 1
+        for points_sq in calls:
+            np.testing.assert_array_equal(points_sq, np.sum(points ** 2, axis=1))
 
-        def spy(pts, centers, points_sq=None):
-            calls.append(points_sq)
-            return sq_dists(pts, centers, points_sq)
-
-        monkeypatch.setattr(core_math, "sq_dists", spy)
-        core_math.kmeans(points, L, seed=seed)
+    def test_empty_cluster_distances_reuse_row_norms(self, monkeypatch):
+        # on the sites clusters empty, and the empty-cluster rule takes its
+        # distances from sq_dists with the same norms
+        points, L, seed = kmeans_case("sites-6-0")
+        calls = distance_calls(monkeypatch, points, L, seed)
         assert len(calls) > L - 1
         for points_sq in calls:
             np.testing.assert_array_equal(points_sq, np.sum(points ** 2, axis=1))
 
     def test_one_distance_array_alive(self):
-        # each Lloyd iteration frees its n x L distances before the next
-        # sq_dists builds new ones, so the peak stays near one such array
+        # each Lloyd iteration frees its n x L scores before the next product
+        # builds new ones, so the peak stays near one such array
         points = np.random.default_rng(0).normal(size=(4000, 4))
-        core_math.kmeans(points[:50], 3)   # imports scipy outside the trace
-        tracemalloc.start()
-        try:
-            core_math.kmeans(points, 200, seed=0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 4000 * 200 * 8
+        assert kmeans_peak(points) < 1.5 * 4000 * 200 * 8
+
+    def test_one_distance_array_alive_when_clusters_empty(self, monkeypatch):
+        # 4000 points on at most 150 sites: the 200 seeds repeat and clusters
+        # empty, and the scores are freed before sq_dists builds the n x L
+        # distances of the empty-cluster rule
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(150, 4))[rng.integers(150, size=4000)]
+        assert len(distance_calls(monkeypatch, points, 200, 0)) > 199
+        monkeypatch.undo()
+        assert kmeans_peak(points) < 1.5 * 4000 * 200 * 8
