@@ -64,14 +64,14 @@ def _default(fn, name):
 
 
 # Each training key names one field of a config dataclass, which holds its
-# type and its default. alpha and lam also set the ALM's alpha and lam.
+# type and its default.
 _TRAIN_FIELDS = {
     "bits": (HyperParams, "P"),
     "gamma": (HyperParams, "gamma"),
     "delta": (HyperParams, "delta"),
-    "alpha": (HyperParams, "alpha"),
+    "alpha": (ALMConfig, "alpha"),
     "beta": (HyperParams, "beta"),
-    "lam": (HyperParams, "lam"),
+    "lam": (ALMConfig, "lam"),
     "outer_iters": (HyperParams, "outer_iters"),
     "graph_l": (GraphConfig, "L"),
     "graph_k": (GraphConfig, "k"),
@@ -117,11 +117,9 @@ def _train_configs(p):
     kwargs = {cls: {} for cls, _ in _TRAIN_FIELDS.values()}
     for key, (cls, name) in _TRAIN_FIELDS.items():
         kwargs[cls][name] = p[key]
-    hp = HyperParams(**kwargs[HyperParams])
-    alm_cfg = ALMConfig(alpha=hp.alpha, lam=hp.lam, **kwargs[ALMConfig])
-    return (
-        hp, alm_cfg, GraphConfig(**kwargs[GraphConfig]),
-        KernelSelectConfig(**kwargs[KernelSelectConfig]), OosConfig(**kwargs[OosConfig]),
+    return tuple(
+        cls(**kwargs[cls])
+        for cls in (HyperParams, ALMConfig, GraphConfig, KernelSelectConfig, OosConfig)
     )
 
 

@@ -49,9 +49,13 @@ def _signs(codes, name):
 
 def _packed_pair(query_codes, db_codes):
     """(F, W) and (n, W) uint64 words of (F, P) query and (n, P) database
-    codes, each checked by _signs, and P; W = max(1, ceil(P / 64)). Bit j of a
-    code's word j // 64 is set for +1 at j, and the padding bits are 0."""
+    codes, each checked by _signs and for being 2-D, and P; W = max(1,
+    ceil(P / 64)). Bit j of a code's word j // 64 is set for +1 at j, and the
+    padding bits are 0."""
     q, d = _signs(query_codes, "query_codes"), _signs(db_codes, "db_codes")
+    for name, codes in (("query_codes", q), ("db_codes", d)):
+        if codes.ndim != 2:
+            raise ValueError(f"{name} must be a 2-D (n, P) array, got {codes.ndim}-D")
     p, words = q.shape[1], max(1, -(-q.shape[1] // 64))
     if d.shape[1] != p:
         raise ValueError(f"code length mismatch: {p} vs {d.shape[1]}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import anchor_graph, core_math, kernel_sim, lowrank_alm, oos_encoder
+from . import anchor_graph, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError, check_range
 from .lowrank_alm import ALMConfig
 
@@ -22,19 +22,23 @@ _CHUNK = 1024
 
 @dataclass
 class HyperParams:
+    """Settings of the outer loop. The ALM's weights alpha and lam are set on
+    ALMConfig alone; alpha and lam here are read-only and return ALMConfig's
+    defaults."""
     P: int = 32
     gamma: float = 1e-4
     delta: float = 1e-6
-    alpha: float = ALMConfig.alpha
     beta: float = 1.0
-    lam: float = ALMConfig.lam
     outer_iters: int = 60
     outer_tol: float = 1e-4
 
+    alpha = property(lambda self: ALMConfig.alpha)
+    lam = property(lambda self: ALMConfig.lam)
+
     def __post_init__(self):
         check_range(self, 1, "P", "outer_iters")
-        check_range(self, 0, "gamma", "delta", "lam")
-        check_range(self, 0, "alpha", "beta", "outer_tol", strict=True)
+        check_range(self, 0, "gamma", "delta")
+        check_range(self, 0, "beta", "outer_tol", strict=True)
 
 
 @dataclass
@@ -107,8 +111,7 @@ def update_Wb(Khat, Y, delta):
         raise ValueError(f"Y has {Y.shape[0]} rows, expected {n}")
     Kc = Khat - Khat.mean(axis=1, keepdims=True)     # Khat @ Lc
     gram = Kc @ Kc.T
-    if delta > 0:
-        gram = gram + delta * np.eye(gram.shape[0])
+    gram.flat[::len(gram) + 1] += delta
     try:
         W = np.linalg.solve(gram, Kc @ Y)
     except np.linalg.LinAlgError as exc:
@@ -151,26 +154,16 @@ def update_codes(state, graphs, Khat, W, b, hp):
     return CodeState(Y=_orthogonalize(Y), Y_view=y_view)
 
 
-def _recovery_penalty(Khat, E_list, alm_cfg):
-    """The nuclear and l21 terms, weighed by alm_cfg.alpha and alm_cfg.lam,
-    which stay fixed while the codes change."""
-    return (
-        alm_cfg.alpha * float(np.sum(core_math._singular_values(Khat))),
-        alm_cfg.lam * sum(float(np.sum(np.linalg.norm(E, axis=0))) for E in E_list),
-    )
-
-
-def objective(state, graphs, Khat, W, b, hp, penalty):
-    """Full relaxed objective: graph smoothness + code consensus + the
-    recovery penalty terms (from _recovery_penalty) + regression fit with
-    ridge."""
+def objective(state, graphs, Khat, W, b, hp):
+    """Relaxed objective of the outer loop: graph smoothness + code consensus
+    + regression fit with ridge. The ALM's terms alpha ||Khat||_* + lam
+    sum_m ||E^(m)||_{2,1} are left out: Khat and E stay fixed while the codes
+    change, so they would only add a constant."""
     total = 0.0
     for g, yv in zip(graphs, state.Y_view):
         lap = anchor_graph.laplacian_apply(g, yv)
         total += 2.0 * float(np.sum(yv * lap))
         total += hp.gamma * float(np.sum((state.Y - yv) ** 2))
-    for term in penalty:
-        total += term
     resid = Khat.T @ W + b - state.Y
     total += hp.beta * (float(np.sum(resid ** 2)) + hp.delta * float(np.sum(W ** 2)))
     return total
@@ -219,18 +212,18 @@ def train(
     base set of Z < N centers the set at Z when Z is L or R. It recovers the
     consensus Khat by inexact ALM (or the plain view average when recovery is
     off), then alternates the closed-form (W, b) solve with the code sweep
-    until the relative objective change drops below hp.outer_tol; the
-    objective's recovery terms are weighed with alm_cfg.alpha and alm_cfg.lam,
-    the values the ALM runs with. With recovery, W is finally projected onto
-    the column space U of the ALM's low-rank Q, W <- U U^T W, so the served
-    map is the recovered latent kernel; a Q of rank 0, which would give every
-    item the same code, raises ValueError.
+    until the relative change of the outer objective (see objective) drops
+    below hp.outer_tol. The ALM runs with alm_cfg, ALMConfig() by default,
+    the one place its alpha and lam are set. With recovery, W is finally
+    projected onto the column space U of the ALM's low-rank Q, W <- U U^T W,
+    so the served map is the recovered latent kernel; a Q of rank 0, which
+    would give every item the same code, raises ValueError.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
     kernel_cfg = kernel_cfg or KernelSelectConfig()
     oos_cfg = oos_cfg or OosConfig()
-    alm_cfg = alm_cfg or ALMConfig(alpha=hp.alpha, lam=hp.lam)
+    alm_cfg = alm_cfg or ALMConfig()
 
     n = ds.n_samples
     R = kernel_cfg.R or graph_cfg.L
@@ -256,7 +249,7 @@ def train(
 
     diag = TrainDiagnostics()
     if recovery:
-        Khat, E_list, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
+        Khat, _, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
         diag.alm = alm_diag
         if alm_diag.U.shape[1] == 0:
             raise ValueError(
@@ -266,20 +259,15 @@ def train(
     else:
         # kernel entries lie in [0, 1], so the view average is already >= 0
         Khat = sum(K_list) / len(K_list)
-        E_list = [K - Khat for K in K_list]
 
-    Y0 = spectral_code_init(graphs, hp.P, seed=seed)
-    state = CodeState(Y=Y0, Y_view=[Y0.copy() for _ in graphs])
-    W = np.zeros((R, hp.P))
-    b = np.zeros(hp.P)
-
-    penalty = _recovery_penalty(Khat, E_list, alm_cfg)
+    # update_codes reads only Y, not the view codes
+    state = CodeState(Y=spectral_code_init(graphs, hp.P, seed=seed), Y_view=[])
     prev_obj = None
     for it in range(1, hp.outer_iters + 1):
         t0 = time.perf_counter()
         W, b = update_Wb(Khat, state.Y, hp.delta)
         state = update_codes(state, graphs, Khat, W, b, hp)
-        obj = objective(state, graphs, Khat, W, b, hp, penalty)
+        obj = objective(state, graphs, Khat, W, b, hp)
         diag.outer_iter_seconds.append(time.perf_counter() - t0)
         diag.objective_trace.append(obj)
         diag.outer_iterations = it

@@ -115,10 +115,11 @@ def load_model(path):
         W=W, b=b, landmarks=kernel_sim.KernelLandmarks(blocks=blocks),
         kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"])), meta=meta["model_meta"],
     )
-    # Far kernel entries underflow on healthy models; an extreme stored value can overflow.
+    # Far kernel entries underflow on healthy models; an extreme stored value
+    # can overflow, in numpy or in a Python float such as sigma ** 2.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             model.base_set = oos_encoder.make_base_set(model, centers, meta["base_k_oos"])
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise error(f"cannot rebuild the base set: {exc}") from exc
     return model, meta["config"]

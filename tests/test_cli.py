@@ -178,9 +178,9 @@ class TestTrainArtifacts:
     @pytest.mark.parametrize("flag, field, edge", [
         ("--gamma", "HyperParams.gamma", "-1e-3"),
         ("--delta", "HyperParams.delta", "-1e-9"),
-        ("--alpha", "HyperParams.alpha", "0"),
+        ("--alpha", "ALMConfig.alpha", "0"),
         ("--beta", "HyperParams.beta", "0"),
-        ("--lam", "HyperParams.lam", "-1e-3"),
+        ("--lam", "ALMConfig.lam", "-1e-3"),
         ("--alm-tol", "ALMConfig.tol", "0"),
         ("--alm-rho", "ALMConfig.rho", "1"),
     ])

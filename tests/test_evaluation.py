@@ -122,6 +122,22 @@ class TestHammingDistance:
         with pytest.raises(ValueError, match=f"^{arg} must hold only"):
             evaluation.hamming_distance(a, b)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 4)], ids=["1-D", "3-D"])
+    @pytest.mark.parametrize("which", ["query_codes", "db_codes"])
+    def test_codes_not_2d_rejected(self, shape, which):
+        bad, good = -np.ones(shape), np.ones((2, 4))
+        q, d = (bad, good) if which == "query_codes" else (good, bad)
+        rel = np.ones((len(q), len(d)), bool)
+        for fn, args in (
+            (evaluation.hamming_distances, (q, d)),
+            (evaluation.evaluate, (q, d, rel)),
+            (evaluation.mean_average_precision, (q, d, rel, 10)),
+            (evaluation.hash_lookup_precision, (q, d, rel, 2)),
+            (evaluation.pr_curve, (q, d, rel)),
+        ):
+            with pytest.raises(ValueError, match=rf"^{which} must be a 2-D \(n, P\) array"):
+                fn(*args)
+
     def test_range(self):
         rng = np.random.default_rng(1)
         dist = evaluation.hamming_distances(random_codes(rng, 5, 8), random_codes(rng, 7, 8))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rmvhash import (
-    anchor_graph, core_math, dataset, evaluation, hash_trainer, kernel_sim, model_io,
+    anchor_graph, core_math, dataset, evaluation, hash_trainer, kernel_sim, lowrank_alm,
+    model_io,
 )
 from rmvhash.dataset import MultiViewDataset
 from rmvhash.hash_trainer import (
@@ -44,10 +45,9 @@ def toy_graphs_and_state(seed=0, n=30, p=4, m=2):
     Y = rng.normal(size=(n, p))
     state = CodeState(Y=Y, Y_view=[Y.copy() for _ in range(m)])
     Khat = np.abs(rng.normal(size=(8, n)))
-    E_list = [rng.normal(size=(8, n)) * 0.1 for _ in range(m)]
     W = rng.normal(size=(8, p))
     b = rng.normal(size=p)
-    return graphs, state, Khat, E_list, W, b
+    return graphs, state, Khat, W, b
 
 
 class TestUpdateWb:
@@ -100,15 +100,11 @@ class TestUpdateWb:
             hash_trainer.update_Wb(Khat, Y, delta=0.0)
 
 
-def penalty(Khat, E_list, alm_cfg=ALMConfig()):
-    return hash_trainer._recovery_penalty(Khat, E_list, alm_cfg)
-
-
 class TestUpdateCodes:
     def test_gamma_zero_decouples(self):
         # Y is the orthogonalized regression output sqrt(N) U V^T, with
         # U S V^T its thin SVD; the view codes keep the previous Y
-        graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=5)
+        graphs, state, Khat, W, b = toy_graphs_and_state(seed=5)
         hp = HyperParams(P=4, gamma=0.0)
         out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
         u, _, vt = np.linalg.svd(Khat.T @ W + b, full_matrices=False)
@@ -117,7 +113,7 @@ class TestUpdateCodes:
             np.testing.assert_array_equal(yv, state.Y)
 
     def test_constant_codes_are_laplacian_fixed_point(self):
-        graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=6)
+        graphs, state, Khat, W, b = toy_graphs_and_state(seed=6)
         const = np.tile(np.array([1.0, -2.0, 0.5, 3.0]), (30, 1))
         state = CodeState(Y=const, Y_view=[const.copy() for _ in graphs])
         hp = HyperParams(P=4, gamma=0.5)
@@ -146,7 +142,7 @@ class TestUpdateCodes:
             assert resid <= 1e-10
 
     def test_orthogonalized_codes_decorrelated(self):
-        graphs, state, Khat, _, W, b = toy_graphs_and_state(seed=8)
+        graphs, state, Khat, W, b = toy_graphs_and_state(seed=8)
         hp = HyperParams(P=4, gamma=0.1)
         out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
         n = out.Y.shape[0]
@@ -155,37 +151,27 @@ class TestUpdateCodes:
 
 class TestObjective:
     def test_zero_state_is_zero(self):
-        graphs, _, _, _, _, _ = toy_graphs_and_state(seed=9)
+        graphs, *_ = toy_graphs_and_state(seed=9)
         n = graphs[0].n_samples
         zeros = CodeState(Y=np.zeros((n, 4)), Y_view=[np.zeros((n, 4))] * 2)
-        hp = HyperParams(P=4)
-        Khat, E_list = np.zeros((8, n)), [np.zeros((8, n))] * 2
         val = hash_trainer.objective(
-            zeros, graphs, Khat, np.zeros((8, 4)), np.zeros(4), hp, penalty(Khat, E_list),
+            zeros, graphs, np.zeros((8, n)), np.zeros((8, 4)), np.zeros(4), HyperParams(P=4),
         )
         assert val == 0.0
 
     def test_duplicated_views_double_view_terms(self):
-        graphs, state, Khat, E_list, W, b = toy_graphs_and_state(seed=10)
-        hp, alm = HyperParams(P=4), ALMConfig()
-        single = hash_trainer.objective(
-            state, graphs[:1], Khat, W, b, hp, penalty(Khat, E_list[:1])
-        )
+        graphs, state, Khat, W, b = toy_graphs_and_state(seed=10)
+        hp = HyperParams(P=4)
+        single = hash_trainer.objective(state, graphs[:1], Khat, W, b, hp)
         state2 = CodeState(Y=state.Y, Y_view=[state.Y_view[0]] * 2)
-        double = hash_trainer.objective(
-            state2, graphs[:1] * 2, Khat, W, b, hp, penalty(Khat, E_list[:1] * 2)
-        )
-        fixed = (
-            alm.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
-            + hp.beta
-            * (np.sum((Khat.T @ W + b - state.Y) ** 2) + hp.delta * np.sum(W ** 2))
-        )
+        double = hash_trainer.objective(state2, graphs[:1] * 2, Khat, W, b, hp)
+        fixed = hp.beta * (np.sum((Khat.T @ W + b - state.Y) ** 2) + hp.delta * np.sum(W ** 2))
         assert double - fixed == pytest.approx(2 * (single - fixed), rel=1e-10)
 
     def test_matches_dense_oracle(self):
-        graphs, state, Khat, E_list, W, b = toy_graphs_and_state(seed=11, n=20)
-        hp, alm = HyperParams(P=4, gamma=0.3), ALMConfig(alpha=0.2, lam=0.05)
-        val = hash_trainer.objective(state, graphs, Khat, W, b, hp, penalty(Khat, E_list, alm))
+        graphs, state, Khat, W, b = toy_graphs_and_state(seed=11, n=20)
+        hp = HyperParams(P=4, gamma=0.3)
+        val = hash_trainer.objective(state, graphs, Khat, W, b, hp)
         total = 0.0
         for g, yv in zip(graphs, state.Y_view):
             S = anchor_graph.materialize(g)
@@ -193,8 +179,6 @@ class TestObjective:
                 for j in range(20):
                     total += S[i, j] * np.sum((yv[i] - yv[j]) ** 2)
             total += hp.gamma * np.sum((state.Y - yv) ** 2)
-        total += alm.alpha * np.sum(np.linalg.svd(Khat, compute_uv=False))
-        total += alm.lam * sum(np.sum(np.linalg.norm(E, axis=0)) for E in E_list)
         total += hp.beta * (
             np.sum((Khat.T @ W + b - state.Y) ** 2) + hp.delta * np.sum(W ** 2)
         )
@@ -204,8 +188,7 @@ class TestObjective:
 # Each float setting with a value just outside its range.
 FLOAT_SETTINGS = [
     (HyperParams, "gamma", -1e-3), (HyperParams, "delta", -1e-9),
-    (HyperParams, "alpha", 0.0), (HyperParams, "beta", 0.0),
-    (HyperParams, "lam", -1e-3), (HyperParams, "outer_tol", 0.0),
+    (HyperParams, "beta", 0.0), (HyperParams, "outer_tol", 0.0),
     (ALMConfig, "alpha", 0.0), (ALMConfig, "lam", -1e-3),
     (ALMConfig, "rho", 1.0), (ALMConfig, "tol", 0.0),
 ]
@@ -313,19 +296,29 @@ class TestTrain:
         # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)
         ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
         with pytest.raises(ValueError, match="alpha=10"):
-            hash_trainer.train(ds, HyperParams(P=8, alpha=10), **small_train_kwargs())
-
-    def test_objective_weighs_with_alm_settings(self):
-        # the recovery terms use the alpha and lam the ALM ran with, not hp's
-        ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
-        runs = [
             hash_trainer.train(
-                ds, HyperParams(P=8, alpha=alpha), alm_cfg=ALMConfig(), **small_train_kwargs()
+                ds, HyperParams(P=8), alm_cfg=ALMConfig(alpha=10), **small_train_kwargs()
             )
-            for alpha in (0.1, 5.0)
-        ]
-        assert runs[0][3].objective_trace == runs[1][3].objective_trace
-        np.testing.assert_array_equal(runs[0][0].W, runs[1][0].W)
+
+    def test_alpha_and_lam_set_only_on_alm_config(self, monkeypatch):
+        # alpha and lam are set on ALMConfig alone; HyperParams only reads
+        # back ALMConfig's defaults
+        with pytest.raises(TypeError, match="alpha"):
+            HyperParams(alpha=0.5)
+        hp = HyperParams(P=8)
+        for name in ("alpha", "lam"):
+            with pytest.raises(AttributeError):
+                setattr(hp, name, 0.5)
+        assert (hp.alpha, hp.lam) == (ALMConfig.alpha, ALMConfig.lam)
+        seen, recover = [], lowrank_alm.recover
+        monkeypatch.setattr(
+            lowrank_alm, "recover",
+            lambda K_list, cfg: seen.append((cfg.alpha, cfg.lam)) or recover(K_list, cfg),
+        )
+        ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
+        hash_trainer.train(ds, hp, **small_train_kwargs())
+        hash_trainer.train(ds, hp, alm_cfg=ALMConfig(alpha=0.5, lam=0.01), **small_train_kwargs())
+        assert seen == [(ALMConfig.alpha, ALMConfig.lam), (0.5, 0.01)]
 
     def test_single_bit(self):
         ds = dataset.synth_multiview(3, 20, (8, 8), seed=2)
@@ -350,7 +343,7 @@ class TestTrain:
 
 class TestEncoding:
     def test_zero_w_uses_bias_sign(self):
-        graphs, _, Khat, _, W, b = toy_graphs_and_state(seed=13)
+        graphs, _, Khat, W, b = toy_graphs_and_state(seed=13)
         model = hash_trainer.HashModel(
             W=np.zeros_like(W),
             b=np.array([1.0, -1.0, 2.0, -0.5]),
@@ -361,7 +354,7 @@ class TestEncoding:
         np.testing.assert_array_equal(codes, np.tile([1, -1, 1, -1], (30, 1)))
 
     def test_bit_flip_equivariance(self):
-        graphs, _, Khat, _, W, b = toy_graphs_and_state(seed=14)
+        graphs, _, Khat, W, b = toy_graphs_and_state(seed=14)
         model = hash_trainer.HashModel(W=W, b=b, landmarks=None, kernel_config=None)
         codes = hash_trainer.encode_database(model, Khat)
         W2 = W.copy()
@@ -378,7 +371,7 @@ class TestEncoding:
         )
 
     def test_matches_dense_product_oracle(self):
-        graphs, _, Khat, _, W, b = toy_graphs_and_state(seed=15)
+        graphs, _, Khat, W, b = toy_graphs_and_state(seed=15)
         model = hash_trainer.HashModel(W=W, b=b, landmarks=None, kernel_config=None)
         codes = hash_trainer.encode_database(model, Khat)
         for i in range(Khat.shape[1]):

@@ -294,8 +294,9 @@ class TestMalformedMetadata:
 
     @pytest.mark.parametrize("edit", [
         lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e-300] + m["sigmas"][1:]}),
+        lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e155] + m["sigmas"][1:]}),
         lambda raw: with_value(raw, 4, 3, 1e200),
-    ], ids=["sigma-squared-underflows", "far-centre"])
+    ], ids=["sigma-squared-underflows", "sigma-squared-overflows", "far-centre"])
     def test_base_set_that_cannot_be_rebuilt_rejected(self, model_file, edit):
         # extreme finite values overflow or divide by zero while the base set
         # is rebuilt; that is a bad file, not a floating-point warning
