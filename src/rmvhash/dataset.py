@@ -2,9 +2,11 @@
 MVS1), synthetic data, corruptions."""
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,22 +31,35 @@ class MultiViewDataset:
     name: str = "dataset"
 
     def __post_init__(self):
+        """The one gate for view data: every view is a nonempty 2-D matrix of
+        finite values that float32 holds, with the first view's N samples.
+        Views are stored read-only, so the checks hold for the dataset's
+        life."""
         if len(self.views) < 1:
             raise ValueError("a dataset needs at least one view")
-        # Round-trip through float32 so the MVH1 format is lossless for any
-        # dataset held in memory; downstream math runs in float64.
-        views = tuple(
-            np.asarray(v, dtype=np.float32).astype(np.float64) for v in self.views
-        )
-        object.__setattr__(self, "views", views)
-        n = self.views[0].shape[1]
-        for m, v in enumerate(self.views):
-            if v.ndim != 2 or v.shape[0] < 1:
+        views = []
+        for m, raw in enumerate(self.views):
+            raw = np.asarray(raw)
+            if raw.ndim != 2 or raw.shape[0] < 1:
                 raise ValueError(f"view {m} must be a nonempty 2-D matrix")
-            if v.shape[1] != n:
+            n = views[0].shape[1] if views else raw.shape[1]
+            if raw.shape[1] != n:
                 raise DatasetFormatError(
-                    f"view {m} has {v.shape[1]} samples, expected {n}"
+                    f"view {m} has {raw.shape[1]} samples, expected {n}"
                 )
+            # Round-trip through float32 so the MVH1 format is lossless for any
+            # dataset held in memory; downstream math runs in float64.
+            with np.errstate(over="ignore"):
+                v = np.asarray(raw, dtype=np.float32)
+            if not np.isfinite(v).all():
+                r, c = np.argwhere(~np.isfinite(v))[0]
+                raise DatasetFormatError(
+                    f"view {m}: value {raw[r, c]} at row {r}, col {c} is not a finite float32"
+                )
+            v = v.astype(np.float64)
+            v.flags.writeable = False
+            views.append(v)
+        object.__setattr__(self, "views", tuple(views))
         if self.labels is not None and len(self.labels) != n:
             raise DatasetFormatError(
                 f"{len(self.labels)} labels for {n} samples"
@@ -185,7 +200,18 @@ def load_view(path):
 
 
 def save_dataset(ds, out_dir, name=None):
-    """Write all views, optional labels, and a manifest; returns the manifest path."""
+    """Write all views, optional labels, and a manifest; returns the manifest
+    path. Labels must be 1-D integers, which the label file holds exactly."""
+    if ds.labels is not None:
+        labels = np.asarray(ds.labels)
+        exact = labels.ndim == 1 and labels.dtype.kind in "biuf"
+        if exact:
+            with np.errstate(invalid="ignore"):   # NaN and inf cast to an int they differ from
+                ints = labels.astype(np.int64)
+            exact = np.array_equal(ints, labels)
+        if not exact:
+            raise ValueError(f"labels must be 1-D integers to be saved, got {labels.dtype} "
+                             f"of shape {labels.shape}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     name = name or ds.name
@@ -196,7 +222,7 @@ def save_dataset(ds, out_dir, name=None):
         lines.append(f"view{m}={fname}")
     if ds.labels is not None:
         lfile = f"{name}_labels.txt"
-        (out_dir / lfile).write_text("\n".join(str(int(x)) for x in ds.labels) + "\n")
+        (out_dir / lfile).write_text("\n".join(map(str, ints)) + "\n")
         lines.append(f"labels={lfile}")
     manifest = out_dir / f"{name}.manifest"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -249,12 +275,6 @@ def load_dataset(manifest_path):
             labels = np.array([int(x) for x in lpath.read_bytes().split()])
         except ValueError as exc:
             raise DatasetFormatError(f"{lpath}: labels must be integers: {exc}") from exc
-    n = views[0].shape[1]
-    for m, v in enumerate(views):
-        if v.shape[1] != n:
-            raise DatasetFormatError(
-                f"view {m} ({kv[f'view{m}']}) has {v.shape[1]} samples, expected {n}"
-            )
     return MultiViewDataset(
         views=tuple(views), labels=labels, name=kv.get("name", manifest_path.stem)
     )
@@ -284,43 +304,24 @@ def synth_multiview(n_clusters, per_cluster, dims, view_noise=0.1, seed=0):
     return MultiViewDataset(views=tuple(views), labels=labels, name="synthetic")
 
 
-def corrupt_gaussian(ds, spec):
-    """Add independent standard-normal noise to a uniform fraction of entries
-    in each view."""
-    if spec.kind != "gaussian-fraction":
-        raise ValueError(f"expected gaussian-fraction spec, got {spec.kind!r}")
-    rng = np.random.default_rng(spec.seed)
-    views = []
-    for v in ds.views:
-        mask = rng.random(v.shape) < spec.fraction
-        noisy = v + mask * rng.normal(size=v.shape)
-        views.append(noisy)
-    return MultiViewDataset(views=tuple(views), labels=ds.labels, name=ds.name)
-
-
-def corrupt_block(ds, spec):
-    """Zero a contiguous run of ceil(fraction * d_m) coordinates per sample,
-    per view, at a uniformly sampled offset."""
-    if spec.kind != "block-zero":
-        raise ValueError(f"expected block-zero spec, got {spec.kind!r}")
-    rng = np.random.default_rng(spec.seed)
-    views = []
-    for v in ds.views:
-        d, n = v.shape
-        width = int(np.ceil(spec.fraction * d))
-        out = v.copy()
-        if width > 0:
-            starts = rng.integers(0, d - width + 1, size=n)
-            for i in range(n):
-                out[starts[i]:starts[i] + width, i] = 0.0
-        views.append(out)
-    return MultiViewDataset(views=tuple(views), labels=ds.labels, name=ds.name)
-
-
 def corrupt(ds, spec):
-    if spec.kind == "gaussian-fraction":
-        return corrupt_gaussian(ds, spec)
-    return corrupt_block(ds, spec)
+    """gaussian-fraction adds independent standard-normal noise to a uniform
+    fraction of the entries of each view. block-zero zeroes, in each sample
+    of view m, a contiguous run of ceil(fraction * d_m) coordinates at a
+    uniformly drawn offset; the product is exact for the decimal the
+    fraction is written as, so 0.07 of 100 coordinates is 7."""
+    rng = np.random.default_rng(spec.seed)
+    views = []
+    for v in ds.views:
+        if spec.kind == "gaussian-fraction":
+            views.append(v + (rng.random(v.shape) < spec.fraction) * rng.normal(size=v.shape))
+            continue
+        d, n = v.shape
+        width = math.ceil(Fraction(str(spec.fraction)) * d)
+        starts = rng.integers(0, d - width + 1, size=n)
+        rows = np.arange(d)[:, None]
+        views.append(np.where((rows >= starts) & (rows < starts + width), 0.0, v))
+    return MultiViewDataset(views=tuple(views), labels=ds.labels, name=ds.name)
 
 
 def split(ds, n_query, seed=0):

@@ -327,6 +327,4 @@ def encode_queries(model, ds):
             raise ValueError(
                 f"view {m}: dimension mismatch: {v.shape[0]} != landmark dim {z.shape[1]}"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"view {m}: query has non-finite entries")
     return np.where(embed(model, ds.concatenated()) >= 0, 1, -1).astype(np.int8)

@@ -1,6 +1,7 @@
 import gzip
 import re
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -51,6 +52,16 @@ class TestRoundTrip:
         )
         with pytest.raises(DatasetFormatError, match="view 1"):
             dataset.load_dataset(tmp_path / "bad.manifest")
+
+    @pytest.mark.parametrize("labels", [
+        np.array([0.5, 1.5, 2.0, 3.0]), np.array([0, 1, np.nan, 2]), np.eye(4, dtype=int),
+        np.array(["a", "b", "c", "d"]),
+    ], ids=["fractional", "nan", "2-D", "text"])
+    def test_labels_the_file_cannot_hold_rejected(self, tmp_path, labels):
+        ds = MultiViewDataset(views=(np.ones((2, 4)),), labels=labels)  # valid in memory
+        with pytest.raises(ValueError, match="labels must be 1-D integers"):
+            dataset.save_dataset(ds, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_view_file(self, tmp_path):
         (tmp_path / "m.manifest").write_text("name=x\nview0=absent.mvh\n")
@@ -113,6 +124,39 @@ class TestRoundTrip:
             dataset.load_dataset(manifest)
 
 
+class TestGate:
+    """MultiViewDataset is the one gate for view data."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300], ids=str)
+    def test_value_float32_cannot_hold_rejected(self, bad):
+        views = (np.zeros((2, 4)), np.zeros((3, 4)))
+        views[1][1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # no RuntimeWarning before the error
+            with pytest.raises(DatasetFormatError, match=re.escape(
+                f"view 1: value {bad} at row 1, col 2 is not a finite float32"
+            )):
+                MultiViewDataset(views=views)
+
+    @pytest.mark.parametrize("views, m", [
+        ((np.zeros(4), np.zeros((3, 4))), 0),
+        ((np.zeros((3, 4)), np.zeros(4)), 1),
+        ((np.zeros((0, 4)), np.zeros((3, 4))), 0),
+    ], ids=["1-D first", "1-D second", "no rows"])
+    def test_view_not_2d_rejected(self, views, m):
+        # each shape is checked before N is read from the first view
+        with pytest.raises(ValueError, match=f"view {m} must be a nonempty 2-D matrix"):
+            MultiViewDataset(views=views)
+
+    def test_views_read_only(self):
+        src = np.ones((3, 4))
+        ds = MultiViewDataset(views=(src,), labels=np.arange(4))
+        for out in (ds, ds.subset([0, 2]), dataset.corrupt(ds, CorruptionSpec("block-zero", 0.5))):
+            with pytest.raises(ValueError, match="read-only"):
+                out.views[0][0, 0] = np.nan
+        assert src.flags.writeable   # the caller's array is copied, not frozen
+
+
 class TestSynth:
     def test_construction(self):
         ds = dataset.synth_multiview(10, 200, (32, 48), seed=0)
@@ -144,31 +188,52 @@ class TestSynth:
             dataset.synth_multiview(2, 5, (3,), view_noise=noise)
 
 
+def reference_corrupt(ds, spec):
+    """The per-sample corruption loop that dataset.corrupt replaced; its
+    block width is the floating-point ceil(fraction * d_m)."""
+    rng = np.random.default_rng(spec.seed)
+    views = []
+    for v in ds.views:
+        if spec.kind == "gaussian-fraction":
+            mask = rng.random(v.shape) < spec.fraction
+            views.append(v + mask * rng.normal(size=v.shape))
+            continue
+        d, n = v.shape
+        width = int(np.ceil(spec.fraction * d))
+        out = v.copy()
+        if width > 0:
+            starts = rng.integers(0, d - width + 1, size=n)
+            for i in range(n):
+                out[starts[i]:starts[i] + width, i] = 0.0
+        views.append(out)
+    return tuple(views)
+
+
 class TestCorruption:
     def test_gaussian_zero_fraction_identity(self):
         ds = make_random_ds(seed=6)
-        out = dataset.corrupt_gaussian(ds, CorruptionSpec("gaussian-fraction", 0.0, 1))
+        out = dataset.corrupt(ds, CorruptionSpec("gaussian-fraction", 0.0, 1))
         for a, b in zip(out.views, ds.views):
             np.testing.assert_array_equal(a, b)
 
     def test_gaussian_fraction_count(self):
         rng = np.random.default_rng(7)
         ds = MultiViewDataset(views=(rng.normal(size=(100, 1000)),))
-        out = dataset.corrupt_gaussian(ds, CorruptionSpec("gaussian-fraction", 0.2, 2))
+        out = dataset.corrupt(ds, CorruptionSpec("gaussian-fraction", 0.2, 2))
         changed = np.count_nonzero(out.views[0] != ds.views[0])
         assert 19000 * 0.95 <= changed <= 21000 * 1.05
 
     def test_gaussian_full_fraction(self):
         rng = np.random.default_rng(8)
         ds = MultiViewDataset(views=(rng.normal(size=(50, 200)),))
-        out = dataset.corrupt_gaussian(ds, CorruptionSpec("gaussian-fraction", 1.0, 3))
+        out = dataset.corrupt(ds, CorruptionSpec("gaussian-fraction", 1.0, 3))
         frac_changed = np.mean(out.views[0] != ds.views[0])
         assert frac_changed >= 0.999
 
     def test_block_exact_width(self):
         rng = np.random.default_rng(9)
         ds = MultiViewDataset(views=(rng.normal(size=(100, 30)) + 10.0,))
-        out = dataset.corrupt_block(ds, CorruptionSpec("block-zero", 0.25, 4))
+        out = dataset.corrupt(ds, CorruptionSpec("block-zero", 0.25, 4))
         for i in range(30):
             zeros = np.nonzero(out.views[0][:, i] == 0.0)[0]
             assert len(zeros) == 25
@@ -176,9 +241,9 @@ class TestCorruption:
 
     def test_block_identity_and_full(self):
         ds = make_random_ds(seed=10, dims=(10,), n=5)
-        ident = dataset.corrupt_block(ds, CorruptionSpec("block-zero", 0.0, 0))
+        ident = dataset.corrupt(ds, CorruptionSpec("block-zero", 0.0, 0))
         np.testing.assert_array_equal(ident.views[0], ds.views[0])
-        full = dataset.corrupt_block(ds, CorruptionSpec("block-zero", 1.0, 0))
+        full = dataset.corrupt(ds, CorruptionSpec("block-zero", 1.0, 0))
         assert np.all(full.views[0] == 0.0)
 
     def test_shapes_and_labels_preserved(self):
@@ -194,10 +259,31 @@ class TestCorruption:
     def test_reproducible(self):
         ds = make_random_ds(seed=12)
         spec = CorruptionSpec("gaussian-fraction", 0.4, 77)
-        a = dataset.corrupt_gaussian(ds, spec)
-        b = dataset.corrupt_gaussian(ds, spec)
+        a = dataset.corrupt(ds, spec)
+        b = dataset.corrupt(ds, spec)
         for va, vb in zip(a.views, b.views):
             np.testing.assert_array_equal(va, vb)
+
+    @pytest.mark.parametrize("fraction, d, width", [
+        (0.07, 100, 7), (0.14, 50, 7), (0.28, 225, 63), (0.56, 100, 56), (0.25, 10, 3),
+    ])
+    def test_block_width_is_exact_for_the_written_decimal(self, fraction, d, width):
+        # 0.07 * 100 is 7.000000000000001 in floating point, whose ceiling is 8
+        ds = MultiViewDataset(views=(np.full((d, 6), 5.0),))
+        out = dataset.corrupt(ds, CorruptionSpec("block-zero", fraction, 1))
+        np.testing.assert_array_equal(np.sum(out.views[0] == 0.0, axis=0), width)
+
+    def test_matches_per_sample_reference(self):
+        rng = np.random.default_rng(13)
+        for case in range(200):
+            kind = ("gaussian-fraction", "block-zero")[case % 2]
+            fraction = rng.choice([0.0, 1.0, rng.random()], p=[0.1, 0.1, 0.8])
+            dims = tuple(rng.integers(1, 40, size=rng.integers(1, 4)))
+            ds = make_random_ds(seed=case, dims=dims, n=int(rng.integers(0, 30)))
+            spec = CorruptionSpec(kind, float(fraction), int(rng.integers(2 ** 31)))
+            want = MultiViewDataset(views=reference_corrupt(ds, spec))
+            for got, ref in zip(dataset.corrupt(ds, spec).views, want.views):
+                assert got.tobytes() == ref.tobytes(), (case, spec, ds.dims)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -231,6 +231,16 @@ class TestTrain:
         assert U.shape[1] < model.W.shape[0]
         np.testing.assert_allclose(U @ (U.T @ model.W), model.W, atol=1e-12)
 
+    def test_non_finite_data_rejected_before_train(self):
+        # the dataset gate names the value; train never reaches k-means with it
+        views = [v.copy() for v in dataset.synth_multiview(4, 25, (10, 12), seed=0).views]
+        views[1][3, 7] = np.nan
+        with pytest.raises(dataset.DatasetFormatError, match="view 1: value nan at row 3, col 7"):
+            hash_trainer.train(
+                MultiViewDataset(views=tuple(views)), HyperParams(P=8), seed=0,
+                **small_train_kwargs(),
+            )
+
     def test_negative_kernel_r_rejected(self):
         with pytest.raises(ValueError, match="KernelSelectConfig.R"):
             KernelSelectConfig(R=-3)
