@@ -30,6 +30,35 @@ def svt(mtx, tau):
 # The Gram path resolves tau only above this multiple of sqrt(eps) * s_max.
 _GRAM_MIN_TAU = 1e3 * np.sqrt(np.finfo(float).eps)
 
+# Long-side entries per block when a float32 Gram is formed in float64: a
+# 200 x 1024 float64 block stays under 2 MB.
+_GRAM_CHUNK = 1024
+
+
+def _as_float(x):
+    """x as an array of float32 if it holds float32, else of float64 (without
+    a copy when it is one already): the solvers compute in float32 only when
+    they are handed float32."""
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(float, copy=False)
+
+
+def _gram(mtx):
+    """The float64 Gram matrix of the short side of mtx (mtx mtx^T when
+    rows <= cols) and whether mtx is wide. A float32 mtx is cast _GRAM_CHUNK
+    long-side entries at a time, so no full-size float64 copy is made."""
+    wide = mtx.shape[0] <= mtx.shape[1]
+    short = mtx if wide else mtx.T
+    if mtx.dtype != np.float32:
+        return short @ short.T, wide
+    gram = np.zeros((short.shape[0],) * 2)
+    buf = np.empty((short.shape[0], min(_GRAM_CHUNK, short.shape[1])))
+    for start in range(0, short.shape[1], _GRAM_CHUNK):
+        block = buf[:, :short.shape[1] - start]   # the last block may be narrower
+        block[...] = short[:, start:start + _GRAM_CHUNK]
+        gram += block @ block.T
+    return gram, wide
+
 
 def svt_factors(mtx, tau):
     """svt(mtx, tau) as rank-r factors (left (rows, r), right (r, cols)) with
@@ -38,51 +67,53 @@ def svt_factors(mtx, tau):
     column space, largest singular value first); and whether the full SVD was
     taken.
 
-    The singular pairs come from eigh of the Gram matrix of the short side
-    (mtx mtx^T when rows <= cols), so the cost is one small eigenproblem plus
-    products with the few kept pairs. Its diagonal holds the sums of squares
-    of the rows (columns), so it is finite exactly when every entry is finite
-    and no square overflows; any other mtx is rejected with ValueError. Gram
-    eigenvalues carry an absolute error of about eps * s_max^2, which resolves
-    a singular value s only to about eps * s_max^2 / s; when
-    tau <= 1e3 * sqrt(eps) * s_max the values near tau drown in that error,
-    and the full SVD of mtx is taken instead.
+    The singular pairs come from eigh of the float64 Gram matrix of the short
+    side (mtx mtx^T when rows <= cols; see _gram), so the cost is one small
+    eigenproblem plus products with the few kept pairs. Its diagonal holds the
+    sums of squares of the rows (columns), so it is finite exactly when every
+    entry is finite and no square overflows; any other mtx is rejected with
+    ValueError. Gram eigenvalues carry an absolute error of about
+    eps * s_max^2, which resolves a singular value s only to about
+    eps * s_max^2 / s; when tau <= 1e3 * sqrt(eps) * s_max the values near tau
+    drown in that error, and the full SVD of mtx (in float64) is taken
+    instead. The factors keep the dtype of a float32 mtx; U is float64.
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    mtx = np.asarray(mtx, dtype=float)
-    wide = mtx.shape[0] <= mtx.shape[1]
+    mtx = _as_float(mtx)
     with np.errstate(over="ignore", invalid="ignore"):   # rejected just below
-        gram = mtx @ mtx.T if wide else mtx.T @ mtx
+        gram, wide = _gram(mtx)
     if not np.all(np.isfinite(np.diagonal(gram))):
         raise ValueError("svt input must be finite, with no square that overflows")
+    dtype = mtx.dtype
     try:
         lam, vec = np.linalg.eigh(gram)
         s = np.sqrt(np.maximum(lam, 0.0))
         if tau <= _GRAM_MIN_TAU * s.max(initial=0.0):
-            u, s, vt = np.linalg.svd(mtx, full_matrices=False)
+            u, s, vt = np.linalg.svd(mtx.astype(float, copy=False), full_matrices=False)
             s = np.maximum(s - tau, 0.0)
             keep = s > 0
-            return u[:, keep] * s[keep], vt[keep], u[:, keep], True
+            u, vt = u[:, keep], vt[keep].astype(dtype, copy=False)
+            return (u * s[keep]).astype(dtype, copy=False), vt, u, True
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"SVD or Gram eigh did not converge on a {mtx.shape} matrix: {exc}"
         ) from exc
     keep = np.flatnonzero(s > tau)[::-1]
     v, s = vec[:, keep], s[keep]
+    shrink = (s - tau) / s
+    vd = v.astype(dtype, copy=False)
     if wide:   # v holds left singular vectors: Q = V diag((s-tau)/s) V^T mtx
-        return v * ((s - tau) / s), v.T @ mtx, v, False
-    mv = mtx @ v   # v holds right singular vectors: mtx v = U diag(s)
-    return mv * ((s - tau) / s), v.T, mv / s, False
+        return (v * shrink).astype(dtype, copy=False), vd.T @ mtx, v, False
+    mv = mtx @ vd   # v holds right singular vectors: mtx v = U diag(s)
+    return mv * shrink.astype(dtype, copy=False), vd.T, mv / s, False
 
 
 def _singular_values(mtx):
-    """Singular values of mtx, in ascending order, from eigvalsh of the Gram
-    matrix of its short side. Each carries an absolute error of about
-    eps * s_max^2 / s, which the spectral and nuclear norms tolerate."""
-    mtx = np.asarray(mtx, dtype=float)
-    gram = mtx @ mtx.T if mtx.shape[0] <= mtx.shape[1] else mtx.T @ mtx
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0))
+    """Singular values of mtx, in ascending order, from eigvalsh of the float64
+    Gram matrix of its short side (see _gram). Each carries an absolute error
+    of about eps * s_max^2 / s, which the spectral and nuclear norms tolerate."""
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(_as_float(mtx))[0]), 0.0))
 
 
 def col_l21_prox(c, kappa, out=None, work=None):
@@ -97,7 +128,7 @@ def col_l21_prox(c, kappa, out=None, work=None):
     """
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
-    c = np.asarray(c, dtype=float)
+    c = _as_float(c)
     norms = np.sqrt(np.add.reduce(np.multiply(c, c, out=work), axis=0))
     scale = np.zeros_like(norms)
     nz = norms > 0
@@ -107,8 +138,8 @@ def col_l21_prox(c, kappa, out=None, work=None):
 
 def project_nonneg(v, out=None):
     """Elementwise projection onto the nonnegative orthant, into out when
-    given (which may be v itself)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0, out=out)
+    given (which may be v itself). Float32 stays float32 (see _as_float)."""
+    return np.maximum(_as_float(v), 0.0, out=out)
 
 
 def project_simplex(v):

@@ -19,6 +19,11 @@ from .lowrank_alm import ALMConfig
 # Columns per kernel block in embed: 1024 x R float64 stays a few MB.
 _CHUNK = 1024
 
+# train hands the ALM float32 kernels with every entry below sqrt(float32
+# tiny) set to 0, as kernel_sim floors float64 kernels at sqrt(float64 tiny):
+# no product of two kept entries is subnormal.
+_FLOAT32_FLOOR = np.sqrt(np.finfo(np.float32).tiny)
+
 
 @dataclass
 class HyperParams:
@@ -132,12 +137,11 @@ def _solve_view_codes(graph, Y, gamma):
 
 
 def _orthogonalize(Y):
-    """Closest decorrelated, equal-energy relaxation: Y (Y^T Y)^{-1/2} sqrt(N)."""
-    n = Y.shape[0]
-    evals, evecs = np.linalg.eigh(Y.T @ Y)
-    evals = np.maximum(evals, 1e-12 * max(evals.max(), 1.0))
-    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    return Y @ inv_sqrt * np.sqrt(n)
+    """Closest matrix with decorrelated, equal-energy columns, Y^T Y = N I: the
+    polar factor sqrt(N) U V^T of the thin SVD Y = U S V^T. It keeps the
+    constraint even when Y has lost rank, so the code step stays a minimiser."""
+    u, _, vt = np.linalg.svd(Y, full_matrices=False)
+    return (u @ vt) * np.sqrt(Y.shape[0])
 
 
 def update_codes(state, graphs, Khat, W, b, hp):
@@ -210,8 +214,9 @@ def train(
     one k-means per distinct count: view m's anchor graph takes view m's block
     of the set at graph_cfg.L, the kernel similarities the set at R, and a
     base set of Z < N centers the set at Z when Z is L or R. It recovers the
-    consensus Khat by inexact ALM (or the plain view average when recovery is
-    off), then alternates the closed-form (W, b) solve with the code sweep
+    consensus Khat by inexact ALM on float32 copies of the view kernels (or
+    the float64 view average when recovery is off), then alternates the
+    closed-form (W, b) solve with the code sweep
     until the relative change of the outer objective (see objective) drops
     below hp.outer_tol. The ALM runs with alm_cfg, ALMConfig() by default,
     the one place its alpha and lam are set. With recovery, W is finally
@@ -249,6 +254,11 @@ def train(
 
     diag = TrainDiagnostics()
     if recovery:
+        # the ALM is bound by memory traffic over R x N arrays, so it sweeps in
+        # float32; the float64 kernels are dropped before it runs
+        K_list = [K.astype(np.float32) for K in K_list]
+        for K in K_list:
+            K *= K >= _FLOAT32_FLOOR
         Khat, _, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
         diag.alm = alm_diag
         if alm_diag.U.shape[1] == 0:

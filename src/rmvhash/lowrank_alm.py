@@ -20,6 +20,11 @@ into the buffer it already fills. E^(m), Khat, the column norms' squares and
 the violations of the multiplier step are computed in place, in the state's
 own arrays and one R x N scratch buffer, so a sweep that takes no full SVD
 allocates no R x N array.
+
+The sweeps compute in the dtype of the kernels: float32 kernels give float32
+state, which halves the memory traffic that bounds a sweep, and any other
+kernels are taken as float64. The thresholding's Gram matrix and the initial
+penalty come from a float64 Gram matrix either way (see core_math._gram).
 """
 
 from dataclasses import dataclass, field
@@ -58,7 +63,7 @@ class ALMState:
     A: list                       # multipliers for K = Khat + E, divided by mu
     B: np.ndarray                 # multiplier for Khat = Q, divided by mu
     work: np.ndarray              # (R, N) scratch reused by every update
-    mu: float
+    mu: float                     # np.float32 in float32 state
     U: np.ndarray | None = None   # (R, rank Q), orthonormal basis of range(Q)
     svd_fallbacks: int = 0        # update_Q calls whose SVT took the full SVD
 
@@ -74,7 +79,11 @@ class ALMDiagnostics:
 
 
 def init_state(K_list, cfg):
-    K_list = [np.asarray(K, dtype=float) for K in K_list]
+    """The state before the first sweep. Every array has the dtype of the
+    kernels when they are all float32, and is float64 otherwise; mu is a
+    scalar of that dtype, so every step stays in it."""
+    dtype = np.float32 if all(np.asarray(K).dtype == np.float32 for K in K_list) else float
+    K_list = [np.asarray(K, dtype=dtype) for K in K_list]
     shape = K_list[0].shape
     for m, K in enumerate(K_list):
         if K.shape != shape:
@@ -88,12 +97,12 @@ def init_state(K_list, cfg):
         K_list=K_list,
         K_norms=[max(np.linalg.norm(K, "fro"), 1e-12) for K in K_list],
         Khat=Khat,
-        Q=(np.zeros((shape[0], 0)), np.zeros((0, shape[1]))),   # Q = 0 until update_Q
-        E=[np.zeros(shape) for _ in K_list],
-        A=[np.zeros(shape) for _ in K_list],
-        B=np.zeros(shape),
-        work=np.empty(shape),
-        mu=float(mu),
+        Q=(np.zeros((shape[0], 0), dtype), np.zeros((0, shape[1]), dtype)),  # Q = 0 until update_Q
+        E=[np.zeros(shape, dtype) for _ in K_list],
+        A=[np.zeros(shape, dtype) for _ in K_list],
+        B=np.zeros(shape, dtype),
+        work=np.empty(shape, dtype),
+        mu=dtype(mu),
     )
 
 
@@ -159,6 +168,8 @@ def recover(K_list, cfg=None):
 
     Returns (Khat, E_list, diagnostics); non-convergence within max_iters is
     reported via diagnostics.converged, not raised; diagnostics.U spans the last Q.
+    The sweeps run in float32 when every kernel is float32 (see init_state)
+    and in float64 otherwise; Khat is returned as float64 either way.
     """
     cfg = cfg or ALMConfig()
     state = init_state(K_list, cfg)
@@ -177,4 +188,4 @@ def recover(K_list, cfg=None):
             break
     diag.U = state.U
     diag.svd_fallbacks = state.svd_fallbacks
-    return state.Khat, state.E, diag
+    return state.Khat.astype(float, copy=False), state.E, diag

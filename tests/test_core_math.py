@@ -353,6 +353,25 @@ class TestSvt:
         assert got[-1] == pytest.approx(s[0], rel=1e-14)
         assert got.sum() == pytest.approx(s.sum(), rel=1e-10)
 
+    @pytest.mark.parametrize("shape", [(40, 3000), (3000, 40)], ids=["wide", "tall"])
+    @pytest.mark.parametrize("full_svd", [False, True])
+    def test_float32_input_keeps_float32_factors(self, shape, full_svd):
+        # the Gram matrix is float64, formed over blocks of _GRAM_CHUNK
+        # columns (the last one narrower); U stays float64
+        m = self.rank_10_plus_noise(shape, 12).astype(np.float32)
+        m64 = m.astype(float)
+        s = np.linalg.svd(m64, compute_uv=False)
+        tau = 0.0 if full_svd else 0.5 * s[9]
+        left, right, u, took_svd = core_math.svt_factors(m, tau)
+        want_q, want_u = self.svd_oracle(m64, tau)
+        assert took_svd == full_svd
+        assert left.dtype == right.dtype == np.float32 and u.dtype == np.float64
+        assert u.shape == want_u.shape
+        assert np.linalg.norm(left @ right - want_q) <= 1e-6 * np.linalg.norm(want_q)
+        np.testing.assert_allclose(
+            core_math._singular_values(m)[::-1][:10], s[:10], rtol=1e-12
+        )
+
     @pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["wide", "tall"])
     def test_tau_above_spectrum_gives_zero(self, shape):
         m = self.rank_10_plus_noise(shape, 7)

@@ -350,6 +350,75 @@ class TestTrain:
         codes_perm = hash_trainer.encode_database(model, Khat[:, perm])
         np.testing.assert_array_equal(codes_perm, codes[perm])
 
+    def test_recover_gets_float32_kernels(self, monkeypatch):
+        # the ALM sweeps in float32, on kernels floored at sqrt(float32 tiny);
+        # the average that replaces it without recovery stays float64
+        seen, recover = [], lowrank_alm.recover
+        monkeypatch.setattr(
+            lowrank_alm, "recover", lambda K_list, cfg: seen.extend(K_list) or recover(K_list, cfg)
+        )
+        ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
+        _, _, Khat, _ = hash_trainer.train(ds, HyperParams(P=8), **small_train_kwargs())
+        assert len(seen) == 2 and Khat.dtype == np.float64
+        tiny = np.sqrt(np.finfo(np.float32).tiny)
+        for K in seen:
+            assert K.dtype == np.float32
+            assert not np.any((K > 0) & (K < tiny))
+        _, _, Khat, _ = hash_trainer.train(
+            ds, HyperParams(P=8), recovery=False, **small_train_kwargs()
+        )
+        assert len(seen) == 2 and Khat.dtype == np.float64
+
+
+def criterion_3_train(monkeypatch=None, g_seed=None):
+    """train on criterion 3's recipe; with g_seed, recover's Khat is first
+    multiplied by (1 + 1e-15 g), g standard normal drawn with that seed."""
+    if g_seed is not None:
+        recover = lowrank_alm.recover
+
+        def perturbed(K_list, cfg):
+            Khat, E_list, diag = recover(K_list, cfg)
+            g = np.random.default_rng(g_seed).standard_normal(Khat.shape)
+            return Khat * (1.0 + 1e-15 * g), E_list, diag
+
+        monkeypatch.setattr(lowrank_alm, "recover", perturbed)
+    ds = dataset.synth_multiview(6, 60, (16, 20), seed=0)
+    return hash_trainer.train(
+        ds, HyperParams(P=16, outer_iters=60),
+        graph_cfg=GraphConfig(L=30, k=3),
+        kernel_cfg=KernelSelectConfig(R=30),
+        oos_cfg=OosConfig(Z=50, k_oos=15),
+        seed=0,
+    )
+
+
+class TestOrthonormalCodes:
+    """The code step returns the polar factor of its target, so Y^T Y = N I
+    holds even where the target has lost rank, and every block step of the
+    outer loop is an exact minimiser."""
+
+    def test_codes_keep_constraint(self):
+        _, state, _, _ = criterion_3_train()
+        n, p = state.Y.shape
+        np.testing.assert_allclose(state.Y.T @ state.Y / n, np.eye(p), rtol=0, atol=1e-10)
+
+    def test_objective_never_rises(self):
+        traces = [criterion_3_train()[3].objective_trace]
+        ds = dataset.synth_multiview(6, 40, (12, 16), seed=0)
+        traces.append(hash_trainer.train(
+            ds, HyperParams(P=16, outer_iters=60), seed=0, **small_train_kwargs()
+        )[3].objective_trace)
+        for trace in traces:
+            trace = np.array(trace)
+            assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1])), trace
+
+    @pytest.mark.parametrize("g_seed", range(3))
+    def test_convergence_survives_rounding_of_khat(self, monkeypatch, g_seed):
+        want = criterion_3_train()[3]
+        got = criterion_3_train(monkeypatch, g_seed)[3]
+        assert want.converged and got.converged
+        assert got.outer_iterations == want.outer_iterations
+
 
 class TestEncoding:
     def test_zero_w_uses_bias_sign(self):

@@ -486,3 +486,97 @@ class TestInvariants:
             state.Khat = lowrank_alm.update_Khat(state, cfg)
             assert state.Khat.min() >= 0
             lowrank_alm.update_multipliers(state, cfg)
+
+
+class TestFloat32:
+    """float32 kernels give float32 sweeps; every other input runs in float64."""
+
+    @staticmethod
+    def float32_views(seed):
+        return [K.astype(np.float32) for K in planted_views(seed)]
+
+    def test_matches_out_of_place_reference(self, monkeypatch):
+        # the reference takes its starting mu from a float32 Gram matrix and
+        # recover from a float64 one; given the reference's mu, every sweep
+        # matches it bit for bit
+        monkeypatch.setattr(
+            core_math, "_singular_values",
+            lambda m: np.sqrt(np.maximum(np.linalg.eigvalsh(m @ m.T), 0.0)),
+        )
+        K_list = self.float32_views(27)
+        cfg = ALMConfig(alpha=0.05, lam=0.3)
+        Khat, E_list, diag = lowrank_alm.recover(K_list, cfg)
+        want, sweeps = reference_recover(K_list, cfg)
+        assert want.dtype == np.float32 and Khat.dtype == np.float64
+        assert all(E.dtype == np.float32 for E in E_list)
+        assert diag.converged
+        assert diag.iterations == sweeps
+        np.testing.assert_array_equal(Khat, want)
+
+    def test_float32_state_and_sweep_memory(self):
+        # the float64 Gram matrix is formed in column blocks, so a float32
+        # sweep still allocates less than one R x N float32 array
+        rng = np.random.default_rng(33)
+        Kstar = planted_nonneg_lowrank(rng, 40, 4000, 3).astype(np.float32)
+        K_list = [corrupt_columns(rng, Kstar, rng.choice(4000, 80, replace=False))
+                  for _ in range(3)]
+        cfg = ALMConfig(alpha=0.05, lam=0.3)
+        state = lowrank_alm.init_state(K_list, cfg)
+        arrays = [*state.K_list, *state.E, *state.A, state.B, state.Khat, state.work]
+        assert all(x.dtype == np.float32 for x in arrays)
+        assert state.mu.dtype == np.float32
+        assert all(K is K0 for K, K0 in zip(state.K_list, K_list))
+
+        def sweep():
+            state.Q = lowrank_alm.update_Q(state, cfg)
+            for m in range(3):
+                state.E[m] = lowrank_alm.update_E(state, cfg, m)
+            state.Khat = lowrank_alm.update_Khat(state, cfg)
+            lowrank_alm.update_multipliers(state, cfg)
+
+        sweep()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.svd_fallbacks == 0
+        assert 0 < state.U.shape[1] < 40
+        assert all(x.dtype == np.float32 for x in (*state.Q, *state.E, state.Khat, state.B))
+        assert (peak - base) / Kstar.nbytes < 1
+
+    @pytest.mark.parametrize("K_list", [
+        [np.ones((3, 4), np.float32), np.ones((3, 4))],
+        [np.ones((3, 4), np.float16)],
+        [[[1, 2], [3, 4]]],
+    ])
+    def test_other_input_runs_in_float64(self, K_list):
+        state = lowrank_alm.init_state(K_list, ALMConfig())
+        assert all(x.dtype == np.float64 for x in (*state.K_list, state.Khat, state.work))
+
+    def test_planted_recovery_in_float32(self):
+        # criterion 2's planted settings, handed float32 kernels
+        from test_acceptance import planted_instance
+        Kstar, K_list, supports = planted_instance()
+        cfg = ALMConfig(alpha=0.01, lam=1.0, rho=1.05, max_iters=300, tol=1e-6)
+        Khat, E_list, diag = lowrank_alm.recover([K.astype(np.float32) for K in K_list], cfg)
+        assert diag.converged and diag.fit_residuals[-1] < 1e-6
+        assert np.linalg.norm(Khat - Kstar) <= 1e-2 * np.linalg.norm(Kstar)
+        for E, support in zip(E_list, supports):
+            top = np.argsort(np.linalg.norm(E, axis=0))[-len(support):]
+            assert len(set(top.tolist()) & support) >= 0.9 * len(support)
+
+    def test_matches_float64_on_criterion_6_kernels(self):
+        # the view kernels train builds on criterion 6's recipe at seed 0
+        from rmvhash import dataset, kernel_sim
+        ds = dataset.synth_multiview(10, 200, (32, 48), seed=0)
+        corrupted = dataset.corrupt(ds, dataset.CorruptionSpec("gaussian-fraction", 0.2, 0))
+        db, _ = dataset.split(corrupted, 200, seed=0)
+        klm = kernel_sim.select_kernel_landmarks(db, 100, seed=0)
+        K_list = kernel_sim.build_view_kernels(db, klm, kernel_sim.tune_config(db, klm, 7))
+        want, _, diag64 = lowrank_alm.recover(K_list)
+        got, _, diag32 = lowrank_alm.recover([K.astype(np.float32) for K in K_list])
+        assert diag32.U.shape[1] == diag64.U.shape[1] > 0
+        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
