@@ -1,7 +1,7 @@
 """Landmark selection and the sparse truncated-affinity (anchor) graph.
 
-The graph stores F (N x L, row-stochastic with k stored entries per row, of
-which only the nearest cannot underflow to 0) and its spectral factor
+The graph stores F (N x L, row-stochastic with at most k stored entries per
+row, of which only the nearest cannot underflow to 0) and its spectral factor
 H = F Lambda^{-1/2}, Lambda = diag(F^T 1). The approximate adjacency is
 S_hat = F Lambda^{-1} F^T = H H^T, applied through H alone so that it costs
 O(N k), and H^T H = V diag(sigma) V^T is the nonzero spectrum of S_hat
@@ -19,7 +19,7 @@ from . import core_math
 
 @dataclass(frozen=True)
 class AnchorGraph:
-    F: sp.csr_matrix         # (N, L), row-stochastic, k stored entries per row
+    F: sp.csr_matrix         # (N, L), row-stochastic, at most k stored entries per row
     H: sp.csr_matrix         # (N, L), F Lambda^{-1/2}
     sigma: np.ndarray        # (L,), eigenvalues of H^T H, clamped to [0, 1]
     V: np.ndarray            # (L, L), orthonormal eigenvectors of H^T H
@@ -43,8 +43,8 @@ def build_truncated_affinity(view, landmarks, k):
     For each sample, the k nearest landmarks get the core_math.knn_weights
     of exp(-d^2/t); all other entries are zero. The bandwidth t is the mean
     squared distance from the samples to their k-th nearest landmark (1 if
-    that is 0). Landmarks that attract no sample are dropped, and the
-    survivors are selected again from the same distances with the same t.
+    that is 0). Landmarks that attract no sample are dropped; a sample that
+    picked one gave it weight 0 and keeps fewer than k stored entries.
     """
     import scipy.sparse as sp  # here, so that only training loads scipy
     view = np.asarray(view, dtype=float)
@@ -55,15 +55,12 @@ def build_truncated_affinity(view, landmarks, k):
     d2 = core_math.sq_dists(view.T, landmarks)
     t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
     t = t if t > 0 else 1.0
+    order, w = core_math.knn_weights(d2, k, t)
     rows = np.repeat(np.arange(view.shape[1]), k)
-    while True:
-        order, w = core_math.knn_weights(d2, k, t)
-        F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=d2.shape)
-        col_mass = np.asarray(F.sum(axis=0)).ravel()
-        dead = col_mass <= 0
-        if not dead.any():
-            break
-        d2 = d2[:, ~dead]
+    F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=d2.shape)
+    col_mass = np.asarray(F.sum(axis=0)).ravel()
+    alive = col_mass > 0
+    F, col_mass = F[:, alive], col_mass[alive]
     H = F @ sp.diags(1.0 / np.sqrt(col_mass))
     sigma, V = np.linalg.eigh((H.T @ H).toarray())
     return AnchorGraph(F=F, H=H, sigma=np.clip(sigma, 0.0, 1.0), V=V)

@@ -76,7 +76,6 @@ _TRAIN_FIELDS = {
     "graph_l": (GraphConfig, "L"),
     "graph_k": (GraphConfig, "k"),
     "kernel_r": (KernelSelectConfig, "R"),
-    "self_tuning_k": (KernelSelectConfig, "self_tuning_k"),
     "alm_tol": (ALMConfig, "tol"),
     "alm_max_iters": (ALMConfig, "max_iters"),
     "alm_rho": (ALMConfig, "rho"),

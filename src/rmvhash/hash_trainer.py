@@ -19,12 +19,6 @@ from .lowrank_alm import ALMConfig
 # Columns per kernel block in embed: 1024 x R float64 stays a few MB.
 _CHUNK = 1024
 
-# train hands the ALM float32 kernels with every entry below sqrt(float32
-# tiny) set to 0, as kernel_sim floors float64 kernels at sqrt(float64 tiny):
-# no product of two kept entries is subnormal.
-_FLOAT32_FLOOR = np.sqrt(np.finfo(np.float32).tiny)
-
-
 @dataclass
 class HyperParams:
     """Settings of the outer loop. The ALM's weights alpha and lam are set on
@@ -58,11 +52,9 @@ class GraphConfig:
 @dataclass
 class KernelSelectConfig:
     R: int = 0                  # 0: same as graph L
-    self_tuning_k: int = 7
 
     def __post_init__(self):
         check_range(self, 0, "R")
-        check_range(self, 1, "self_tuning_k")
 
 
 @dataclass
@@ -238,7 +230,6 @@ def train(
         ("KernelSelectConfig.R", R, "N", n),
         ("HyperParams.P", hp.P, "N", n),
         ("GraphConfig.k", graph_cfg.k, "GraphConfig.L", graph_cfg.L),
-        ("KernelSelectConfig.self_tuning_k", kernel_cfg.self_tuning_k, "R", R),
     ):
         if value > limit:
             raise ValueError(f"{name}={value} exceeds {limit_name}={limit}")
@@ -249,16 +240,15 @@ def train(
         for view, z in zip(ds.views, joint[graph_cfg.L].blocks)
     ]
     klm = joint[R]
-    kcfg = kernel_sim.tune_config(ds, klm, kernel_cfg.self_tuning_k)
+    kcfg = kernel_sim.tune_config(ds, klm, min(kernel_sim.SELF_TUNING_K, R))
     K_list = kernel_sim.build_view_kernels(ds, klm, kcfg)
 
     diag = TrainDiagnostics()
     if recovery:
         # the ALM is bound by memory traffic over R x N arrays, so it sweeps in
-        # float32; the float64 kernels are dropped before it runs
+        # float32 (kernel_sim's floor holds there too); the float64 kernels
+        # are dropped before it runs
         K_list = [K.astype(np.float32) for K in K_list]
-        for K in K_list:
-            K *= K >= _FLOAT32_FLOOR
         Khat, _, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
         diag.alm = alm_diag
         if alm_diag.U.shape[1] == 0:
@@ -290,7 +280,7 @@ def train(
 
     model = HashModel(
         W=W, b=b, landmarks=klm, kernel_config=kcfg,
-        meta={"N": n, "seed": seed, "recovery": recovery},
+        meta={"N": n, "seed": int(seed), "recovery": recovery},
     )
     Z = min(oos_cfg.Z, n)
     model.base_set = oos_encoder.build_base_set(

@@ -56,19 +56,18 @@ def self_tuning_sigma(view, z_view, k_st):
     return sigma
 
 
-# Kernel entries below sqrt(tiny) are set to 0: the product of two kept
-# entries is then a normal float, so no Gram product or K^T W over kernels
-# takes the slow subnormal path. A dropped entry is below 1.5e-154; the
-# kernel's peak is 1. exp is itself about 100 times slower where its result
-# underflows, so exponents are first clamped at _FLOOR_EXPONENT, whose exp,
-# floor / e, is zeroed like every other entry below the floor.
-_KERNEL_FLOOR = np.sqrt(np.finfo(float).tiny)
+# Kernel entries below sqrt(float32 tiny) = 2^-63 (about 1.1e-19) are set to 0,
+# so no product of two kept entries is subnormal in float64 or float32, the
+# ALM's dtype, into which a kept entry casts at or above 2^-63. exp is about
+# 100 times slower where its result underflows, so exponents are first clamped
+# at _FLOOR_EXPONENT, whose exp, floor / e, is zeroed like every entry below it.
+_KERNEL_FLOOR = float(np.sqrt(np.finfo(np.float32).tiny))
 _FLOOR_EXPONENT = math.log(_KERNEL_FLOOR) - 1.0
 
 
 def build_kernel_matrix(view, z_view, sigma):
     """R x N matrix with entries exp(-||z_r - x_i||^2 / (2 sigma^2)), each
-    entry below sqrt(tiny) set to exactly 0."""
+    entry below _KERNEL_FLOOR set to exactly 0."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     view = np.asarray(view, dtype=float)
@@ -82,6 +81,9 @@ def build_kernel_matrix(view, z_view, sigma):
     np.exp(np.maximum(K, _FLOOR_EXPONENT, out=K), out=K)
     K *= K >= _KERNEL_FLOOR
     return K
+
+
+SELF_TUNING_K = 7    # train tunes at the min(7, R)-th nearest landmark
 
 
 def tune_config(ds, landmarks, self_tuning_k):

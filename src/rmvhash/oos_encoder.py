@@ -44,7 +44,7 @@ def make_base_set(model, centers, k_oos):
     from . import hash_trainer  # local import: model embedding path
 
     embeddings = hash_trainer.embed(model, centers.T)
-    return BaseSet(centers, embeddings, _center_bandwidth(centers), min(k_oos, len(centers)))
+    return BaseSet(centers, embeddings, _center_bandwidth(centers), int(min(k_oos, len(centers))))
 
 
 def build_base_set(ds, model, Z, k_oos, seed=0, centers=None):

@@ -124,8 +124,8 @@ class TestTruncatedAffinity:
         assert np.all(g.F.sum(axis=0) > 0)
 
     def test_drop_path_matches_graph_on_survivors(self):
-        # the survivors are selected again from the first pass's distances
-        # with the same t: the graph built directly on them, and its oracle
+        # dropping the dead landmarks' columns gives the graph built directly
+        # on the survivors, and its oracle
         view = toy_view(seed=14, d=3, n=30)
         far = np.full((2, 3), 1e3)
         lm = np.vstack([view.T[:2], far, view.T[5:9]])
@@ -138,6 +138,24 @@ class TestTruncatedAffinity:
             g.F.toarray(), dense_affinity_oracle(view, survivors, 3), rtol=0, atol=1e-14
         )
         np.testing.assert_allclose(g.sigma, direct.sigma, rtol=0, atol=1e-14)
+
+
+    def test_dead_landmark_picked_with_weight_0(self):
+        # the far sample's second pick, (150, 0), gets weight exp(-2500 / t) = 0
+        # and no other sample picks it; its column goes, and the sample keeps
+        # one stored entry. Its distance still counts towards t, so F is the
+        # oracle over all four landmarks without that all-zero column
+        rng = np.random.default_rng(0)
+        view = np.hstack([rng.normal(scale=0.01, size=(2, 1000)), [[100.0], [0.0]]])
+        lm = np.array([[0.0, 0.0], [0.02, 0.0], [100.0, 0.0], [150.0, 0.0]])
+        g = anchor_graph.build_truncated_affinity(view, lm, k=2)
+        F = g.F.toarray()
+        assert F.shape == (1001, 3)
+        np.testing.assert_allclose(F.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        oracle = dense_affinity_oracle(view, lm, 2)
+        assert not oracle[:, 3].any()
+        np.testing.assert_allclose(F, oracle[:, :3], rtol=0, atol=1e-14)
+        assert g.F[1000].nnz == 1
 
 
 class TestApply:

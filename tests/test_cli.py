@@ -164,7 +164,6 @@ class TestTrainArtifacts:
         ("--oos-z", "OosConfig.Z"),
         ("--graph-l", "GraphConfig.L"),
         ("--graph-k", "GraphConfig.k"),
-        ("--self-tuning-k", "KernelSelectConfig.self_tuning_k"),
     ])
     def test_count_below_1_rejected(self, workspace, tmp_path, capsys, flag, field):
         assert run([
@@ -267,6 +266,19 @@ class TestTrainArtifacts:
         assert "alhpa" in capsys.readouterr().err
         assert not (tmp_path / "m.rmvm").exists()
 
+    def test_self_tuning_k_is_no_setting(self, workspace, tmp_path, capsys):
+        # the bandwidth always takes the min(7, R)-th nearest landmark
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("self_tuning_k=7\n")
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
+        ]) == 1
+        assert "self_tuning_k" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["train", "--manifest", "m", "--model", "o", "--self-tuning-k", "7"])
+        assert not (tmp_path / "m.rmvm").exists()
+
     @pytest.mark.parametrize("raw, key", [
         ("bits=4\nbits=16\n", "'bits'"), ("outer-iters=3\nouter_iters=4\n", "outer_iters"),
     ], ids=["same-spelling", "dash-and-underscore"])
@@ -298,7 +310,6 @@ class TestTrainArtifacts:
     @pytest.mark.parametrize("flag, value, field", [
         ("--bits", "101", "HyperParams.P"),
         ("--graph-k", "13", "GraphConfig.k"),
-        ("--self-tuning-k", "13", "KernelSelectConfig.self_tuning_k"),
     ])
     def test_setting_beyond_data_rejected(self, workspace, tmp_path, capsys, flag, value, field):
         # the db has N = 100 items and TRAIN_FLAGS set L = R = 12

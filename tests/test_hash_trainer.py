@@ -254,12 +254,10 @@ class TestTrain:
         pytest.param("HyperParams.P", HyperParams(P=32), {}, id="P"),
         pytest.param("GraphConfig.k", HyperParams(P=8),
                      dict(graph_cfg=GraphConfig(L=10, k=11)), id="k"),
-        pytest.param("KernelSelectConfig.self_tuning_k", HyperParams(P=8),
-                     dict(kernel_cfg=KernelSelectConfig(R=10, self_tuning_k=11)), id="k_st"),
     ])
     def test_unsatisfiable_setting_rejected_before_kmeans(self, monkeypatch, field, hp, cfg):
-        # on 20 items P=32 used to train 20 bits; k > L and k_st > R failed
-        # only after the k-means, without naming the setting
+        # on 20 items P=32 used to train 20 bits; k > L failed only after
+        # the k-means, without naming the setting
         def no_kmeans(*args, **kwargs):
             raise AssertionError("k-means ran before the settings were checked")
 
@@ -269,6 +267,18 @@ class TestTrain:
                   oos_cfg=OosConfig(Z=10, k_oos=5))
         with pytest.raises(ValueError, match=rf"^{field}=\d+ exceeds "):
             hash_trainer.train(ds, hp, **{**kw, **cfg})
+
+    @pytest.mark.parametrize("R, k_st", [(5, 5), (10, 7)])
+    def test_bandwidth_at_min_7_R_th_landmark(self, R, k_st):
+        # the bandwidth's neighbour is 7, capped at R, so R below 7 trains
+        ds = dataset.synth_multiview(4, 5, (6, 7), seed=0)
+        model, _, _, _ = hash_trainer.train(
+            ds, HyperParams(P=4), graph_cfg=GraphConfig(L=10),
+            kernel_cfg=KernelSelectConfig(R=R), oos_cfg=OosConfig(Z=10, k_oos=5),
+        )
+        assert model.landmarks.R == R
+        want = kernel_sim.tune_config(ds, model.landmarks, k_st)
+        assert model.kernel_config.sigmas == want.sigmas
 
     @pytest.mark.parametrize("L, R, Z, clusterings", [
         (20, 20, 20, 1), (20, 20, 25, 2), (15, 20, 20, 2), (20, 15, 20, 2),

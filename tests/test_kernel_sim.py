@@ -111,7 +111,7 @@ class TestKernelFloor:
     """Samples on a line out to 40 bandwidths from the landmarks, so that
     exp(-d^2 / (2 sigma^2)) runs through normal, subnormal and zero values."""
 
-    floor = np.sqrt(np.finfo(float).tiny)
+    floor = np.sqrt(np.finfo(np.float32).tiny)
 
     @staticmethod
     def line_input():
@@ -136,6 +136,12 @@ class TestKernelFloor:
         kept = raw >= self.floor
         assert 0 < np.count_nonzero(kept) < raw.size
         np.testing.assert_array_equal(K[kept], raw[kept])
+
+    def test_float32_cast_keeps_floor(self):
+        # train hands the ALM these kernels cast to float32, and casts only
+        K32 = kernel_sim.build_kernel_matrix(*self.line_input()).astype(np.float32)
+        assert not np.any((K32 > 0) & (K32 < self.floor))
+        assert np.any(K32 > 0) and np.any(K32 == 0)
 
 
 class TestInvariants:

@@ -13,14 +13,14 @@ from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, O
 from rmvhash.model_io import ModelFileError
 
 
-def trained(seed=0):
+def trained(seed=0, k_oos=10):
     ds = dataset.synth_multiview(3, 20, (8, 10), seed=seed)
     model, _, Khat, _ = hash_trainer.train(
         ds,
         HyperParams(P=8, outer_iters=5),
         graph_cfg=GraphConfig(L=10, k=3),
         kernel_cfg=KernelSelectConfig(R=10),
-        oos_cfg=OosConfig(Z=20, k_oos=10),
+        oos_cfg=OosConfig(Z=20, k_oos=k_oos),
         seed=seed,
     )
     return ds, model, Khat
@@ -44,6 +44,22 @@ class TestRoundTrip:
         assert back.base_set.sigma == model.base_set.sigma
         assert back.base_set.k_oos == model.base_set.k_oos == 10
         assert snapshot == {"bits": 8, "seed": 1}
+
+    def test_numpy_integer_settings_save(self, tmp_path):
+        # a numpy seed or k_oos trains the same model, and saves: the model
+        # stores them as Python ints, which JSON can write
+        ds, model, _ = trained(seed=np.int64(1), k_oos=np.int64(10))
+        _, plain, _ = trained(seed=1)
+        path = tmp_path / "m.rmvm"
+        model_io.save_model(model, path)
+        back, _ = model_io.load_model(path)
+        for m in (model, back):
+            np.testing.assert_array_equal(m.W, plain.W)
+            np.testing.assert_array_equal(m.b, plain.b)
+            np.testing.assert_array_equal(
+                hash_trainer.encode_queries(m, ds), hash_trainer.encode_queries(plain, ds)
+            )
+        assert back.meta == plain.meta and back.base_set.k_oos == 10
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         ds, model, Khat = trained(seed=2)
