@@ -1,7 +1,6 @@
 """Multi-view dataset container, view file I/O (float32 MVH1 and sign-packed
 MVS1), synthetic data, corruptions."""
 
-import gzip
 import math
 import struct
 import zlib
@@ -15,7 +14,6 @@ MAGIC = b"MVH1"          # a float32 view
 SIGN_MAGIC = b"MVS1"     # a sign-packed view, every value +1 or -1
 SIGNS = "signs"          # the pack_block / read_block dtype of a sign-packed block
 _VIEW_DTYPES = {MAGIC: "<f4", SIGN_MAGIC: SIGNS}
-COMPRESSED_SUFFIXES = (".gz", ".gzip")
 
 
 class DatasetFormatError(ValueError):
@@ -103,22 +101,14 @@ class CorruptionSpec:
             raise ValueError(f"fraction must be in [0, 1], got {self.fraction}")
 
 
-def _opener(path, mode):
-    if str(path).endswith(COMPRESSED_SUFFIXES):
-        return gzip.open(path, mode)
-    return open(path, mode)
-
-
 def save_view(path, view):
     """Write one (d_m, N) view matrix: a view whose values are all +1 or -1
     as magic "MVS1" and a sign-packed block, 24 + N * ceil(d_m / 8) bytes;
     any other as magic "MVH1" and a float32 block (see pack_block)."""
     view = np.asarray(view)
     magic = SIGN_MAGIC if np.all(np.abs(view) == 1) else MAGIC
-    block = pack_block(view, _VIEW_DTYPES[magic])
-    with _opener(path, "wb") as f:
-        f.write(magic)
-        f.write(block)
+    with open(path, "wb") as f:     # two writes: magic + block would copy the block
+        f.writelines((magic, pack_block(view, _VIEW_DTYPES[magic])))
 
 
 def pack_block(arr, dtype):
@@ -177,11 +167,7 @@ def load_view(path):
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"view file not found: {path}")
-    try:
-        with _opener(path, "rb") as f:
-            raw = f.read()
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise DatasetFormatError(f"{path}: corrupt compressed file: {exc}") from exc
+    raw = path.read_bytes()
     dtype = _VIEW_DTYPES.get(raw[:4])
     if dtype is None:
         raise DatasetFormatError(

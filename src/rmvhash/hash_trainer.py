@@ -36,8 +36,8 @@ class HyperParams:
 
     def __post_init__(self):
         check_range(self, 1, "P", "outer_iters")
-        check_range(self, 0, "gamma", "delta")
-        check_range(self, 0, "beta", "outer_tol", strict=True)
+        check_range(self, 0, "delta")
+        check_range(self, 0, "gamma", "beta", "outer_tol", strict=True)
 
 
 @dataclass
@@ -137,16 +137,11 @@ def _orthogonalize(Y):
 
 
 def update_codes(state, graphs, Khat, W, b, hp):
-    """One sweep over the code blocks: per-view smoothing solves, consensus
-    averaging against the regression output, orthogonalization."""
-    reg = Khat.T @ W + b
-    if hp.gamma > 0:
-        y_view = [_solve_view_codes(g, state.Y, hp.gamma) for g in graphs]
-        m = len(graphs)
-        Y = (hp.gamma * np.sum(y_view, axis=0) + hp.beta * reg) / (hp.gamma * m + hp.beta)
-    else:
-        y_view = [state.Y.copy() for _ in graphs]
-        Y = reg
+    """One sweep over the code blocks: per-view smoothing solves, then the
+    consensus, the polar factor of gamma sum_m Y^(m) + beta (Khat^T W + b);
+    a polar factor is scale-invariant, so the target needs no normalising."""
+    y_view = [_solve_view_codes(g, state.Y, hp.gamma) for g in graphs]
+    Y = hp.gamma * np.sum(y_view, axis=0) + hp.beta * (Khat.T @ W + b)
     return CodeState(Y=_orthogonalize(Y), Y_view=y_view)
 
 

@@ -26,7 +26,7 @@ class KernelLandmarks:
         return self.blocks[0].shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelConfig:
     sigmas: tuple                 # one per view
 

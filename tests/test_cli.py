@@ -176,6 +176,7 @@ class TestTrainArtifacts:
     @pytest.mark.parametrize("value", ["nan", "inf", "edge"])
     @pytest.mark.parametrize("flag, field, edge", [
         ("--gamma", "HyperParams.gamma", "-1e-3"),
+        ("--gamma", "HyperParams.gamma", "0"),
         ("--delta", "HyperParams.delta", "-1e-9"),
         ("--alpha", "ALMConfig.alpha", "0"),
         ("--beta", "HyperParams.beta", "0"),

@@ -30,13 +30,6 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
-    def test_gzip_view_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        v = rng.normal(size=(5, 7)).astype(np.float32).astype(np.float64)
-        path = tmp_path / "view.mvh.gz"
-        dataset.save_view(path, v)
-        np.testing.assert_array_equal(dataset.load_view(path), v)
-
     def test_nuswide_like_dims(self, tmp_path):
         ds = make_random_ds(seed=3, dims=(128, 225, 500), n=10)
         back = dataset.load_dataset(dataset.save_dataset(ds, tmp_path))
@@ -442,24 +435,27 @@ class TestViewHeader:
         with pytest.raises(DatasetFormatError, match="too many"):
             dataset.load_view(path)
 
-    def test_truncated_gzip(self, tmp_path):
+    def test_gzip_file_is_bad_magic(self, tmp_path):
+        # view files are never compressed, whatever their name
+        dataset.save_view(tmp_path / "v.mvh", np.ones((4, 5)))
         path = tmp_path / "v.mvh.gz"
-        dataset.save_view(path, np.ones((4, 5)))
-        path.write_bytes(path.read_bytes()[:-6])
-        with pytest.raises(DatasetFormatError, match="compressed"):
-            dataset.load_view(path)
+        path.write_bytes(gzip.compress((tmp_path / "v.mvh").read_bytes()))
+        manifest = tmp_path / "d.manifest"
+        manifest.write_text("view0=v.mvh.gz\n")
+        for load, arg in ((dataset.load_view, path), (dataset.load_dataset, manifest)):
+            with pytest.raises(DatasetFormatError, match=rf"{re.escape(str(path))}: bad magic"):
+                load(arg)
 
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A directory with two 10-sample views, a 9-sample view, a gzip view
-    and a subdirectory; tests write their own manifest, labels and view."""
+    """A directory with two 10-sample views, a 9-sample view and a
+    subdirectory; tests write their own manifest, labels and view."""
     root = tmp_path_factory.mktemp("mvh_fuzz")
     rng = np.random.default_rng(0)
     dataset.save_view(root / "a.mvh", rng.normal(size=(3, 10)))
     dataset.save_view(root / "b.mvh", rng.normal(size=(4, 10)))
     dataset.save_view(root / "c.mvh", rng.normal(size=(4, 9)))
-    dataset.save_view(root / "d.mvh.gz", rng.normal(size=(2, 10)))
     (root / "sub").mkdir()
     return root
 
@@ -472,7 +468,7 @@ def loads_or_rejects(load, path):
 
 
 NAMES = st.sampled_from([
-    "a.mvh", "b.mvh", "c.mvh", "d.mvh.gz", "f.mvh", "labels.txt", "missing.mvh",
+    "a.mvh", "b.mvh", "c.mvh", "f.mvh", "labels.txt", "missing.mvh",
     "", ".", "..", "sub",
 ]) | st.text(alphabet="ab.\x00 ", max_size=4)
 LINES = st.tuples(st.sampled_from(["name", "view0", "view1", "view2", "labels"]), NAMES).map(
@@ -486,20 +482,16 @@ class TestFuzz:
         rows=st.integers(0, 2 ** 64 - 1) | st.integers(0, 4),
         cols=st.integers(0, 2 ** 64 - 1) | st.integers(0, 4),
         payload=st.binary(max_size=40),
-        gz=st.booleans(),
     )
-    def test_view_header_and_payload(self, fuzz_dir, rows, cols, payload, gz):
-        data = view_bytes(rows, cols, payload)
-        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
-        path.write_bytes(gzip.compress(data, mtime=0) if gz else data)
+    def test_view_header_and_payload(self, fuzz_dir, rows, cols, payload):
+        path = fuzz_dir / "f.mvh"
+        path.write_bytes(view_bytes(rows, cols, payload))
         loads_or_rejects(dataset.load_view, path)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), gz=st.booleans())
-    def test_view_truncated_or_flipped(self, fuzz_dir, data, gz):
+    @given(data=st.data())
+    def test_view_truncated_or_flipped(self, fuzz_dir, data):
         raw = bytearray(view_bytes(2, 3, np.arange(6, dtype="<f4").tobytes()))
-        if gz:
-            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
         if data.draw(st.booleans(), label="truncate"):
             raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
         else:
@@ -508,16 +500,14 @@ class TestFuzz:
                 min_size=1, max_size=4,
             ), label="flips"):
                 raw[pos] ^= mask
-        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
+        path = fuzz_dir / "f.mvh"
         path.write_bytes(bytes(raw))
         loads_or_rejects(dataset.load_view, path)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), gz=st.booleans())
-    def test_sign_view_truncated_or_flipped(self, fuzz_dir, data, gz):
+    @given(data=st.data())
+    def test_sign_view_truncated_or_flipped(self, fuzz_dir, data):
         raw = bytearray(sign_bytes(11, 3, bytes([0x5A, 0x03, 0xFF, 0x07, 0x00, 0x01])))
-        if gz:
-            raw = bytearray(gzip.compress(bytes(raw), mtime=0))
         if data.draw(st.booleans(), label="truncate"):
             raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
         else:
@@ -526,7 +516,7 @@ class TestFuzz:
                 min_size=1, max_size=4,
             ), label="flips"):
                 raw[pos] ^= mask
-        path = fuzz_dir / ("f.mvh.gz" if gz else "f.mvh")
+        path = fuzz_dir / "f.mvh"
         path.write_bytes(bytes(raw))
         loads_or_rejects(dataset.load_view, path)
 

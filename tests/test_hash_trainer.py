@@ -101,16 +101,20 @@ class TestUpdateWb:
 
 
 class TestUpdateCodes:
-    def test_gamma_zero_decouples(self):
-        # Y is the orthogonalized regression output sqrt(N) U V^T, with
-        # U S V^T its thin SVD; the view codes keep the previous Y
+    def test_consensus_scale_invariant(self):
+        # the polar factor of c T is that of T for every c > 0, so the codes
+        # of the unnormalised target are those of the weighted mean
+        # (gamma sum_m Y^(m) + beta (Khat^T W + b)) / (gamma M + beta)
         graphs, state, Khat, W, b = toy_graphs_and_state(seed=5)
-        hp = HyperParams(P=4, gamma=0.0)
+        hp = HyperParams(P=4, gamma=0.5, beta=2.0)
         out = hash_trainer.update_codes(state, graphs, Khat, W, b, hp)
-        u, _, vt = np.linalg.svd(Khat.T @ W + b, full_matrices=False)
-        np.testing.assert_allclose(out.Y, np.sqrt(30) * u @ vt, rtol=0, atol=1e-10)
-        for yv in out.Y_view:
-            np.testing.assert_array_equal(yv, state.Y)
+        mean = (hp.gamma * np.sum(out.Y_view, axis=0) + hp.beta * (Khat.T @ W + b)) / (
+            hp.gamma * len(graphs) + hp.beta
+        )
+        for c in (1e-6, 1.0, 1e6):
+            np.testing.assert_allclose(
+                hash_trainer._orthogonalize(c * mean), out.Y, rtol=0, atol=1e-12
+            )
 
     def test_constant_codes_are_laplacian_fixed_point(self):
         graphs, state, Khat, W, b = toy_graphs_and_state(seed=6)
@@ -187,7 +191,7 @@ class TestObjective:
 
 # Each float setting with a value just outside its range.
 FLOAT_SETTINGS = [
-    (HyperParams, "gamma", -1e-3), (HyperParams, "delta", -1e-9),
+    (HyperParams, "gamma", 0.0), (HyperParams, "delta", -1e-9),
     (HyperParams, "beta", 0.0), (HyperParams, "outer_tol", 0.0),
     (ALMConfig, "alpha", 0.0), (ALMConfig, "lam", -1e-3),
     (ALMConfig, "rho", 1.0), (ALMConfig, "tol", 0.0),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,12 @@ class TestKernelFloor:
 
 
 class TestInvariants:
+    def test_config_frozen(self):
+        # a model serves with its sigmas, so they cannot change after training
+        cfg = kernel_sim.KernelConfig(sigmas=(1.0, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sigmas = (5.0,)
+
     def test_column_permutation_equivariance(self):
         ds = make_ds(seed=8, n=15)
         lm = kernel_sim.KernelLandmarks(blocks=tuple(v[:, ::3].T.copy() for v in ds.views))
