@@ -30,6 +30,15 @@ class TestRoundTrip:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_gzip_view_round_trip(self, tmp_path):
+        # a .gz name is just a name: the file written is a plain view file
+        rng = np.random.default_rng(2)
+        v = rng.normal(size=(5, 7)).astype(np.float32).astype(np.float64)
+        path = tmp_path / "view.mvh.gz"
+        dataset.save_view(path, v)
+        assert path.read_bytes()[:4] == dataset.MAGIC
+        np.testing.assert_array_equal(dataset.load_view(path), v)
+
     def test_nuswide_like_dims(self, tmp_path):
         ds = make_random_ds(seed=3, dims=(128, 225, 500), n=10)
         back = dataset.load_dataset(dataset.save_dataset(ds, tmp_path))
@@ -435,16 +444,19 @@ class TestViewHeader:
         with pytest.raises(DatasetFormatError, match="too many"):
             dataset.load_view(path)
 
-    def test_gzip_file_is_bad_magic(self, tmp_path):
-        # view files are never compressed, whatever their name
+    def test_truncated_gzip(self, tmp_path):
+        # view files are never compressed, whatever their name: a gzip
+        # stream, whole or truncated, is a bad magic
         dataset.save_view(tmp_path / "v.mvh", np.ones((4, 5)))
+        packed = gzip.compress((tmp_path / "v.mvh").read_bytes())
         path = tmp_path / "v.mvh.gz"
-        path.write_bytes(gzip.compress((tmp_path / "v.mvh").read_bytes()))
         manifest = tmp_path / "d.manifest"
         manifest.write_text("view0=v.mvh.gz\n")
-        for load, arg in ((dataset.load_view, path), (dataset.load_dataset, manifest)):
-            with pytest.raises(DatasetFormatError, match=rf"{re.escape(str(path))}: bad magic"):
-                load(arg)
+        for raw in (packed, packed[:-6]):
+            path.write_bytes(raw)
+            for load, arg in ((dataset.load_view, path), (dataset.load_dataset, manifest)):
+                with pytest.raises(DatasetFormatError, match=rf"{re.escape(str(path))}: bad magic"):
+                    load(arg)
 
 
 @pytest.fixture(scope="module")
