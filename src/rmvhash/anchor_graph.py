@@ -1,4 +1,4 @@
-"""Landmark selection and the sparse truncated-affinity (anchor) graph.
+"""The sparse truncated-affinity (anchor) graph of a view over its landmarks.
 
 The graph stores F (N x L, row-stochastic with at most k stored entries per
 row, of which only the nearest cannot underflow to 0) and its spectral factor
@@ -27,14 +27,6 @@ class AnchorGraph:
     @property
     def n_samples(self):
         return self.F.shape[0]
-
-
-def select_graph_landmarks(view, L, mode="kmeans", seed=0):
-    """The centers of capped Lloyd k-means on the columns of a (d_m, N) view,
-    the only mode; train takes view blocks of select_kernel_landmarks instead."""
-    if mode != "kmeans":
-        raise ValueError(f"unknown landmark mode {mode!r}")
-    return core_math.kmeans(np.asarray(view, dtype=float).T, L, seed=seed)
 
 
 def build_truncated_affinity(view, landmarks, k):

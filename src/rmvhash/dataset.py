@@ -106,14 +106,16 @@ def save_view(path, view):
     as magic "MVS1" and a sign-packed block, 24 + N * ceil(d_m / 8) bytes;
     any other as magic "MVH1" and a float32 block (see pack_block)."""
     view = np.asarray(view)
-    magic = SIGN_MAGIC if np.all(np.abs(view) == 1) else MAGIC
-    with open(path, "wb") as f:     # two writes: magic + block would copy the block
-        f.writelines((magic, pack_block(view, _VIEW_DTYPES[magic])))
+    # two bool masks; np.abs would make a float copy of the whole view
+    magic = SIGN_MAGIC if np.all((view == 1) | (view == -1)) else MAGIC
+    with open(path, "wb") as f:
+        f.writelines((magic, *pack_block(view, _VIEW_DTYPES[magic])))
 
 
 def pack_block(arr, dtype):
-    """The bytes of a 2-D array as the block read_block reads: little-endian
-    uint64 rows and cols, then its values as dtype in row-major order.
+    """A 2-D array as the parts of the block read_block reads, written one
+    after another: little-endian uint64 rows and cols, then its values as
+    dtype in row-major order, the cast array itself (not copied to bytes).
 
     With dtype SIGNS, arr holds only +1 and -1 and the payload is one bit per
     value, 1 for +1: each column's rows fill ceil(rows / 8) bytes, value j at
@@ -121,11 +123,11 @@ def pack_block(arr, dtype):
     CRC-32 of the header and payload follows it."""
     if dtype == SIGNS:
         arr = np.asarray(arr)
-        body = struct.pack("<QQ", arr.shape[0], arr.shape[1])
-        body += np.packbits(arr.T > 0, axis=1, bitorder="little").tobytes()
-        return body + struct.pack("<I", zlib.crc32(body))
+        header = struct.pack("<QQ", arr.shape[0], arr.shape[1])
+        payload = np.ascontiguousarray(np.packbits(arr.T > 0, axis=1, bitorder="little"))
+        return header, payload, struct.pack("<I", zlib.crc32(payload, zlib.crc32(header)))
     arr = np.ascontiguousarray(arr, dtype=dtype)
-    return struct.pack("<QQ", arr.shape[0], arr.shape[1]) + arr.tobytes()
+    return struct.pack("<QQ", arr.shape[0], arr.shape[1]), arr
 
 
 def read_block(buf, offset, dtype, error):

@@ -122,33 +122,11 @@ def average_precision(ranked_relevance, l_q):
     return float(ap) if ap.ndim == 0 else ap
 
 
-def hash_lookup_precision(query_codes, db_codes, relevant, radius):
-    """Mean/std of per-query precision of the Hamming ball of given radius.
-
-    Queries with empty balls contribute precision 0 and reduce coverage.
-    Returns (mean, std, coverage, mean_over_nonempty).
-    """
-    r = evaluate(query_codes, db_codes, relevant, radius=radius)
-    return (r.lookup_precision_mean, r.lookup_precision_std, r.lookup_coverage,
-            r.lookup_precision_nonempty)
-
-
-def mean_average_precision(query_codes, db_codes, relevant, top_k):
-    """MAP over the top_k Hamming-ranked items per query; each AP is
-    normalized by the query's total neighbor count in the database."""
-    return evaluate(query_codes, db_codes, relevant, top_k=top_k).map
-
-
-def pr_curve(query_codes, db_codes, relevant):
-    """Mean recall and precision per Hamming radius 0..P.
-
-    Queries with an empty ball at a radius get precision 0 there.
-    """
-    return evaluate(query_codes, db_codes, relevant).pr_curve
-
-
 def evaluate(query_codes, db_codes, relevant, top_k=100, radius=2):
-    """Full report: MAP@top_k, lookup stats at radius, PR curve.
+    """Full report: MAP@top_k, lookup stats at radius, PR curve per radius
+    0..P. Each AP is normalized by the query's neighbor count in the database.
+    A query whose Hamming ball is empty gets precision 0: at radius, where it
+    also lowers lookup_coverage, and at that radius of the PR curve.
 
     One pass over blocks of queries: each block computes its distances once,
     counts per query the items and the relevant items at every distance 0..P,

@@ -235,7 +235,7 @@ def train(
         for view, z in zip(ds.views, joint[graph_cfg.L].blocks)
     ]
     klm = joint[R]
-    kcfg = kernel_sim.tune_config(ds, klm, min(kernel_sim.SELF_TUNING_K, R))
+    kcfg = kernel_sim.tune_config(ds, klm)
     K_list = kernel_sim.build_view_kernels(ds, klm, kcfg)
 
     diag = TrainDiagnostics()

@@ -83,16 +83,13 @@ def build_kernel_matrix(view, z_view, sigma):
     return K
 
 
-SELF_TUNING_K = 7    # train tunes at the min(7, R)-th nearest landmark
+SELF_TUNING_K = 7    # bandwidths are tuned at the min(7, R)-th nearest landmark
 
 
-def tune_config(ds, landmarks, self_tuning_k):
-    """Per-view self-tuned bandwidths, each at the self_tuning_k-th nearest
-    landmark."""
-    sigmas = tuple(
-        self_tuning_sigma(v, z, self_tuning_k)
-        for v, z in zip(ds.views, landmarks.blocks)
-    )
+def tune_config(ds, landmarks):
+    """Per-view self-tuned bandwidths at the min(SELF_TUNING_K, R)-th nearest landmark."""
+    k_st = min(SELF_TUNING_K, landmarks.R)
+    sigmas = tuple(self_tuning_sigma(v, z, k_st) for v, z in zip(ds.views, landmarks.blocks))
     return KernelConfig(sigmas=sigmas)
 
 

@@ -78,7 +78,7 @@ class ALMDiagnostics:
     svd_fallbacks: int = 0        # sweeps whose SVT took the full SVD
 
 
-def init_state(K_list, cfg):
+def init_state(K_list):
     """The state before the first sweep. Every array has the dtype of the
     kernels when they are all float32, and is float64 otherwise; mu is a
     scalar of that dtype, so every step stays in it."""
@@ -172,7 +172,7 @@ def recover(K_list, cfg=None):
     and in float64 otherwise; Khat is returned as float64 either way.
     """
     cfg = cfg or ALMConfig()
-    state = init_state(K_list, cfg)
+    state = init_state(K_list)
     diag = ALMDiagnostics()
     for it in range(1, cfg.max_iters + 1):
         state.Q = update_Q(state, cfg)

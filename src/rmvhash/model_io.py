@@ -56,11 +56,14 @@ def save_model(model, path, config_snapshot=None):
         "config": config_snapshot or {},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    body = _HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)) + blob
+    parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)), blob]
     for mtx in (model.W, model.b.reshape(1, -1), *model.landmarks.blocks, model.base_set.centers):
-        body += dataset.pack_block(mtx, "<f8")
-    checksum = hashlib.sha256(body).digest()[:8]
-    Path(path).write_bytes(body + checksum)
+        parts += dataset.pack_block(mtx, "<f8")
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    with open(path, "wb") as f:
+        f.writelines((*parts, digest.digest()[:8]))
 
 
 def load_model(path):

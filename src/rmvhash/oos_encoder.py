@@ -85,13 +85,10 @@ def inductive_embed(x_q, X, Y, k, sigma):
     return _weighted_embed(x_q, X, Y, k, sigma)
 
 
-def prototype_encode(x_q, base, full_sum=False):
-    """Binary code from the base-set approximation; sign(0) = +1.
-
-    Truncated to the k_oos nearest centers by default; full_sum uses all Z.
-    """
+def prototype_encode(x_q, base):
+    """Binary code from the base-set approximation over the base.k_oos
+    nearest centers; sign(0) = +1."""
     if base.Z < 1:
         raise ValueError("base set is empty")
-    k = base.Z if full_sum else base.k_oos
-    y = _weighted_embed(x_q, base.centers, base.embeddings, k, base.sigma)
+    y = _weighted_embed(x_q, base.centers, base.embeddings, base.k_oos, base.sigma)
     return np.where(y >= 0, 1, -1).astype(np.int8)

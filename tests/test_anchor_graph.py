@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rmvhash import anchor_graph, dataset
+from rmvhash import anchor_graph, core_math, dataset
 
 
 def toy_view(seed=0, d=4, n=12):
@@ -31,30 +31,29 @@ def dense_affinity_oracle(view, landmarks, k):
 
 
 class TestLandmarkSelection:
+    """Landmarks as the graph tests pick them: core_math.kmeans on the
+    columns of a (d, N) view."""
+
     def test_kmeans_mode_purity(self):
         # well-separated clusters: every landmark sits inside one cluster
         rng = np.random.default_rng(2)
         centers = rng.normal(size=(4, 3)) * 50
         labels = np.repeat(np.arange(4), 25)
         view = (centers[labels] + 0.1 * rng.normal(size=(100, 3))).T
-        lm = anchor_graph.select_graph_landmarks(view, 4, mode="kmeans", seed=3)
+        lm = core_math.kmeans(view.T, 4, seed=3)
         for c in lm:
             dists = np.linalg.norm(centers - c, axis=1)
             assert np.sort(dists)[0] < 1.0  # inside one cluster's spread
 
     def test_deterministic(self):
         view = toy_view(seed=3, n=30)
-        a = anchor_graph.select_graph_landmarks(view, 5, mode="kmeans", seed=7)
-        b = anchor_graph.select_graph_landmarks(view, 5, mode="kmeans", seed=7)
+        a = core_math.kmeans(view.T, 5, seed=7)
+        b = core_math.kmeans(view.T, 5, seed=7)
         np.testing.assert_array_equal(a, b)
 
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
-            anchor_graph.select_graph_landmarks(toy_view(n=5), 6)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="uniform"):
-            anchor_graph.select_graph_landmarks(toy_view(n=5), 2, mode="uniform")
+            core_math.kmeans(toy_view(n=5).T, 6)
 
 
 class TestTruncatedAffinity:
@@ -87,7 +86,7 @@ class TestTruncatedAffinity:
 
     def test_row_stochastic_exact_k_nonzeros(self):
         view = toy_view(seed=6, d=5, n=40)
-        lm = anchor_graph.select_graph_landmarks(view, 8, mode="kmeans", seed=2)
+        lm = core_math.kmeans(view.T, 8, seed=2)
         g = anchor_graph.build_truncated_affinity(view, lm, k=3)
         F = g.F.toarray()
         np.testing.assert_allclose(F.sum(axis=1), 1.0, atol=1e-10)

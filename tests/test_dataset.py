@@ -1,6 +1,8 @@
 import gzip
+import hashlib
 import re
 import struct
+import tracemalloc
 import warnings
 import zlib
 
@@ -331,7 +333,7 @@ class TestBlock:
     def test_pack_read_round_trip(self, dtype, shape):
         a = np.random.default_rng(0).normal(size=shape).astype(dtype)
         prefix = b"\xff" * 3   # read_block starts at any offset
-        buf = prefix + dataset.pack_block(a, dtype)
+        buf = b"".join((prefix, *dataset.pack_block(a, dtype)))
         back, end = dataset.read_block(buf, len(prefix), dtype, AssertionError)
         assert end == len(buf) == len(prefix) + 16 + a.nbytes
         assert back.dtype == np.dtype(dtype) and back.shape == shape
@@ -340,7 +342,47 @@ class TestBlock:
     def test_view_file_is_magic_and_block(self, tmp_path):
         v = np.arange(6.0).reshape(2, 3)
         dataset.save_view(tmp_path / "v.mvh", v)
-        assert (tmp_path / "v.mvh").read_bytes() == b"MVH1" + dataset.pack_block(v, "<f4")
+        assert (tmp_path / "v.mvh").read_bytes() == view_bytes(2, 3, v.astype("<f4").tobytes())
+
+    # SHA-256 of the files save_view writes for fixed_views(); pinned, so a
+    # change to how a file is written cannot change a byte of it
+    PINNED = {
+        "float64_transposed": "228aa3ba8eebd7039f76acca4a8a9d5ccbc67b105e395ca6c70b3903d79030b7",
+        "float32": "228c80a944fda042e7843e08b395644c5f9448cd169353985acc6ada13474b25",
+        "signs_int8": "83643f7e436f0a8f4f008d76e6c3b8d50a2a3d695efb1f5602899703351cbfca",
+        "signs_fortran": "2fe20cb9fbf432b36f137974da14742bad0a5e5e186f4127e6e797566342b9c7",
+    }
+
+    @staticmethod
+    def fixed_views():
+        rng = np.random.default_rng(0)
+        return {
+            "float64_transposed": rng.normal(size=(7, 5)).T,
+            "float32": rng.normal(size=(3, 4)).astype(np.float32),
+            "signs_int8": rng.choice([-1, 1], size=(9, 3)).astype(np.int8),
+            "signs_fortran": np.asfortranarray(rng.choice([-1.0, 1.0], size=(17, 2))),
+        }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_file_bytes_pinned(self, tmp_path, name):
+        dataset.save_view(tmp_path / "v.mvh", self.fixed_views()[name])
+        raw = (tmp_path / "v.mvh").read_bytes()
+        assert raw[:4] == (b"MVS1" if name.startswith("signs") else b"MVH1")
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED[name]
+
+    def test_save_holds_one_copy_of_the_block(self, tmp_path):
+        # the float32 cast is the only block-sized allocation while saving:
+        # the sign check, the header and the write copy none of it
+        v = np.random.default_rng(0).normal(size=(1000, 2000))
+        block = v.size * 4
+        tracemalloc.start()
+        try:
+            dataset.save_view(tmp_path / "v.mvh", v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block <= peak <= 1.25 * block
+        assert (tmp_path / "v.mvh").stat().st_size == 20 + block
 
 
 def sign_bytes(rows, cols, payload, crc=None):
@@ -375,14 +417,14 @@ class TestSignPacked:
         want = sign_bytes(9, 2, bytes([0x0D, 0x01, 0, 0]))
         dataset.save_view(tmp_path / "v.mvh", v)
         assert (tmp_path / "v.mvh").read_bytes() == want
-        assert dataset.pack_block(v, dataset.SIGNS) == want[4:]
+        assert b"".join(dataset.pack_block(v, dataset.SIGNS)) == want[4:]
 
     @pytest.mark.parametrize("odd", [0.0, 2.0, 0.5, -1 - 1e-9, np.nan], ids=str)
     def test_other_values_write_float32_bytes(self, tmp_path, odd):
         v = np.ones((3, 4))
         v[1, 2] = odd
         dataset.save_view(tmp_path / "v.mvh", v)
-        assert (tmp_path / "v.mvh").read_bytes() == b"MVH1" + dataset.pack_block(v, "<f4")
+        assert (tmp_path / "v.mvh").read_bytes() == view_bytes(3, 4, v.astype("<f4").tobytes())
 
     @pytest.mark.parametrize("data, match", [
         (b"MVS1" + struct.pack("<QQ", 9, 2)[:10], "truncated header"),

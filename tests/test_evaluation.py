@@ -131,9 +131,6 @@ class TestHammingDistance:
         for fn, args in (
             (evaluation.hamming_distances, (q, d)),
             (evaluation.evaluate, (q, d, rel)),
-            (evaluation.mean_average_precision, (q, d, rel, 10)),
-            (evaluation.hash_lookup_precision, (q, d, rel, 2)),
-            (evaluation.pr_curve, (q, d, rel)),
         ):
             with pytest.raises(ValueError, match=rf"^{which} must be a 2-D \(n, P\) array"):
                 fn(*args)
@@ -164,36 +161,34 @@ class TestHashLookup:
     def test_identical_codes_full_ball(self):
         codes = np.ones((4, 8), dtype=np.int8)
         rel = np.array([[True, True, False, False]] * 1)
-        mean, std, cov, ne = evaluation.hash_lookup_precision(
-            codes[:1], codes, rel, radius=2
-        )
-        assert mean == pytest.approx(0.5)
-        assert cov == 1.0
-        assert ne == pytest.approx(0.5)
+        r = evaluation.evaluate(codes[:1], codes, rel, radius=2)
+        assert r.lookup_precision_mean == pytest.approx(0.5)
+        assert r.lookup_coverage == 1.0
+        assert r.lookup_precision_nonempty == pytest.approx(0.5)
 
     def test_empty_ball_zero_and_coverage(self):
         q = np.ones((1, 8), dtype=np.int8)
         d = -np.ones((3, 8), dtype=np.int8)
         rel = np.ones((1, 3), dtype=bool)
-        mean, std, cov, ne = evaluation.hash_lookup_precision(q, d, rel, radius=2)
-        assert mean == 0.0
-        assert cov == 0.0
-        assert ne == 0.0
+        r = evaluation.evaluate(q, d, rel, radius=2)
+        assert r.lookup_precision_mean == 0.0
+        assert r.lookup_coverage == 0.0
+        assert r.lookup_precision_nonempty == 0.0
 
     def test_radius_zero_exact_match_only(self):
         q = np.array([[1, 1, 1, 1]])
         d = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [-1, -1, -1, -1]])
         rel = np.array([[False, True, True]])
-        mean, _, cov, _ = evaluation.hash_lookup_precision(q, d, rel, radius=0)
-        assert mean == 0.0
-        assert cov == 1.0
+        r = evaluation.evaluate(q, d, rel, radius=0)
+        assert r.lookup_precision_mean == 0.0
+        assert r.lookup_coverage == 1.0
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(2)
         q = random_codes(rng, 8, 12)
         d = random_codes(rng, 40, 12)
         rel = rng.random((8, 40)) < 0.3
-        mean, std, cov, ne = evaluation.hash_lookup_precision(q, d, rel, radius=4)
+        r = evaluation.evaluate(q, d, rel, radius=4)
         per_q = []
         nonempty = []
         for i in range(8):
@@ -207,15 +202,13 @@ class TestHashLookup:
             p = sum(rel[i, j] for j in in_ball) / len(in_ball)
             per_q.append(p)
             nonempty.append(p)
-        assert mean == pytest.approx(np.mean(per_q))
-        assert std == pytest.approx(np.std(per_q))
-        assert cov == pytest.approx(len(nonempty) / 8)
+        assert r.lookup_precision_mean == pytest.approx(np.mean(per_q))
+        assert r.lookup_precision_std == pytest.approx(np.std(per_q))
+        assert r.lookup_coverage == pytest.approx(len(nonempty) / 8)
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
-            evaluation.hash_lookup_precision(
-                np.ones((1, 4)), np.ones((2, 4)), np.ones((1, 2), bool), radius=-1
-            )
+            evaluation.evaluate(np.ones((1, 4)), np.ones((2, 4)), np.ones((1, 2), bool), radius=-1)
 
 
 class TestAveragePrecision:
@@ -255,7 +248,7 @@ class TestMeanAveragePrecision:
         q = np.array([[1, 1, 1, 1]])
         d = np.array([[1, 1, 1, 1], [1, 1, 1, -1], [-1, -1, -1, -1]])
         rel = np.array([[True, True, False]])
-        assert evaluation.mean_average_precision(q, d, rel, top_k=3) == pytest.approx(1.0)
+        assert evaluation.evaluate(q, d, rel, top_k=3).map == pytest.approx(1.0)
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(3)
@@ -263,7 +256,7 @@ class TestMeanAveragePrecision:
         d = random_codes(rng, 60, 16)
         rel = rng.random((10, 60)) < 0.25
         top_k = 20
-        got = evaluation.mean_average_precision(q, d, rel, top_k=top_k)
+        got = evaluation.evaluate(q, d, rel, top_k=top_k).map
         aps = []
         for i in range(10):
             dists = [evaluation.hamming_distance(q[i], d[j]) for j in range(60)]
@@ -286,7 +279,7 @@ class TestMeanAveragePrecision:
         d = np.array([[1, -1], [1, -1]])  # equal distance 1
         rel = np.array([[False, True]])
         # the irrelevant item at index 0 is ranked first
-        got = evaluation.mean_average_precision(q, d, rel, top_k=2)
+        got = evaluation.evaluate(q, d, rel, top_k=2).map
         assert got == pytest.approx(0.5)
 
     def test_query_without_neighbors_contributes_zero(self):
@@ -295,8 +288,8 @@ class TestMeanAveragePrecision:
         d = random_codes(rng, 5, 8)
         rel = np.zeros((2, 5), dtype=bool)
         rel[0] = True
-        with_both = evaluation.mean_average_precision(q, d, rel, top_k=5)
-        only_first = evaluation.mean_average_precision(q[:1], d, rel[:1], top_k=5)
+        with_both = evaluation.evaluate(q, d, rel, top_k=5).map
+        only_first = evaluation.evaluate(q[:1], d, rel[:1], top_k=5).map
         assert with_both == pytest.approx(only_first / 2)
 
 
@@ -306,7 +299,7 @@ class TestPrCurve:
         q = random_codes(rng, 4, 10)
         d = random_codes(rng, 20, 10)
         rel = rng.random((4, 20)) < 0.4
-        curve = evaluation.pr_curve(q, d, rel)
+        curve = evaluation.evaluate(q, d, rel).pr_curve
         assert len(curve) == 11
         assert curve[-1][0] == pytest.approx(1.0)
         assert curve[-1][1] == pytest.approx(rel.mean(axis=1).mean())
@@ -316,7 +309,7 @@ class TestPrCurve:
         q = random_codes(rng, 5, 12)
         d = random_codes(rng, 30, 12)
         rel = rng.random((5, 30)) < 0.3
-        curve = evaluation.pr_curve(q, d, rel)
+        curve = evaluation.evaluate(q, d, rel).pr_curve
         recalls = [r for r, _ in curve]
         assert all(b >= a - 1e-12 for a, b in zip(recalls, recalls[1:]))
 
@@ -325,7 +318,7 @@ class TestPrCurve:
         q = random_codes(rng, 3, 6)
         d = random_codes(rng, 15, 6)
         rel = rng.random((3, 15)) < 0.5
-        curve = evaluation.pr_curve(q, d, rel)
+        curve = evaluation.evaluate(q, d, rel).pr_curve
         for radius in range(7):
             precs, recs = [], []
             for i in range(3):

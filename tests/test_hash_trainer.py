@@ -131,7 +131,7 @@ class TestUpdateCodes:
         graphs = []
         for m in range(2):
             view = rng.normal(size=(6, n))
-            lm = anchor_graph.select_graph_landmarks(view, 60, seed=m)
+            lm = core_math.kmeans(view.T, 60, seed=m)
             graphs.append(anchor_graph.build_truncated_affinity(view, lm, k=3))
         Y = rng.normal(size=(n, p))
         state = CodeState(Y=Y, Y_view=[Y.copy() for _ in graphs])
@@ -281,8 +281,9 @@ class TestTrain:
             kernel_cfg=KernelSelectConfig(R=R), oos_cfg=OosConfig(Z=10, k_oos=5),
         )
         assert model.landmarks.R == R
-        want = kernel_sim.tune_config(ds, model.landmarks, k_st)
-        assert model.kernel_config.sigmas == want.sigmas
+        want = tuple(kernel_sim.self_tuning_sigma(v, z, k_st)
+                     for v, z in zip(ds.views, model.landmarks.blocks))
+        assert model.kernel_config.sigmas == want
 
     @pytest.mark.parametrize("L, R, Z, clusterings", [
         (20, 20, 20, 1), (20, 20, 25, 2), (15, 20, 20, 2), (20, 15, 20, 2),
@@ -501,7 +502,8 @@ class TestEncodeQueries:
         lm = kernel_sim.KernelLandmarks(
             blocks=tuple(v[:, :12].T.copy() for v in self.ds.views)
         )
-        cfg = kernel_sim.tune_config(self.ds, lm, self_tuning_k=3)
+        cfg = kernel_sim.KernelConfig(tuple(
+            kernel_sim.self_tuning_sigma(v, z, 3) for v, z in zip(self.ds.views, lm.blocks)))
         self.model = hash_trainer.HashModel(
             W=rng.normal(size=(12, 6)), b=rng.normal(size=6) * 0.1,
             landmarks=lm, kernel_config=cfg,
@@ -640,8 +642,8 @@ class TestServedQuality:
         q_codes = hash_trainer.encode_queries(model, queries)
         rel = evaluation.relevance_matrix(queries.labels, db.labels)
         return (
-            evaluation.mean_average_precision(q_codes, db_codes, rel, top_k=db.n_samples),
-            evaluation.mean_average_precision(q_codes, db_codes, rel, top_k=100),
+            evaluation.evaluate(q_codes, db_codes, rel, top_k=db.n_samples).map,
+            evaluation.evaluate(q_codes, db_codes, rel, top_k=100).map,
         )
 
     @pytest.mark.parametrize("seed", range(5))

@@ -156,7 +156,8 @@ class TestInvariants:
     def test_column_permutation_equivariance(self):
         ds = make_ds(seed=8, n=15)
         lm = kernel_sim.KernelLandmarks(blocks=tuple(v[:, ::3].T.copy() for v in ds.views))
-        cfg = kernel_sim.tune_config(ds, lm, self_tuning_k=2)
+        cfg = kernel_sim.KernelConfig(tuple(
+            kernel_sim.self_tuning_sigma(v, z, 2) for v, z in zip(ds.views, lm.blocks)))
         K = kernel_sim.build_kernel_matrix(ds.views[0], lm.blocks[0], cfg.sigmas[0])
         perm = np.random.default_rng(9).permutation(15)
         Kp = kernel_sim.build_kernel_matrix(
@@ -167,7 +168,7 @@ class TestInvariants:
     def test_stored_sum_consistency(self):
         ds = make_ds(seed=10, dims=(3, 4, 5), n=25)
         lm = kernel_sim.select_kernel_landmarks(ds, 7, seed=3)
-        cfg = kernel_sim.tune_config(ds, lm, self_tuning_k=7)
+        cfg = kernel_sim.tune_config(ds, lm)   # R = 7, so at the 7th landmark
         K_list = kernel_sim.build_view_kernels(ds, lm, cfg)
         total = sum(K_list)
         np.testing.assert_allclose(total, np.sum(K_list, axis=0), atol=1e-12)

@@ -23,7 +23,7 @@ def make_state(seed=0, M=2, shape=(8, 20)):
     rng = np.random.default_rng(seed)
     K_list = [np.abs(rng.normal(size=shape)) for _ in range(M)]
     cfg = ALMConfig(alpha=0.5, lam=0.1)
-    state = lowrank_alm.init_state(K_list, cfg)
+    state = lowrank_alm.init_state(K_list)
     state.B = rng.normal(size=shape) * 0.1
     state.A = [rng.normal(size=shape) * 0.1 for _ in range(M)]
     state.E = [rng.normal(size=shape) * 0.05 for _ in range(M)]
@@ -241,7 +241,7 @@ class TestSweepMemory:
         K_list = [corrupt_columns(rng, Kstar, rng.choice(2000, 40, replace=False))
                   for _ in range(3)]
         cfg = ALMConfig(alpha=0.05, lam=0.3)
-        state = lowrank_alm.init_state(K_list, cfg)
+        state = lowrank_alm.init_state(K_list)
 
         def sweep():
             state.Q = lowrank_alm.update_Q(state, cfg)
@@ -478,7 +478,7 @@ class TestInvariants:
         rng = np.random.default_rng(24)
         K_list = [np.abs(rng.normal(size=(6, 18))) for _ in range(2)]
         cfg = ALMConfig(alpha=0.5, lam=0.1)
-        state = lowrank_alm.init_state(K_list, cfg)
+        state = lowrank_alm.init_state(K_list)
         for _ in range(10):
             state.Q = lowrank_alm.update_Q(state, cfg)
             for m in range(2):
@@ -521,7 +521,7 @@ class TestFloat32:
         K_list = [corrupt_columns(rng, Kstar, rng.choice(4000, 80, replace=False))
                   for _ in range(3)]
         cfg = ALMConfig(alpha=0.05, lam=0.3)
-        state = lowrank_alm.init_state(K_list, cfg)
+        state = lowrank_alm.init_state(K_list)
         arrays = [*state.K_list, *state.E, *state.A, state.B, state.Khat, state.work]
         assert all(x.dtype == np.float32 for x in arrays)
         assert state.mu.dtype == np.float32
@@ -553,7 +553,7 @@ class TestFloat32:
         [[[1, 2], [3, 4]]],
     ])
     def test_other_input_runs_in_float64(self, K_list):
-        state = lowrank_alm.init_state(K_list, ALMConfig())
+        state = lowrank_alm.init_state(K_list)
         assert all(x.dtype == np.float64 for x in (*state.K_list, state.Khat, state.work))
 
     def test_planted_recovery_in_float32(self):
@@ -575,7 +575,7 @@ class TestFloat32:
         corrupted = dataset.corrupt(ds, dataset.CorruptionSpec("gaussian-fraction", 0.2, 0))
         db, _ = dataset.split(corrupted, 200, seed=0)
         klm = kernel_sim.select_kernel_landmarks(db, 100, seed=0)
-        K_list = kernel_sim.build_view_kernels(db, klm, kernel_sim.tune_config(db, klm, 7))
+        K_list = kernel_sim.build_view_kernels(db, klm, kernel_sim.tune_config(db, klm))
         want, _, diag64 = lowrank_alm.recover(K_list)
         got, _, diag32 = lowrank_alm.recover([K.astype(np.float32) for K in K_list])
         assert diag32.U.shape[1] == diag64.U.shape[1] > 0

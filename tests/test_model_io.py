@@ -2,13 +2,14 @@ import dataclasses
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmvhash import dataset, hash_trainer, model_io
+from rmvhash import dataset, hash_trainer, kernel_sim, model_io, oos_encoder
 from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
 from rmvhash.model_io import ModelFileError
 
@@ -94,6 +95,43 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="base set"):
             model_io.save_model(dataclasses.replace(model, base_set=None), tmp_path / "m.rmvm")
         assert not (tmp_path / "m.rmvm").exists()
+
+    @staticmethod
+    def fixed_model(rows=3):
+        """A hand-built model: fixed arrays, a Fortran-ordered W, no training."""
+        rng = np.random.default_rng(1)
+        W = np.asfortranarray(rng.normal(size=(rows, 4)))
+        blocks = (rng.normal(size=(rows, 2)), rng.normal(size=(rows, 3)))
+        base = oos_encoder.BaseSet(rng.normal(size=(5, 5)), np.zeros((5, 4)), 1.5, 2)
+        return hash_trainer.HashModel(
+            W=W, b=rng.normal(size=4), landmarks=kernel_sim.KernelLandmarks(blocks),
+            kernel_config=kernel_sim.KernelConfig((0.5, 1.25)), base_set=base,
+            meta={"N": 5, "seed": 0, "recovery": True},
+        )
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # SHA-256 of the file for a fixed model; pinned, so a change to how
+        # the file is written cannot change a byte of it
+        path = tmp_path / "m.rmvm"
+        model_io.save_model(self.fixed_model(), path, config_snapshot={"bits": 4})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9f18a49e86a47194bad289411a6f67db83ec03068afe1adca0fef447c9a7c0df")
+
+    def test_save_copies_no_matrix(self, tmp_path):
+        # C-ordered float64 matrices are hashed and written from their own
+        # buffers: saving an 8 MB W allocates a small fraction of it
+        model = self.fixed_model(rows=1000)
+        model.W = np.random.default_rng(2).normal(size=(1000, 1000))
+        model.b = np.zeros(1000)
+        tracemalloc.start()
+        try:
+            model_io.save_model(model, tmp_path / "m.rmvm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * model.W.nbytes
+        back, _ = model_io.load_model(tmp_path / "m.rmvm")
+        np.testing.assert_array_equal(back.W, model.W)
 
     def test_save_is_deterministic(self, tmp_path):
         _, model, _ = trained(seed=3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,7 +172,7 @@ class TestPrototypeEncode:
         rng = np.random.default_rng(8)
         for _ in range(15):
             x_q = rng.normal(size=sum(ds.dims)) * 2.0
-            proto = oos_encoder.prototype_encode(x_q, base, full_sum=True)
+            proto = oos_encoder.prototype_encode(x_q, dataclasses.replace(base, k_oos=base.Z))
             emb = oos_encoder.inductive_embed(
                 x_q, base.centers, base.embeddings, k=base.Z, sigma=base.sigma
             )
