@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import dataset, evaluation, hash_trainer, model_io
-from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfig, OosConfig
+from .hash_trainer import ALMConfig, GraphConfig, HyperParams, KernelSelectConfig
 
 
 def _load_config(path):
@@ -79,8 +79,6 @@ _TRAIN_FIELDS = {
     "alm_tol": (ALMConfig, "tol"),
     "alm_max_iters": (ALMConfig, "max_iters"),
     "alm_rho": (ALMConfig, "rho"),
-    "oos_z": (OosConfig, "Z"),
-    "k_oos": (OosConfig, "k_oos"),
 }
 
 
@@ -111,14 +109,14 @@ _EVAL_SPEC = {key: (int, _default(evaluation.evaluate, key)) for key in ("top_k"
 
 
 def _train_configs(p):
-    """HyperParams, ALMConfig, GraphConfig, KernelSelectConfig and OosConfig
-    from training values keyed as in _TRAIN_SPEC."""
+    """HyperParams, ALMConfig, GraphConfig and KernelSelectConfig from
+    training values keyed as in _TRAIN_SPEC."""
     kwargs = {cls: {} for cls, _ in _TRAIN_FIELDS.values()}
     for key, (cls, name) in _TRAIN_FIELDS.items():
         kwargs[cls][name] = p[key]
     return tuple(
         cls(**kwargs[cls])
-        for cls in (HyperParams, ALMConfig, GraphConfig, KernelSelectConfig, OosConfig)
+        for cls in (HyperParams, ALMConfig, GraphConfig, KernelSelectConfig)
     )
 
 
@@ -147,10 +145,10 @@ def cmd_corrupt(args):
 def cmd_train(args):
     p = _resolve(args, _TRAIN_SPEC)
     ds = dataset.load_dataset(args.manifest)
-    hp, alm_cfg, graph_cfg, kernel_cfg, oos_cfg = _train_configs(p)
+    hp, alm_cfg, graph_cfg, kernel_cfg = _train_configs(p)
     model, _, _, diag = hash_trainer.train(
         ds, hp, alm_cfg=alm_cfg, graph_cfg=graph_cfg, kernel_cfg=kernel_cfg,
-        oos_cfg=oos_cfg, seed=p["seed"], recovery=not p["no_recovery"],
+        seed=p["seed"], recovery=not p["no_recovery"],
     )
     model_io.save_model(model, args.model, config_snapshot=p)
     alm = diag.alm
@@ -158,6 +156,7 @@ def cmd_train(args):
         "model": str(args.model), "P": hp.P,
         "outer_iterations": diag.outer_iterations, "converged": diag.converged,
         "objective": diag.objective_trace, "seconds": diag.outer_iter_seconds,
+        "spectral_fallback": diag.spectral_fallback,
         "alm": None if alm is None else {
             "sweeps": alm.iterations, "converged": alm.converged,
             "svd_fallbacks": alm.svd_fallbacks,
@@ -205,7 +204,6 @@ def cmd_inspect(args):
     print(f"kernel landmarks R: {model.landmarks.R}")
     print(f"view dims: {[b.shape[1] for b in model.landmarks.blocks]}")
     print(f"sigmas: {[round(s, 6) for s in model.kernel_config.sigmas]}")
-    print(f"base set: Z={model.base_set.Z}, k_oos={model.base_set.k_oos}")
     print(f"meta: {model.meta}")
     if snapshot:
         print(f"training config: {snapshot}")

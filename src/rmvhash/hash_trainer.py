@@ -93,6 +93,7 @@ class TrainDiagnostics:
     alm: lowrank_alm.ALMDiagnostics | None = None
     converged: bool = False
     outer_iterations: int = 0
+    spectral_fallback: bool = False   # the warm start took seeded random codes
 
 
 def update_Wb(Khat, Y, delta):
@@ -161,11 +162,12 @@ def objective(state, graphs, Khat, W, b, hp):
 
 
 def spectral_code_init(graphs, p, seed=0):
-    """Warm-start codes spanning the top eigenvectors of the averaged anchor
-    adjacency, computed through the reduced L x L factor; falls back to a
-    seeded random orthonormal basis when the spectrum is too flat. The top
-    eigenvalues are degenerate, so the codes are rotated to the canonical basis
-    Y Q_c of their span, Q_c the sign-fixed QR factor of Y^T G, G seeded."""
+    """(codes, fell_back): warm-start codes spanning the top eigenvectors of
+    the averaged anchor adjacency, computed through the reduced L x L factor,
+    or, with fell_back True, a seeded random orthonormal basis when fewer than
+    p eigenvalues are usable. The top eigenvalues are degenerate, so the codes
+    are rotated to the canonical basis Y Q_c of their span, Q_c the sign-fixed
+    QR factor of Y^T G, G seeded."""
     import scipy.sparse as sp  # here, so that only training loads scipy
     m = len(graphs)
     n = graphs[0].n_samples
@@ -177,12 +179,12 @@ def spectral_code_init(graphs, p, seed=0):
     if np.count_nonzero(good) < p:
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(n, p)))
-        return q * np.sqrt(n)
+        return q * np.sqrt(n), True
     U = H @ evecs[:, :p]
     U /= np.sqrt(evals[:p])
     Y = U / np.linalg.norm(U, axis=0) * np.sqrt(n)
     q, r = np.linalg.qr(Y.T @ np.random.default_rng(seed).normal(size=(n, p)))
-    return Y @ (q * np.where(np.diag(r) < 0, -1.0, 1.0))
+    return Y @ (q * np.where(np.diag(r) < 0, -1.0, 1.0)), False
 
 
 def train(
@@ -199,22 +201,24 @@ def train(
 
     Every landmark set is kernel_sim.select_kernel_landmarks(ds, count, seed),
     one k-means per distinct count: view m's anchor graph takes view m's block
-    of the set at graph_cfg.L, the kernel similarities the set at R, and a
-    base set of Z < N centers the set at Z when Z is L or R. It recovers the
-    consensus Khat by inexact ALM on float32 copies of the view kernels (or
-    the float64 view average when recovery is off), then alternates the
-    closed-form (W, b) solve with the code sweep
+    of the set at graph_cfg.L, the kernel similarities the set at R. It
+    recovers the consensus Khat by inexact ALM on float32 copies of the view
+    kernels (or the float64 view average when recovery is off), then
+    alternates the closed-form (W, b) solve with the code sweep, starting from
+    spectral_code_init (diag.spectral_fallback reports its random fallback),
     until the relative change of the outer objective (see objective) drops
     below hp.outer_tol. The ALM runs with alm_cfg, ALMConfig() by default,
     the one place its alpha and lam are set. With recovery, W is finally
     projected onto the column space U of the ALM's low-rank Q, W <- U U^T W,
     so the served map is the recovered latent kernel; a Q of rank 0, which
-    would give every item the same code, raises ValueError.
+    would give every item the same code, raises ValueError. The model serves
+    every item through its kernel map (see encode_queries); only a given
+    oos_cfg adds oos_encoder.build_base_set(ds, model, min(Z, N), k_oos, seed)
+    as model.base_set, which no command reads or saves.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
     kernel_cfg = kernel_cfg or KernelSelectConfig()
-    oos_cfg = oos_cfg or OosConfig()
     alm_cfg = alm_cfg or ALMConfig()
 
     n = ds.n_samples
@@ -256,7 +260,8 @@ def train(
         Khat = sum(K_list) / len(K_list)
 
     # update_codes reads only Y, not the view codes
-    state = CodeState(Y=spectral_code_init(graphs, hp.P, seed=seed), Y_view=[])
+    Y0, diag.spectral_fallback = spectral_code_init(graphs, hp.P, seed=seed)
+    state = CodeState(Y=Y0, Y_view=[])
     prev_obj = None
     for it in range(1, hp.outer_iters + 1):
         t0 = time.perf_counter()
@@ -277,11 +282,10 @@ def train(
         W=W, b=b, landmarks=klm, kernel_config=kcfg,
         meta={"N": n, "seed": int(seed), "recovery": recovery},
     )
-    Z = min(oos_cfg.Z, n)
-    model.base_set = oos_encoder.build_base_set(
-        ds, model, Z=Z, k_oos=oos_cfg.k_oos, seed=seed,
-        centers=np.hstack(joint[Z].blocks) if Z in joint and Z < n else None,
-    )
+    if oos_cfg is not None:
+        model.base_set = oos_encoder.build_base_set(
+            ds, model, Z=min(oos_cfg.Z, n), k_oos=oos_cfg.k_oos, seed=seed
+        )
     return model, state, Khat, diag
 
 

@@ -34,7 +34,7 @@ class KernelConfig:
 def select_kernel_landmarks(ds, R, seed=0):
     """Pick R landmark objects from a dataset: k-means centers of the
     concatenated feature space, split back into per-view blocks. It is train's
-    one landmark rule: graph and kernel landmarks and reused base sets."""
+    one landmark rule, for graph and kernel landmarks alike."""
     concat = ds.concatenated().T                     # (N, d)
     centers = core_math.kmeans(concat, R, seed=seed)
     blocks = np.split(centers, np.cumsum(ds.dims)[:-1], axis=1)

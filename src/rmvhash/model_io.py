@@ -4,11 +4,11 @@ Layout (little-endian throughout, like the MVH1 data format):
 magic "RMVM", uint32 format version, uint64-length-prefixed UTF-8 JSON
 metadata, a sequence of float64 blocks as dataset.pack_block writes them
 (uint64 rows, uint64 cols, row-major payload), and a trailing 8-byte checksum
-(leading 8 bytes of the SHA-256 of everything before it). Version 3 holds the
-metadata "sigmas" (one per view), "base_k_oos", "model_meta" and "config",
-then W (R, P), b (1, P), one (R, d_m) landmark block per sigma and the (Z, d)
-base-set centers: only what training chose. load_model rebuilds the rest of
-the base set with the builder train uses. Version 1 and 2 files are refused.
+(leading 8 bytes of the SHA-256 of everything before it). Version 4 holds the
+metadata "sigmas" (one per view), "model_meta" and "config", then W (R, P),
+b (1, P) and one (R, d_m) landmark block per sigma: the kernel map every item
+is served through, and nothing else. A loaded model has no base set.
+Version 1, 2 and 3 files are refused.
 """
 
 import hashlib
@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, hash_trainer, kernel_sim, oos_encoder
+from . import dataset, hash_trainer, kernel_sim
 
 MAGIC = b"RMVM"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct("<4sIQ")      # magic, format version, metadata length
 
 
@@ -31,7 +31,7 @@ class ModelFileError(ValueError):
 
 
 # The JSON type of each metadata key load_model reads; others are ignored.
-_META_TYPES = dict(sigmas=list, base_k_oos=int, model_meta=dict, config=dict)
+_META_TYPES = dict(sigmas=list, model_meta=dict, config=dict)
 
 
 def _check_meta(meta, error):
@@ -46,18 +46,16 @@ def _check_meta(meta, error):
 
 
 def save_model(model, path, config_snapshot=None):
-    """Serialize a trained HashModel to path; the model needs its base set."""
-    if model.base_set is None:
-        raise ValueError("cannot save a model without a base set; train builds one")
+    """Serialize a trained HashModel's kernel map to path; a base set is not
+    stored."""
     meta = {
         "sigmas": list(model.kernel_config.sigmas),
-        "base_k_oos": model.base_set.k_oos,
         "model_meta": model.meta,
         "config": config_snapshot or {},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     parts = [_HEADER.pack(MAGIC, FORMAT_VERSION, len(blob)), blob]
-    for mtx in (model.W, model.b.reshape(1, -1), *model.landmarks.blocks, model.base_set.centers):
+    for mtx in (model.W, model.b.reshape(1, -1), *model.landmarks.blocks):
         parts += dataset.pack_block(mtx, "<f8")
     digest = hashlib.sha256()
     for part in parts:
@@ -67,8 +65,9 @@ def save_model(model, path, config_snapshot=None):
 
 
 def load_model(path):
-    """Load a HashModel; raises ModelFileError on corruption or another
-    format version. Returns (model, config_snapshot)."""
+    """Load a HashModel, with base_set None; raises ModelFileError on
+    corruption, another format version or a kernel map that cannot be
+    evaluated. Returns (model, config_snapshot)."""
     def error(msg):
         return ModelFileError(f"{path}: {msg}")
 
@@ -107,22 +106,18 @@ def load_model(path):
     blocks = tuple(matrix() for _ in meta["sigmas"])
     if b.shape != (W.shape[1],) or any(z.shape[0] != W.shape[0] for z in blocks):
         raise error("W, b and landmark shapes disagree")
-    centers = matrix()
-    if centers.shape[1] != sum(z.shape[1] for z in blocks):
-        raise error("base-set and landmark shapes disagree")
-    if not 1 <= meta["base_k_oos"] <= len(centers):
-        raise error("metadata base_k_oos is not in [1, Z]")
     if pos != len(body):
         raise error(f"{len(body) - pos} unread bytes before the checksum")
     model = hash_trainer.HashModel(
         W=W, b=b, landmarks=kernel_sim.KernelLandmarks(blocks=blocks),
         kernel_config=kernel_sim.KernelConfig(tuple(meta["sigmas"])), meta=meta["model_meta"],
     )
-    # Far kernel entries underflow on healthy models; an extreme stored value
-    # can overflow, in numpy or in a Python float such as sigma ** 2.
+    # The map must be computable: evaluate it on its own landmarks. Far kernel
+    # entries underflow on healthy models; an extreme stored value can
+    # overflow, in numpy or in a Python float such as sigma ** 2.
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            model.base_set = oos_encoder.make_base_set(model, centers, meta["base_k_oos"])
+            hash_trainer.embed(model, np.hstack(blocks).T)
     except (FloatingPointError, OverflowError) as exc:
-        raise error(f"cannot rebuild the base set: {exc}") from exc
+        raise error(f"cannot evaluate the kernel map: {exc}") from exc
     return model, meta["config"]

@@ -39,24 +39,21 @@ def _center_bandwidth(centers):
 
 def make_base_set(model, centers, k_oos):
     """The base set over (Z, d) centers: each center's pre-sign projection
-    through the model's kernel map, the centers' bandwidth and min(k_oos, Z).
-    train and load_model both build their base set here."""
+    through the model's kernel map, the centers' bandwidth and min(k_oos, Z)."""
     from . import hash_trainer  # local import: model embedding path
 
     embeddings = hash_trainer.embed(model, centers.T)
     return BaseSet(centers, embeddings, _center_bandwidth(centers), int(min(k_oos, len(centers))))
 
 
-def build_base_set(ds, model, Z, k_oos, seed=0, centers=None):
+def build_base_set(ds, model, Z, k_oos, seed=0):
     """Cluster the concatenated features into Z centers and build the base
-    set over them. A caller that already holds kmeans(concatenated features,
-    Z, seed) passes it as centers, and the clustering is skipped."""
+    set over them; Z = N takes every item as a center."""
     n = ds.n_samples
     if Z > n:
         raise ValueError(f"cannot build {Z} base centers from {n} samples")
-    if centers is None:
-        concat = ds.concatenated().T                 # (N, d)
-        centers = concat.copy() if Z == n else core_math.kmeans(concat, Z, seed=seed)
+    concat = ds.concatenated().T                     # (N, d)
+    centers = concat.copy() if Z == n else core_math.kmeans(concat, Z, seed=seed)
     return make_base_set(model, centers, k_oos)
 
 

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from rmvhash import cli, dataset, evaluation, hash_trainer, model_io
-from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
+from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig
 
 TRAIN_FLAGS = [
-    "--bits", "8", "--graph-l", "12", "--kernel-r", "12",
-    "--outer-iters", "8", "--oos-z", "20", "--k-oos", "10",
-    "--seed", "0",
+    "--bits", "8", "--graph-l", "12", "--kernel-r", "12", "--outer-iters", "8", "--seed", "0",
 ]
 
 
@@ -140,13 +138,14 @@ class TestTrainArtifacts:
         _, _, _, diag = hash_trainer.train(
             ds, HyperParams(P=8, outer_iters=8),
             graph_cfg=GraphConfig(L=12), kernel_cfg=KernelSelectConfig(R=12),
-            oos_cfg=OosConfig(Z=20, k_oos=10), seed=0, recovery=not extra,
+            seed=0, recovery=not extra,
         )
         assert report["model"] == str(model_path)
         assert report["P"] == 8
         assert report["outer_iterations"] == diag.outer_iterations
         assert report["converged"] == diag.converged
         assert len(report["objective"]) == len(report["seconds"]) == diag.outer_iterations
+        assert report["spectral_fallback"] is diag.spectral_fallback is False
         if extra:
             assert report["alm"] is None
         else:
@@ -160,8 +159,6 @@ class TestTrainArtifacts:
     @pytest.mark.parametrize("flag, field", [
         ("--alm-max-iters", "ALMConfig.max_iters"),
         ("--outer-iters", "HyperParams.outer_iters"),
-        ("--k-oos", "OosConfig.k_oos"),
-        ("--oos-z", "OosConfig.Z"),
         ("--graph-l", "GraphConfig.L"),
         ("--graph-k", "GraphConfig.k"),
     ])
@@ -207,6 +204,7 @@ class TestTrainArtifacts:
         out = capsys.readouterr().out
         assert "code length P: 8" in out
         assert "kernel landmarks R: 12" in out
+        assert "base set" not in out
 
     def test_snapshot_records_defaults(self, workspace):
         _, snapshot = model_io.load_model(workspace / "model.rmvm")
@@ -219,8 +217,7 @@ class TestTrainArtifacts:
     def test_config_file_and_flag_precedence(self, workspace, tmp_path):
         cfg = tmp_path / "train.cfg"
         cfg.write_text(
-            "bits=4\ngraph-l=12\nkernel-r=12\nouter-iters=3\n"
-            "oos-z=20\nk-oos=10\nalpha=0.5\n"
+            "bits=4\ngraph-l=12\nkernel-r=12\nouter-iters=3\nalpha=0.5\n"
         )
         model_path = tmp_path / "m.rmvm"
         assert run([
@@ -268,17 +265,19 @@ class TestTrainArtifacts:
         assert not (tmp_path / "m.rmvm").exists()
 
     def test_self_tuning_k_is_no_setting(self, workspace, tmp_path, capsys):
-        # the bandwidth always takes the min(7, R)-th nearest landmark
-        cfg = tmp_path / "old.cfg"
-        cfg.write_text("self_tuning_k=7\n")
-        assert run([
-            "train", "--manifest", str(workspace / "db" / "db.manifest"),
-            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
-        ]) == 1
-        assert "self_tuning_k" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            run(["train", "--manifest", "m", "--model", "o", "--self-tuning-k", "7"])
-        assert not (tmp_path / "m.rmvm").exists()
+        # the bandwidth always takes the min(7, R)-th nearest landmark, and
+        # train builds no base set, so neither its size nor its k is a setting
+        for key in ("self_tuning_k", "oos_z", "k_oos"):
+            cfg = tmp_path / "old.cfg"
+            cfg.write_text(f"{key}=7\n")
+            assert run([
+                "train", "--manifest", str(workspace / "db" / "db.manifest"),
+                "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
+            ]) == 1
+            assert key in capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                run(["train", "--manifest", "m", "--model", "o", "--" + key.replace("_", "-"), "7"])
+            assert not (tmp_path / "m.rmvm").exists()
 
     @pytest.mark.parametrize("raw, key", [
         ("bits=4\nbits=16\n", "'bits'"), ("outer-iters=3\nouter_iters=4\n", "outer_iters"),
@@ -365,8 +364,7 @@ class TestTrainArtifacts:
         ds = dataset.load_dataset(workspace / "db" / "db.manifest")
         lib, _, _, _ = hash_trainer.train(
             ds, HyperParams(P=8, outer_iters=8),
-            graph_cfg=GraphConfig(L=12), kernel_cfg=KernelSelectConfig(R=12),
-            oos_cfg=OosConfig(Z=20, k_oos=10), seed=0,
+            graph_cfg=GraphConfig(L=12), kernel_cfg=KernelSelectConfig(R=12), seed=0,
         )
         np.testing.assert_array_equal(model.W, lib.W)
         np.testing.assert_array_equal(model.b, lib.b)
@@ -505,25 +503,20 @@ class TestEncodeQueryEval:
         part = encode_codes(model_path, manifest, tmp_path / "half.mvh")
         np.testing.assert_array_equal(part, full[:50])
 
-    def test_version_1_model_rejected(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize("version, old_meta", [
         # version 1 served queries through a kernel on the concatenated
         # features, with its own bandwidth; its W does not fit today's kernel
-        old = rewrite_meta(
-            workspace / "model.rmvm", tmp_path / "v1.rmvm",
-            lambda meta: meta.update(sigma_concat=1.0),
-        )
-        self.assert_older_version_says_retrain(workspace, tmp_path, capsys, old, 1)
-
-    def test_version_2_model_rejected(self, workspace, tmp_path, capsys):
+        (1, dict(sigma_concat=1.0)),
         # version 2 also stored the base-set embeddings and bandwidth
+        (2, dict(n_views=2, has_base_set=True, base_sigma=1.0)),
+        # version 3 stored the base-set centres and k_oos, which no command read
+        (3, dict(base_k_oos=10)),
+    ], ids=["1", "2", "3"])
+    def test_older_version_model_rejected(self, workspace, tmp_path, capsys, version, old_meta):
         old = rewrite_meta(
-            workspace / "model.rmvm", tmp_path / "v2.rmvm",
-            lambda meta: meta.update(n_views=2, has_base_set=True, base_sigma=1.0),
+            workspace / "model.rmvm", tmp_path / f"v{version}.rmvm",
+            lambda meta: meta.update(old_meta),
         )
-        self.assert_older_version_says_retrain(workspace, tmp_path, capsys, old, 2)
-
-    @staticmethod
-    def assert_older_version_says_retrain(workspace, tmp_path, capsys, old, version):
         body = bytearray(old.read_bytes()[:-8])
         body[4:8] = struct.pack("<I", version)
         old.write_bytes(bytes(body) + hashlib.sha256(body).digest()[:8])

@@ -285,12 +285,14 @@ class TestTrain:
                      for v, z in zip(ds.views, model.landmarks.blocks))
         assert model.kernel_config.sigmas == want
 
-    @pytest.mark.parametrize("L, R, Z, clusterings", [
-        (20, 20, 20, 1), (20, 20, 25, 2), (15, 20, 20, 2), (20, 15, 20, 2),
-    ], ids=["L=R=Z", "L=R!=Z", "L!=R=Z", "L=Z!=R"])
-    def test_one_kmeans_per_distinct_count(self, monkeypatch, L, R, Z, clusterings):
+    @pytest.mark.parametrize("L, R, Z", [
+        (20, 20, 20), (20, 20, 25), (15, 20, 20), (20, 15, 20), (20, 20, None), (15, 20, None),
+    ], ids=["L=R=Z", "L=R!=Z", "L!=R=Z", "L=Z!=R", "L=R-no-base-set", "L!=R-no-base-set"])
+    def test_one_kmeans_per_distinct_count(self, monkeypatch, L, R, Z):
         # every landmark set is a split of kmeans(concatenated features,
-        # count, seed), clustered once per distinct count below N
+        # count, seed), clustered once per distinct count; only a given
+        # oos_cfg adds a base set, whose Z < N centres run their own
+        # kmeans(concatenated features, Z, seed)
         ds = dataset.synth_multiview(4, 25, (10, 12), seed=0)
         concat = ds.concatenated().T
         joint = {c: np.split(core_math.kmeans(concat, c, seed=2), [10], axis=1) for c in (L, R)}
@@ -303,11 +305,12 @@ class TestTrain:
             anchor_graph, "build_truncated_affinity",
             lambda view, lm, k: graph_landmarks.append(lm) or build(view, lm, k),
         )
+        oos = {} if Z is None else dict(oos_cfg=OosConfig(Z=Z, k_oos=10))
         model, _, _, _ = hash_trainer.train(
             ds, HyperParams(P=8, outer_iters=3), graph_cfg=GraphConfig(L=L, k=3),
-            kernel_cfg=KernelSelectConfig(R=R), oos_cfg=OosConfig(Z=Z, k_oos=10), seed=2,
+            kernel_cfg=KernelSelectConfig(R=R), seed=2, **oos,
         )
-        assert len(counts) == clusterings
+        assert sorted(counts) == sorted([*{L, R}, *([] if Z is None else [Z])])
         for got, want in zip(graph_landmarks, joint[L], strict=True):
             np.testing.assert_array_equal(got, want)
         if L == R:
@@ -315,7 +318,22 @@ class TestTrain:
                 np.testing.assert_array_equal(got, want)
         for got, want in zip(model.landmarks.blocks, joint[R], strict=True):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(model.base_set.centers, kmeans(concat, Z, seed=2))
+        if Z is None:
+            assert model.base_set is None
+        else:
+            np.testing.assert_array_equal(model.base_set.centers, kmeans(concat, Z, seed=2))
+
+    def test_spectral_fallback_reported(self):
+        # the CLI walk-through's corrupted data: at L = 10 its two anchor
+        # graphs give 20 eigenvalues, 19 of them usable, so P = 20 or more
+        # starts from seeded random codes
+        ds = dataset.synth_multiview(5, 40, (8, 12), seed=0)
+        ds = dataset.corrupt(ds, dataset.CorruptionSpec("gaussian-fraction", 0.2, 0))
+        for P, fell_back in ((19, False), (20, True), (32, True)):
+            _, _, _, diag = hash_trainer.train(
+                ds, HyperParams(P=P, outer_iters=2), graph_cfg=GraphConfig(L=10), seed=0,
+            )
+            assert diag.spectral_fallback is fell_back, P
 
     def test_rank_0_recovery_rejected(self):
         # alpha this large shrinks Q to 0, so W would be 0 and every code sign(b)

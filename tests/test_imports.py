@@ -28,10 +28,7 @@ def run_fresh(code, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-TRAIN_FLAGS = [
-    "--bits", "8", "--graph-l", "12", "--kernel-r", "12", "--oos-z", "20",
-    "--k-oos", "10", "--outer-iters", "3",
-]
+TRAIN_FLAGS = ["--bits", "8", "--graph-l", "12", "--kernel-r", "12", "--outer-iters", "3"]
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import struct
@@ -9,19 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmvhash import dataset, hash_trainer, kernel_sim, model_io, oos_encoder
-from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig, OosConfig
+from rmvhash import dataset, hash_trainer, kernel_sim, model_io
+from rmvhash.hash_trainer import GraphConfig, HyperParams, KernelSelectConfig
 from rmvhash.model_io import ModelFileError
 
 
-def trained(seed=0, k_oos=10):
+def trained(seed=0):
     ds = dataset.synth_multiview(3, 20, (8, 10), seed=seed)
     model, _, Khat, _ = hash_trainer.train(
         ds,
         HyperParams(P=8, outer_iters=5),
         graph_cfg=GraphConfig(L=10, k=3),
         kernel_cfg=KernelSelectConfig(R=10),
-        oos_cfg=OosConfig(Z=20, k_oos=k_oos),
         seed=seed,
     )
     return ds, model, Khat
@@ -38,18 +36,13 @@ class TestRoundTrip:
         for a, b in zip(back.landmarks.blocks, model.landmarks.blocks):
             np.testing.assert_array_equal(a, b)
         assert back.kernel_config.sigmas == model.kernel_config.sigmas
-        np.testing.assert_array_equal(back.base_set.centers, model.base_set.centers)
-        np.testing.assert_array_equal(
-            back.base_set.embeddings, model.base_set.embeddings
-        )
-        assert back.base_set.sigma == model.base_set.sigma
-        assert back.base_set.k_oos == model.base_set.k_oos == 10
+        assert back.base_set is None
         assert snapshot == {"bits": 8, "seed": 1}
 
     def test_numpy_integer_settings_save(self, tmp_path):
-        # a numpy seed or k_oos trains the same model, and saves: the model
-        # stores them as Python ints, which JSON can write
-        ds, model, _ = trained(seed=np.int64(1), k_oos=np.int64(10))
+        # a numpy seed trains the same model, and saves: the model stores it
+        # as a Python int, which JSON can write
+        ds, model, _ = trained(seed=np.int64(1))
         _, plain, _ = trained(seed=1)
         path = tmp_path / "m.rmvm"
         model_io.save_model(model, path)
@@ -60,7 +53,7 @@ class TestRoundTrip:
             np.testing.assert_array_equal(
                 hash_trainer.encode_queries(m, ds), hash_trainer.encode_queries(plain, ds)
             )
-        assert back.meta == plain.meta and back.base_set.k_oos == 10
+        assert back.meta == plain.meta
 
     def test_loaded_model_encodes_identically(self, tmp_path):
         ds, model, Khat = trained(seed=2)
@@ -83,29 +76,22 @@ class TestRoundTrip:
         body = path.read_bytes()[:-8]
         (n,) = struct.unpack("<Q", body[8:16])
         meta = json.loads(body[16:16 + n])
-        assert set(meta) == {"sigmas", "base_k_oos", "model_meta", "config"}
+        assert set(meta) == {"sigmas", "model_meta", "config"}
         assert set(meta["model_meta"]) == {"N", "seed", "recovery"}
         assert [struct.unpack_from("<QQ", body, pos) for pos in matrix_offsets(body)] == [
-            model.W.shape, (1, model.code_length),
-            *(z.shape for z in model.landmarks.blocks), model.base_set.centers.shape,
+            model.W.shape, (1, model.code_length), *(z.shape for z in model.landmarks.blocks),
         ]
 
-    def test_model_without_base_set_not_saved(self, tmp_path):
-        _, model, _ = trained(seed=9)
-        with pytest.raises(ValueError, match="base set"):
-            model_io.save_model(dataclasses.replace(model, base_set=None), tmp_path / "m.rmvm")
-        assert not (tmp_path / "m.rmvm").exists()
-
     @staticmethod
-    def fixed_model(rows=3):
+    def fixed_model(rows=3, landmark_rows=None):
         """A hand-built model: fixed arrays, a Fortran-ordered W, no training."""
         rng = np.random.default_rng(1)
         W = np.asfortranarray(rng.normal(size=(rows, 4)))
-        blocks = (rng.normal(size=(rows, 2)), rng.normal(size=(rows, 3)))
-        base = oos_encoder.BaseSet(rng.normal(size=(5, 5)), np.zeros((5, 4)), 1.5, 2)
+        z = landmark_rows or rows
+        blocks = (rng.normal(size=(z, 2)), rng.normal(size=(z, 3)))
         return hash_trainer.HashModel(
             W=W, b=rng.normal(size=4), landmarks=kernel_sim.KernelLandmarks(blocks),
-            kernel_config=kernel_sim.KernelConfig((0.5, 1.25)), base_set=base,
+            kernel_config=kernel_sim.KernelConfig((0.5, 1.25)),
             meta={"N": 5, "seed": 0, "recovery": True},
         )
 
@@ -115,7 +101,7 @@ class TestRoundTrip:
         path = tmp_path / "m.rmvm"
         model_io.save_model(self.fixed_model(), path, config_snapshot={"bits": 4})
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9f18a49e86a47194bad289411a6f67db83ec03068afe1adca0fef447c9a7c0df")
+            "dd35badc68683264e2bd0365326c5ef2676e55fce341220eb4b7f062855f4940")
 
     def test_save_copies_no_matrix(self, tmp_path):
         # C-ordered float64 matrices are hashed and written from their own
@@ -188,7 +174,7 @@ class TestCorruption:
         with pytest.raises(ModelFileError, match=rf"99.*{model_io.FORMAT_VERSION}"):
             model_io.load_model(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_older_version_says_retrain(self, tmp_path, version):
         _, model, _ = trained(seed=7)
         path = tmp_path / "m.rmvm"
@@ -272,22 +258,19 @@ META_KEYS = st.sampled_from(sorted(model_io._META_TYPES))
 
 class TestMalformedMetadata:
     # The number of views is the number of sigmas, so the view-count cases
-    # edit "sigmas". One sigma too few reads the second landmark block as the
-    # base-set centres, whose width then disagrees with the first block.
+    # edit "sigmas". One sigma too few leaves the second landmark block unread.
     @pytest.mark.parametrize("edit, match", [
         (lambda m: {k: v for k, v in m.items() if k != "sigmas"}, "metadata"),
         (lambda m: {**m, "sigmas": "2"}, "metadata"),
         (lambda m: {**m, "sigmas": [True] + m["sigmas"][1:]}, "metadata"),
         (lambda m: {**m, "sigmas": []}, "metadata"),
-        (lambda m: {**m, "sigmas": m["sigmas"][:1]}, "shapes"),
+        (lambda m: {**m, "sigmas": m["sigmas"][:1]}, "unread bytes"),
         (lambda m: {**m, "sigmas": [-1.0] + m["sigmas"][1:]}, "metadata"),
         (lambda m: list(m), "metadata"),
         (lambda m: None, "metadata"),
-        (lambda m: {**m, "base_k_oos": 0}, "metadata"),
-        (lambda m: {**m, "base_k_oos": 21}, "metadata"),
     ], ids=[
         "no-n_views", "str-n_views", "bool-n_views", "zero-views", "short-sigmas",
-        "negative-sigma", "list", "null", "zero-k_oos", "k_oos-above-Z",
+        "negative-sigma", "list", "null",
     ])
     def test_rejected(self, model_file, edit, match):
         raw, path = model_file
@@ -330,15 +313,15 @@ class TestMalformedMetadata:
         assert back.kernel_config == model.kernel_config
         assert snapshot == {"bits": 8}
 
-    def test_landmark_rows_must_match_w(self, model_file):
-        raw, path = model_file
-        # a third view reads the base-set centres as its landmark block
-        path.write_bytes(edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"] + m["sigmas"][:1]}))
+    def test_landmark_rows_must_match_w(self, tmp_path):
+        # W has 3 rows, one per landmark, but each landmark block has 4
+        path = tmp_path / "m.rmvm"
+        model_io.save_model(TestRoundTrip.fixed_model(landmark_rows=4), path)
         with pytest.raises(ModelFileError, match="shapes"):
             model_io.load_model(path)
 
-    # W, b, the two landmark blocks and the base-set centres
-    @pytest.mark.parametrize("index", range(5))
+    # W, b and the two landmark blocks
+    @pytest.mark.parametrize("index", range(4))
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, model_file, index, value):
         raw, path = model_file
@@ -349,14 +332,15 @@ class TestMalformedMetadata:
     @pytest.mark.parametrize("edit", [
         lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e-300] + m["sigmas"][1:]}),
         lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e155] + m["sigmas"][1:]}),
-        lambda raw: with_value(raw, 4, 3, 1e200),
-    ], ids=["sigma-squared-underflows", "sigma-squared-overflows", "far-centre"])
-    def test_base_set_that_cannot_be_rebuilt_rejected(self, model_file, edit):
-        # extreme finite values overflow or divide by zero while the base set
-        # is rebuilt; that is a bad file, not a floating-point warning
+        lambda raw: with_value(raw, 3, 3, 1e200),
+    ], ids=["sigma-underflows", "sigma-overflows", "far-landmark"])
+    def test_unevaluable_kernel_map_rejected(self, model_file, edit):
+        # extreme finite values overflow or divide by zero while the kernel
+        # map is evaluated on its own landmarks; that is a bad file, not a
+        # floating-point warning
         raw, path = model_file
         path.write_bytes(edit(raw))
-        with pytest.raises(ModelFileError, match="cannot rebuild the base set"):
+        with pytest.raises(ModelFileError, match="cannot evaluate the kernel map"):
             model_io.load_model(path)
 
 
@@ -433,20 +417,19 @@ class TestErrorsNameTheFile:
         lambda raw: edit_meta(raw, lambda m: None),
         lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"][:1]}),
         lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": m["sigmas"] + m["sigmas"][:1]}),
-        lambda raw: edit_meta(raw, lambda m: {**m, "base_k_oos": 0}),
         lambda raw: cut(raw, meta_end(raw) + 8),
         lambda raw: cut(raw, meta_end(raw) + 20),
         lambda raw: resum(raw[:meta_end(raw)] + struct.pack("<QQ", 0, 2 ** 62)
                           + raw[meta_end(raw) + 16:-8]),
         lambda raw: resum(raw[:-8] + b"\0" * 8),
         lambda raw: with_value(raw, 0, 0, np.nan),
-        lambda raw: with_value(raw, 4, 0, np.inf),
-        lambda raw: with_value(raw, 4, 3, 1e200),
+        lambda raw: with_value(raw, 3, 0, np.inf),
+        lambda raw: edit_meta(raw, lambda m: {**m, "sigmas": [1e155] + m["sigmas"][1:]}),
     ], ids=[
         "tiny", "truncated", "flipped", "bad-magic", "newer-version", "older-version",
         "cut-in-metadata", "not-json", "null-metadata", "short-sigmas", "extra-sigma",
-        "zero-k_oos", "cut-in-W-header", "cut-in-W-payload", "zero-row-huge-width",
-        "trailing-bytes", "nan-in-W", "inf-in-centres", "far-centre",
+        "cut-in-W-header", "cut-in-W-payload", "zero-row-huge-width",
+        "trailing-bytes", "nan-in-W", "inf-in-landmarks", "sigma-overflows",
     ])
     def test_fixed_inputs(self, model_file, variant):
         raw, path = model_file

@@ -119,8 +119,8 @@ class TestBaseSet:
         np.testing.assert_allclose(base.embeddings[j], model.W.T @ k + model.b, atol=1e-10)
 
     def test_z_equal_r_reuses_kernel_landmarks_bit_for_bit(self):
-        # train hands the kernel-landmark centers to the base set instead of
-        # running the same kmeans(concat, Z, seed) a second time
+        # the base set and the kernel landmarks are both kmeans(concat, 20, 7),
+        # which is deterministic, so a base set at Z = R equals them bit for bit
         ds = dataset.synth_multiview(4, 30, (10, 12), seed=7)
         model, _, _, _ = hash_trainer.train(
             ds,
