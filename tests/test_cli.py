@@ -265,19 +265,31 @@ class TestTrainArtifacts:
         assert not (tmp_path / "m.rmvm").exists()
 
     def test_self_tuning_k_is_no_setting(self, workspace, tmp_path, capsys):
-        # the bandwidth always takes the min(7, R)-th nearest landmark, and
+        # the bandwidth always takes the min(7, R)-th nearest landmark
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("self_tuning_k=7\n")
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
+        ]) == 1
+        assert "self_tuning_k" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["train", "--manifest", "m", "--model", "o", "--self-tuning-k", "7"])
+        assert not (tmp_path / "m.rmvm").exists()
+
+    @pytest.mark.parametrize("flag, key", [("--k-oos", "k_oos"), ("--oos-z", "oos_z")])
+    def test_base_set_setting_rejected(self, workspace, tmp_path, capsys, flag, key):
         # train builds no base set, so neither its size nor its k is a setting
-        for key in ("self_tuning_k", "oos_z", "k_oos"):
-            cfg = tmp_path / "old.cfg"
-            cfg.write_text(f"{key}=7\n")
-            assert run([
-                "train", "--manifest", str(workspace / "db" / "db.manifest"),
-                "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
-            ]) == 1
-            assert key in capsys.readouterr().err
-            with pytest.raises(SystemExit):
-                run(["train", "--manifest", "m", "--model", "o", "--" + key.replace("_", "-"), "7"])
-            assert not (tmp_path / "m.rmvm").exists()
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text(f"{key}=7\n")
+        assert run([
+            "train", "--manifest", str(workspace / "db" / "db.manifest"),
+            "--model", str(tmp_path / "m.rmvm"), *TRAIN_FLAGS, "--config", str(cfg),
+        ]) == 1
+        assert key in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            run(["train", "--manifest", "m", "--model", "o", flag, "7"])
+        assert not (tmp_path / "m.rmvm").exists()
 
     @pytest.mark.parametrize("raw, key", [
         ("bits=4\nbits=16\n", "'bits'"), ("outer-iters=3\nouter_iters=4\n", "outer_iters"),
