@@ -215,6 +215,10 @@ def train(
     every item through its kernel map (see encode_queries); only a given
     oos_cfg adds oos_encoder.build_base_set(ds, model, min(Z, N), k_oos, seed)
     as model.base_set, which no command reads or saves.
+
+    Each float64 kernel is dropped as it is cast, and the kernels and E as
+    soon as recover returns, so train never holds more R x N arrays than the
+    ALM sweep's 3M+3.
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
@@ -245,10 +249,11 @@ def train(
     diag = TrainDiagnostics()
     if recovery:
         # the ALM is bound by memory traffic over R x N arrays, so it sweeps in
-        # float32 (kernel_sim's floor holds there too); the float64 kernels
-        # are dropped before it runs
-        K_list = [K.astype(np.float32) for K in K_list]
-        Khat, _, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
+        # float32 (kernel_sim's floor holds there too)
+        for m in range(len(K_list)):
+            K_list[m] = K_list[m].astype(np.float32)
+        Khat, E, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
+        del K_list, E
         diag.alm = alm_diag
         if alm_diag.U.shape[1] == 0:
             raise ValueError(

@@ -90,9 +90,12 @@ def init_state(K_list):
             raise ValueError(f"view {m} has shape {K.shape}, expected {shape}")
         if not np.all(np.isfinite(K)):
             raise ValueError(f"view {m} contains non-finite entries")
-    Kbar = sum(K_list) / len(K_list)
-    mu = 1.0 / max(core_math._singular_values(Kbar)[-1], 1e-12)
-    Khat = core_math.project_nonneg(Kbar)
+    Khat = K_list[0].copy()   # the view average Kbar, projected in place below
+    for K in K_list[1:]:
+        Khat += K
+    Khat /= len(K_list)
+    mu = 1.0 / max(core_math._singular_values(Khat)[-1], 1e-12)
+    core_math.project_nonneg(Khat, out=Khat)
     return ALMState(
         K_list=K_list,
         K_norms=[max(np.linalg.norm(K, "fro"), 1e-12) for K in K_list],
@@ -170,6 +173,8 @@ def recover(K_list, cfg=None):
     reported via diagnostics.converged, not raised; diagnostics.U spans the last Q.
     The sweeps run in float32 when every kernel is float32 (see init_state)
     and in float64 otherwise; Khat is returned as float64 either way.
+    A sweep holds 3M+3 R x N arrays: K, E and A per view, B, Khat and work;
+    A, B and work are released before Khat's float64 copy is made.
     """
     cfg = cfg or ALMConfig()
     state = init_state(K_list)
@@ -188,4 +193,5 @@ def recover(K_list, cfg=None):
             break
     diag.U = state.U
     diag.svd_fallbacks = state.svd_fallbacks
+    state.A = state.B = state.work = None   # released before Khat's float64 copy
     return state.Khat.astype(float, copy=False), state.E, diag

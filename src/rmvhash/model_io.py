@@ -45,6 +45,19 @@ def _check_meta(meta, error):
         raise error("metadata needs one positive finite sigma per view")
 
 
+def _count_blocks(body, pos):
+    """How many whole float64 blocks body[pos:] holds, or None when it is not
+    a run of whole blocks."""
+    count = 0
+    while pos < len(body):
+        try:
+            _, pos = dataset.read_block(body, pos, "<f8", ModelFileError)
+        except ModelFileError:
+            return None
+        count += 1
+    return count
+
+
 def save_model(model, path, config_snapshot=None):
     """Serialize a trained HashModel's kernel map to path; a base set is not
     stored."""
@@ -103,6 +116,10 @@ def load_model(path):
 
     W = matrix()
     b = matrix().ravel()
+    stored = _count_blocks(body, pos)
+    if stored is not None and stored != len(meta["sigmas"]):
+        raise error(f"the number of sigmas, {len(meta['sigmas'])}, disagrees with "
+                    f"the {stored} landmark blocks stored")
     blocks = tuple(matrix() for _ in meta["sigmas"])
     if b.shape != (W.shape[1],) or any(z.shape[0] != W.shape[0] for z in blocks):
         raise error("W, b and landmark shapes disagree")

@@ -264,6 +264,26 @@ class TestSweepMemory:
         assert state.Q[0].shape == (40, r) and state.Q[1].shape == (r, 2000)
         assert (peak - base) / Kstar.nbytes < 1
 
+    def test_recover_peak_is_the_sweep_state(self):
+        # In units of one float32 R x N array, M = 2: the sweep holds E and A
+        # per view, B, Khat and work, 7 units. A, B and work are released
+        # before Khat's float64 copy (2 units) is made, so the peak stays near
+        # 7 (7.5 here); kept until the return, they would make it 9.4.
+        rng = np.random.default_rng(33)
+        Kstar = planted_nonneg_lowrank(rng, 40, 8000, 3)
+        K_list = [
+            corrupt_columns(rng, Kstar, rng.choice(8000, 40, replace=False)).astype(np.float32)
+            for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            Khat, _, diag = lowrank_alm.recover(K_list, ALMConfig(alpha=0.05, lam=0.3, max_iters=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert Khat.dtype == np.float64 and diag.svd_fallbacks == 0
+        assert peak / K_list[0].nbytes < 8.5
+
 
 class TestSvdFallback:
     def test_tiny_alpha_counts_fallbacks(self, monkeypatch):

@@ -258,19 +258,23 @@ META_KEYS = st.sampled_from(sorted(model_io._META_TYPES))
 
 class TestMalformedMetadata:
     # The number of views is the number of sigmas, so the view-count cases
-    # edit "sigmas". One sigma too few leaves the second landmark block unread.
+    # edit "sigmas". One sigma too few or too many disagrees with the two
+    # landmark blocks stored.
     @pytest.mark.parametrize("edit, match", [
         (lambda m: {k: v for k, v in m.items() if k != "sigmas"}, "metadata"),
         (lambda m: {**m, "sigmas": "2"}, "metadata"),
         (lambda m: {**m, "sigmas": [True] + m["sigmas"][1:]}, "metadata"),
         (lambda m: {**m, "sigmas": []}, "metadata"),
-        (lambda m: {**m, "sigmas": m["sigmas"][:1]}, "unread bytes"),
+        (lambda m: {**m, "sigmas": m["sigmas"][:1]},
+         "number of sigmas, 1, disagrees with the 2 landmark blocks"),
         (lambda m: {**m, "sigmas": [-1.0] + m["sigmas"][1:]}, "metadata"),
         (lambda m: list(m), "metadata"),
         (lambda m: None, "metadata"),
+        (lambda m: {**m, "sigmas": m["sigmas"] + m["sigmas"][:1]},
+         "number of sigmas, 3, disagrees with the 2 landmark blocks"),
     ], ids=[
         "no-n_views", "str-n_views", "bool-n_views", "zero-views", "short-sigmas",
-        "negative-sigma", "list", "null",
+        "negative-sigma", "list", "null", "extra-sigmas",
     ])
     def test_rejected(self, model_file, edit, match):
         raw, path = model_file

@@ -118,7 +118,7 @@ class TestBaseSet:
         ], axis=0)
         np.testing.assert_allclose(base.embeddings[j], model.W.T @ k + model.b, atol=1e-10)
 
-    def test_z_equal_r_reuses_kernel_landmarks_bit_for_bit(self):
+    def test_z_equal_r_base_set_and_kernel_landmarks_from_same_kmeans(self):
         # the base set and the kernel landmarks are both kmeans(concat, 20, 7),
         # which is deterministic, so a base set at Z = R equals them bit for bit
         ds = dataset.synth_multiview(4, 30, (10, 12), seed=7)
