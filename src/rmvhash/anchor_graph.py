@@ -32,24 +32,29 @@ class AnchorGraph:
 def build_truncated_affinity(view, landmarks, k):
     """Build the anchor graph for one view.
 
-    For each sample, the k nearest landmarks get the core_math.knn_weights
+    For each sample, the k nearest landmarks get the core_math.nearest_weights
     of exp(-d^2/t); all other entries are zero. The bandwidth t is the mean
     squared distance from the samples to their k-th nearest landmark (1 if
-    that is 0). Landmarks that attract no sample are dropped; a sample that
-    picked one gave it weight 0 and keeps fewer than k stored entries.
+    that is 0). The distances and the k nearest are taken in blocks of
+    samples (see core_math.blocks), so no N x L array is made. Landmarks that
+    attract no sample are dropped; a sample that picked one gave it weight 0
+    and keeps fewer than k stored entries.
     """
     import scipy.sparse as sp  # here, so that only training loads scipy
-    view = np.asarray(view, dtype=float)
+    points = np.asarray(view, dtype=float).T
     landmarks = np.asarray(landmarks, dtype=float)
-    L = landmarks.shape[0]
+    n, L = len(points), landmarks.shape[0]
     if k > L:
         raise ValueError(f"k={k} exceeds number of landmarks L={L}")
-    d2 = core_math.sq_dists(view.T, landmarks)
-    t = float(np.mean(np.partition(d2, k - 1, axis=1)[:, k - 1]))
+    order, sel = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    for part in core_math.blocks(n, L):
+        order[part], sel[part] = core_math.nearest(core_math.sq_dists(points[part], landmarks), k)
+    t = float(np.mean(sel[:, k - 1]))
     t = t if t > 0 else 1.0
-    order, w = core_math.knn_weights(d2, k, t)
-    rows = np.repeat(np.arange(view.shape[1]), k)
-    F = sp.csr_matrix((w.ravel(), (rows, order.ravel())), shape=d2.shape)
+    rows = np.repeat(np.arange(n), k)
+    F = sp.csr_matrix(
+        (core_math.nearest_weights(sel, t).ravel(), (rows, order.ravel())), shape=(n, L)
+    )
     col_mass = np.asarray(F.sum(axis=0)).ravel()
     alive = col_mass > 0
     F, col_mass = F[:, alive], col_mass[alive]

@@ -43,6 +43,27 @@ def _as_float(x):
     return x if x.dtype == np.float32 else x.astype(float, copy=False)
 
 
+# Entries per block where a routine walks an array it does not hold whole
+# (k-means scores, nearest-landmark distances, the ALM's column norms and
+# violations): 2^15 float64 entries are 256 KB.
+_BLOCK = 1 << 15
+
+
+def spans(n, step):
+    """Slices that cover 0..n in order, step lines each, where a lone last
+    line joins the slice before it. With step >= 2 only n = 1 gives a slice of
+    one line, whose matrix products numpy would send through its matrix-vector
+    path, which can round differently from the matrix product of the whole."""
+    ends = [*range(step, n - 1, step), n]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]
+
+
+def blocks(n, width):
+    """The spans, of max(2, _BLOCK // width) lines, that an n-line array of
+    width entries a line is walked in."""
+    return spans(n, max(2, _BLOCK // max(width, 1)))
+
+
 def _gram(mtx):
     """The float64 Gram matrix of the short side of mtx (mtx mtx^T when
     rows <= cols) and whether mtx is wide. A float32 mtx is cast _GRAM_CHUNK
@@ -116,20 +137,22 @@ def _singular_values(mtx):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(_gram(_as_float(mtx))[0]), 0.0))
 
 
-def col_l21_prox(c, kappa, out=None, work=None):
+def col_l21_prox(c, kappa, out=None):
     """Columnwise shrinkage: prox of kappa*||.||_{2,1}.
 
     Column i is scaled by max(0, 1 - kappa/||c_i||); columns with norm <= kappa
     (including zero columns) are zeroed. The result goes to out when given,
-    which may be c itself. The squares behind the column norms go to work
-    when given (an array of c's shape and memory order, not c itself); they
-    and the norms are those of np.linalg.norm(c, axis=0), which takes a fresh
-    array for the squares.
+    which may be c itself. The column norms are those of
+    np.linalg.norm(c, axis=0), with the squares taken one block of columns at
+    a time (see blocks), so no array of c's size is made.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     c = _as_float(c)
-    norms = np.sqrt(np.add.reduce(np.multiply(c, c, out=work), axis=0))
+    norms = np.empty(c.shape[1], c.dtype)
+    for cols in blocks(c.shape[1], c.shape[0]):
+        np.add.reduce(np.square(c[:, cols]), axis=0, out=norms[cols])
+    np.sqrt(norms, out=norms)
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])
@@ -175,12 +198,9 @@ def sq_dists(points, centers, points_sq=None):
     return np.maximum(d2, 0.0, out=d2)
 
 
-def knn_weights(d2, k, scale):
+def nearest(d2, k):
     """Each row's k nearest columns of the squared distances d2, nearest first
-    (ties go to the lower index, as in a stable sort), and their weights
-    exp(-(d2 - row minimum)/scale), normalized to sum to 1. The shift changes
-    no weight in exact arithmetic and makes the nearest one exactly 1, so no
-    row sums to 0; a weight past the nearest may still underflow to 0.
+    (ties go to the lower index, as in a stable sort), and their distances.
 
     The columns come from k passes of argmin, which takes the first of equal
     minima, over a copy of d2 in which each chosen entry is set to +inf: the
@@ -192,9 +212,22 @@ def knn_weights(d2, k, scale):
     for j in range(k):
         order[:, j] = np.argmin(left, axis=1)
         left[rows, order[:, j]] = np.inf
-    sel = np.take_along_axis(d2, order, axis=1)
+    return order, np.take_along_axis(d2, order, axis=1)
+
+
+def nearest_weights(sel, scale):
+    """Weights exp(-(sel - row minimum)/scale) of rows of distances that
+    nearest returns, nearest first, normalized to sum to 1. The shift changes
+    no weight in exact arithmetic and makes the nearest one exactly 1, so no
+    row sums to 0; a weight past the nearest may still underflow to 0."""
     w = np.exp(-(sel - sel[:, :1]) / scale)
-    return order, w / w.sum(axis=1, keepdims=True)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def knn_weights(d2, k, scale):
+    """The nearest(d2, k) columns of each row and their nearest_weights."""
+    order, sel = nearest(d2, k)
+    return order, nearest_weights(sel, scale)
 
 
 # Lloyd iterations per kmeans call; every landmark and base-set caller uses it.
@@ -220,10 +253,12 @@ def kmeans(points, L, seed=0):
     """The (L, d) centers of at most _KMEANS_ITERS Lloyd iterations with
     k-means++ seeding; deterministic for a fixed seed.
 
-    Each Lloyd iteration assigns every point x by one product, to the argmin
-    over j of the score [x, 1].[-2 c_j, ||c_j||^2] = ||x - c_j||^2 - ||x||^2.
-    The two differ by a per-point constant, so they pick the same center up
-    to ties at rounding level; an exact tie goes to the lower index.
+    Each Lloyd iteration assigns every point x to the argmin over j of the
+    score [x, 1].[-2 c_j, ||c_j||^2] = ||x - c_j||^2 - ||x||^2, one product
+    and argmin per block of points (see blocks). The two differ by a
+    per-point constant, so they pick the same center up to ties at rounding
+    level; an exact tie goes to the lower index. Only an iteration that
+    empties a cluster makes an n x L array (below).
 
     No cluster is left empty: before the centers are updated, each empty
     cluster in index order takes the point farthest from its assigned center,
@@ -256,9 +291,9 @@ def kmeans(points, L, seed=0):
     lifted = np.column_stack((points, np.ones(n)))
     for _ in range(_KMEANS_ITERS):
         weights = np.column_stack((-2.0 * centers, np.sum(centers ** 2, axis=1)))
-        scores = lifted @ weights.T
-        new_assign = np.argmin(scores, axis=1)
-        del scores   # freed before sq_dists or the next product
+        new_assign = np.empty(n, dtype=np.intp)
+        for part in blocks(n, L):
+            new_assign[part] = np.argmin(lifted[part] @ weights.T, axis=1)
         counts = np.bincount(new_assign, minlength=L)
         empty = np.flatnonzero(counts == 0)
         if empty.size:

@@ -13,8 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-# Query-database pairs per block of evaluate; bounds its working memory.
-_BLOCK = 1 << 21
+# Query-database pairs per block of evaluate; bounds its working memory:
+# each per-pair array of a block, at most 8 bytes a pair, stays at 2 MB.
+_BLOCK = 1 << 18
 
 
 @dataclass

@@ -202,8 +202,8 @@ def train(
     Every landmark set is kernel_sim.select_kernel_landmarks(ds, count, seed),
     one k-means per distinct count: view m's anchor graph takes view m's block
     of the set at graph_cfg.L, the kernel similarities the set at R. It
-    recovers the consensus Khat by inexact ALM on float32 copies of the view
-    kernels (or the float64 view average when recovery is off), then
+    recovers the consensus Khat by inexact ALM on float32 view kernels (or
+    takes the float64 view average when recovery is off), then
     alternates the closed-form (W, b) solve with the code sweep, starting from
     spectral_code_init (diag.spectral_fallback reports its random fallback),
     until the relative change of the outer objective (see objective) drops
@@ -216,9 +216,12 @@ def train(
     oos_cfg adds oos_encoder.build_base_set(ds, model, min(Z, N), k_oos, seed)
     as model.base_set, which no command reads or saves.
 
-    Each float64 kernel is dropped as it is cast, and the kernels and E as
-    soon as recover returns, so train never holds more R x N arrays than the
-    ALM sweep's 3M+3.
+    The view kernels, and without recovery their average, are written a
+    slice of columns at a time (see kernel_sim.kernel_slices), and the
+    kernels and E are dropped as soon as recover returns, so train never
+    holds more R x N arrays than the ALM sweep's 3M+2; the landmark,
+    bandwidth and anchor-graph steps hold no N x L or R x N array at all
+    (see core_math.blocks).
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
@@ -244,16 +247,15 @@ def train(
     ]
     klm = joint[R]
     kcfg = kernel_sim.tune_config(ds, klm)
-    K_list = kernel_sim.build_view_kernels(ds, klm, kcfg)
 
     diag = TrainDiagnostics()
     if recovery:
         # the ALM is bound by memory traffic over R x N arrays, so it sweeps in
-        # float32 (kernel_sim's floor holds there too)
-        for m in range(len(K_list)):
-            K_list[m] = K_list[m].astype(np.float32)
-        Khat, E, alm_diag = lowrank_alm.recover(K_list, alm_cfg)
-        del K_list, E
+        # float32 (kernel_sim's floor holds there too); the kernels and E are
+        # dropped as soon as recover returns
+        K_all = kernel_sim.build_view_kernels(ds, klm, kcfg, dtype=np.float32)
+        Khat, E, alm_diag = lowrank_alm.recover(K_all, alm_cfg)
+        del K_all, E
         diag.alm = alm_diag
         if alm_diag.U.shape[1] == 0:
             raise ValueError(
@@ -261,8 +263,11 @@ def train(
                 "so every item would get the same code; lower alpha"
             )
     else:
-        # kernel entries lie in [0, 1], so the view average is already >= 0
-        Khat = sum(K_list) / len(K_list)
+        # kernel entries lie in [0, 1], so the view average is already >= 0;
+        # each slice sums the views in view order, then divides by M
+        Khat = np.empty((R, n))
+        for cols, parts in kernel_sim.kernel_slices(ds.views, klm.blocks, kcfg.sigmas):
+            Khat[:, cols] = sum(parts) / len(parts)
 
     # update_codes reads only Y, not the view codes
     Y0, diag.spectral_fallback = spectral_code_init(graphs, hp.P, seed=seed)

@@ -43,13 +43,18 @@ def select_kernel_landmarks(ds, R, seed=0):
 
 def self_tuning_sigma(view, z_view, k_st):
     """Self-tuned bandwidth: median over samples of the distance to the
-    k_st-th nearest landmark."""
+    k_st-th nearest landmark, found in blocks of samples (see
+    core_math.blocks)."""
+    points = np.asarray(view, dtype=float).T
     z_view = np.asarray(z_view, dtype=float)
     if k_st > z_view.shape[0]:
         raise ValueError(f"k_st={k_st} exceeds R={z_view.shape[0]}")
-    d2 = core_math.sq_dists(np.asarray(view, dtype=float).T, z_view)
+    kth = np.empty(len(points))
+    for part in core_math.blocks(len(points), len(z_view)):
+        d2 = core_math.sq_dists(points[part], z_view)
+        kth[part] = np.partition(d2, k_st - 1, axis=1)[:, k_st - 1]
     # sqrt is monotone: the root of the k-th squared distance is the k-th distance
-    kth = np.sqrt(np.partition(d2, k_st - 1, axis=1)[:, k_st - 1])
+    np.sqrt(kth, out=kth)
     sigma = float(np.median(kth))
     if sigma <= 0:
         raise ValueError("degenerate data: self-tuned bandwidth is zero")
@@ -93,9 +98,25 @@ def tune_config(ds, landmarks):
     return KernelConfig(sigmas=sigmas)
 
 
-def build_view_kernels(ds, landmarks, cfg):
-    """List of per-view R x N kernelized similarity matrices."""
-    return [
-        build_kernel_matrix(v, z, s)
-        for v, z, s in zip(ds.views, landmarks.blocks, cfg.sigmas)
-    ]
+# Columns per slice of kernel_slices: 1024 x R float64 stays a few MB.
+_CHUNK = 1024
+
+
+def kernel_slices(views, landmarks, sigmas):
+    """(columns, kernels) for each core_math.spans slice of _CHUNK columns of
+    the (d_m, n) views, in order: the build_kernel_matrix of every view, with
+    its (R, d_m) landmarks and sigma, over those columns."""
+    for cols in core_math.spans(views[0].shape[1], _CHUNK):
+        yield cols, [
+            build_kernel_matrix(v[:, cols], z, s) for v, z, s in zip(views, landmarks, sigmas)
+        ]
+
+
+def build_view_kernels(ds, landmarks, cfg, dtype=float):
+    """The (M, R, N) per-view kernelized similarity matrices in dtype, written
+    a slice of columns at a time (see kernel_slices), so a float32 result
+    makes no float64 R x N array."""
+    out = np.empty((ds.n_views, landmarks.R, ds.n_samples), dtype)
+    for cols, parts in kernel_slices(ds.views, landmarks.blocks, cfg.sigmas):
+        out[..., cols] = parts
+    return out

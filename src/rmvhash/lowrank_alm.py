@@ -16,10 +16,11 @@ is too small for the Gram matrix to resolve takes the full SVD instead and is
 counted in ALMDiagnostics.svd_fallbacks. The low-rank iterate Q is held as its
 rank-r factors (left (R, r), right (r, N)), as the inexact ALM of Lin, Chen &
 Ma (2010) keeps its partial SVD; each update that reads Q multiplies them out
-into the buffer it already fills. E^(m), Khat, the column norms' squares and
-the violations of the multiplier step are computed in place, in the state's
-own arrays and one R x N scratch buffer, so a sweep that takes no full SVD
-allocates no R x N array.
+into the buffer it already fills. E^(m), Khat and the multipliers are updated
+in place, Khat + B/mu is formed in E^(1) (which the E step rebuilds next), and
+the column norms' squares and the violations of the multiplier step are
+formed in blocks (see core_math.blocks), so a sweep that takes no full SVD
+allocates no R x N array, and the state holds 3M+2 of them.
 
 The sweeps compute in the dtype of the kernels: float32 kernels give float32
 state, which halves the memory traffic that bounds a sweep, and any other
@@ -62,7 +63,6 @@ class ALMState:
     E: list
     A: list                       # multipliers for K = Khat + E, divided by mu
     B: np.ndarray                 # multiplier for Khat = Q, divided by mu
-    work: np.ndarray              # (R, N) scratch reused by every update
     mu: float                     # np.float32 in float32 state
     U: np.ndarray | None = None   # (R, rank Q), orthonormal basis of range(Q)
     svd_fallbacks: int = 0        # update_Q calls whose SVT took the full SVD
@@ -104,7 +104,6 @@ def init_state(K_list):
         E=[np.zeros(shape, dtype) for _ in K_list],
         A=[np.zeros(shape, dtype) for _ in K_list],
         B=np.zeros(shape, dtype),
-        work=np.empty(shape, dtype),
         mu=dtype(mu),
     )
 
@@ -113,8 +112,9 @@ def update_Q(state, cfg):
     """Nuclear-norm prox step on the auxiliary variable: the Q-subproblem of
     the Lagrangian, Q = svt(Khat + B/mu, alpha/mu), returned as its factors
     (left, right); state.U spans range(Q), and a full-SVD fallback is counted
-    in state.svd_fallbacks."""
-    target = np.add(state.Khat, state.B, out=state.work)
+    in state.svd_fallbacks. Khat + B/mu is formed in state.E[0], which
+    update_E rebuilds before anything reads it."""
+    target = np.add(state.Khat, state.B, out=state.E[0])
     left, right, state.U, fallback = core_math.svt_factors(target, cfg.alpha / state.mu)
     state.svd_fallbacks += fallback
     return left, right
@@ -125,7 +125,7 @@ def update_E(state, cfg, m):
     (lam/mu) * ||.||_{2,1} at K - Khat - A/mu, written into state.E[m]."""
     E = np.subtract(state.K_list[m], state.Khat, out=state.E[m])
     E -= state.A[m]
-    return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E, work=state.work)
+    return core_math.col_l21_prox(E, cfg.lam / state.mu, out=E)
 
 
 def update_Khat(state, cfg):
@@ -144,24 +144,36 @@ def update_Khat(state, cfg):
 
 def update_multipliers(state, cfg):
     """Gradient-ascent multiplier step and penalty growth (in place). Each
-    constraint violation is formed once, measured and added to its scaled
-    multiplier, which is then rescaled by mu/mu_next: the unscaled step
-    A += mu * viol. Returns the relative residuals (fit, gap), max_m
-    ||Khat+E-K||/||K|| and ||Khat-Q||/||Khat||."""
-    viol = state.work    # one R x N buffer holds each violation in turn
+    constraint violation is formed once, a block of contiguous rows at a time
+    (see core_math.blocks), measured and added to its scaled multiplier,
+    which is then rescaled by mu/mu_next: the unscaled step A += mu * viol.
+    Returns the relative residuals (fit, gap), max_m ||Khat+E-K||/||K|| and
+    ||Khat-Q||/||Khat||, each squared norm summed in float64 over the blocks."""
     mu_next = min(cfg.rho * state.mu, _MU_MAX)
-    fit = 0.0
-    for m, (K, K_norm) in enumerate(zip(state.K_list, state.K_norms)):
-        np.add(state.Khat, state.E[m], out=viol)
-        viol -= K
-        fit = max(fit, np.linalg.norm(viol, "fro") / K_norm)
-        state.A[m] += viol
-        state.A[m] *= state.mu / mu_next
-    np.matmul(*state.Q, out=viol)
-    np.subtract(state.Khat, viol, out=viol)
-    gap = np.linalg.norm(viol, "fro") / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
-    state.B += viol
-    state.B *= state.mu / mu_next
+    scale = state.mu / mu_next
+    left, right = state.Q
+    sq = np.zeros(len(state.K_list) + 1)   # ||viol||^2 of each view, then of the gap
+    parts = core_math.blocks(*state.Khat.shape)
+    # one block of rows, reused; a block that took in a lone last row is longest
+    buf = np.empty((max(r.stop - r.start for r in parts), state.Khat.shape[1]), state.Khat.dtype)
+    for rows in parts:
+        khat = state.Khat[rows]
+        viol = buf[:len(khat)]
+        for m, K in enumerate(state.K_list):
+            np.add(khat, state.E[m][rows], out=viol)
+            viol -= K[rows]
+            sq[m] += np.vdot(viol, viol)
+            A = state.A[m][rows]
+            A += viol
+            A *= scale
+        np.matmul(left[rows], right, out=viol)
+        np.subtract(khat, viol, out=viol)
+        sq[-1] += np.vdot(viol, viol)
+        B = state.B[rows]
+        B += viol
+        B *= scale
+    fit = max(np.sqrt(s) / K_norm for s, K_norm in zip(sq, state.K_norms))
+    gap = np.sqrt(sq[-1]) / max(np.linalg.norm(state.Khat, "fro"), 1e-12)
     state.mu = mu_next
     return float(fit), float(gap)
 
@@ -173,8 +185,8 @@ def recover(K_list, cfg=None):
     reported via diagnostics.converged, not raised; diagnostics.U spans the last Q.
     The sweeps run in float32 when every kernel is float32 (see init_state)
     and in float64 otherwise; Khat is returned as float64 either way.
-    A sweep holds 3M+3 R x N arrays: K, E and A per view, B, Khat and work;
-    A, B and work are released before Khat's float64 copy is made.
+    A sweep holds 3M+2 R x N arrays: K, E and A per view, B and Khat; A and B
+    are released before Khat's float64 copy is made.
     """
     cfg = cfg or ALMConfig()
     state = init_state(K_list)
@@ -193,5 +205,5 @@ def recover(K_list, cfg=None):
             break
     diag.U = state.U
     diag.svd_fallbacks = state.svd_fallbacks
-    state.A = state.B = state.work = None   # released before Khat's float64 copy
+    state.A = state.B = None   # released before Khat's float64 copy
     return state.Khat.astype(float, copy=False), state.E, diag

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,40 @@ class TestTruncatedAffinity:
         assert not oracle[:, 3].any()
         np.testing.assert_allclose(F, oracle[:, :3], rtol=0, atol=1e-14)
         assert g.F[1000].nnz == 1
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("block", [1, 8, 40])
+    def test_graph_does_not_depend_on_block_size(self, monkeypatch, block):
+        # the distances, the k nearest and the bandwidth are taken a block of
+        # samples at a time: 1, 2 and 10 samples at L = 4. A block of one
+        # sample takes its distances from a matrix-vector product, whose
+        # rounding may differ from the matrix product's in the last bit.
+        view = toy_view(seed=12, n=50)
+        lm = sample_landmarks(view, 4, seed=3)
+        want = anchor_graph.build_truncated_affinity(view, lm, 3)
+        monkeypatch.setattr(core_math, "_BLOCK", block)
+        got = anchor_graph.build_truncated_affinity(view, lm, 3)
+        np.testing.assert_array_equal(got.F.indptr, want.F.indptr)
+        np.testing.assert_array_equal(got.F.indices, want.F.indices)
+        np.testing.assert_allclose(got.F.data, want.F.data, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got.sigma, want.sigma, rtol=0, atol=1e-13)
+
+    def test_peak_below_one_distance_array(self):
+        # N = 4,000 samples, L = 200: the N x L float64 distances (6.4 MB),
+        # their copy in the nearest search and the partition for the
+        # bandwidth are never held whole, so the peak stays below half of one
+        rng = np.random.default_rng(0)
+        view = rng.normal(size=(16, 4000))
+        lm = sample_landmarks(view, 200, seed=1)
+        anchor_graph.build_truncated_affinity(view[:, :50], lm, 3)   # imports scipy first
+        tracemalloc.start()
+        try:
+            anchor_graph.build_truncated_affinity(view, lm, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 4000 * 200 * 8
 
 
 class TestApply:

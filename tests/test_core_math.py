@@ -169,6 +169,22 @@ KMEANS_CASES = (
 )
 
 
+class TestBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, 4, 5, 8, 9, 10, 13])
+    def test_spans_cover_in_order_without_a_lone_line(self, n):
+        # 9 = 4 + 5 and 13 = 4 + 4 + 5: a lone last line joins the slice before
+        sizes = [s.stop - s.start for s in core_math.spans(n, 4)]
+        got = np.concatenate([np.arange(n)[s] for s in core_math.spans(n, 4)])
+        np.testing.assert_array_equal(got, np.arange(n))
+        assert max(sizes) <= 5 and (n < 2 or min(sizes) >= 2)
+
+    def test_wide_lines_come_at_least_two_a_block(self):
+        # a line wider than _BLOCK would make one-line blocks, whose products
+        # numpy sends through its matrix-vector path
+        sizes = [s.stop - s.start for s in core_math.blocks(7, 4 * core_math._BLOCK)]
+        assert sizes == [2, 2, 3]
+
+
 class TestSqDists:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(0)
@@ -613,6 +629,30 @@ class TestKmeans:
         assert assign[2] == 0
         want = np.array([points[assign == j].mean(axis=0) for j in range(2)])
         np.testing.assert_array_equal(core_math.kmeans(points, 2), want)
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_blocks_match_full_argmin_across_a_tie(self, monkeypatch, order):
+        # rows 2..9 are p, exactly equidistant from the seeds a and b; at 4
+        # points a block the tied rows straddle the boundaries at rows 4 and
+        # 8, and each joins the seed of lower index, as the argmin over the
+        # full distance matrix assigns it
+        a, b, p = [1.0, 2.0], [3.0, -1.0], [2.0, 0.5]
+        points = np.vstack([[a, b], [p] * 8, lloyd_points(30, 2, 0)])
+        seeds = points[order]
+        monkeypatch.setattr(core_math, "_kmeanspp_init", lambda *args: seeds.copy())
+        monkeypatch.setattr(core_math, "_BLOCK", 8)
+        assert [s.start for s in core_math.blocks(len(points), 2)][1:3] == [4, 8]
+        d2 = three_term_sq_dists(points, seeds)
+        assert np.all(d2[2:10, 0] == d2[2:10, 1])
+        np.testing.assert_array_equal(
+            core_math.kmeans(points, 2), reference_onehot_lloyd(points, 2, 0)
+        )
+
+    def test_scores_taken_in_blocks(self):
+        # the n x L scores are formed a block of points at a time, so the
+        # peak stays well below one n x L float64 array
+        points = np.random.default_rng(0).normal(size=(4000, 4))
+        assert kmeans_peak(points) < 0.5 * 4000 * 200 * 8
 
     @pytest.mark.parametrize("L", [5, 6])
     @pytest.mark.parametrize("seed", range(3))

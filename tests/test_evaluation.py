@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -397,6 +398,22 @@ class TestBlockedPass:
         assert calls == blocks
         assert packed == [(7, 23)]   # both code sets packed once, whatever the blocks
         assert_matches_brute_force(report, q, d, rel, top_k, radius)
+
+    def test_peak_below_one_pair_array(self):
+        # 400 queries against 5,000 items: a block holds about 2^18 pairs, so
+        # the distances, bins and sort order of a block (up to 8 bytes a
+        # pair) stay below half of one float64 array over all the pairs
+        rng = np.random.default_rng(15)
+        q, d = random_codes(rng, 400, 32), random_codes(rng, 5000, 32)
+        rel = rng.random((400, 5000)) < 0.1
+        evaluation.evaluate(q[:3], d[:10], rel[:3, :10])
+        tracemalloc.start()
+        try:
+            evaluation.evaluate(q, d, rel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 400 * 5000 * 8
 
     def test_long_codes_match_brute_force(self):
         rng = np.random.default_rng(14)

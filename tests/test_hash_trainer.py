@@ -405,20 +405,48 @@ class TestTrain:
         assert len(seen) == 2 and Khat.dtype == np.float64
 
     @pytest.mark.parametrize("R, oos_cfg, bound", [
-        (200, None, 10.8),
-        (100, OosConfig(Z=300, k_oos=25), 14.0),
+        (200, None, 9.6),
+        (100, OosConfig(Z=300, k_oos=25), 9.6),
     ], ids=["R200", "R100-base-set"])
     def test_peak_is_the_alm_sweep(self, R, oos_cfg, bound):
         # In units of one float32 R x N array, M = 2: the ALM sweep holds the
-        # kernels and E, A per view, B, Khat and work, 9 units. Each float64
-        # kernel is dropped as it is cast, and the kernels and E as soon as
-        # recover returns, so the cast and the outer loop hold fewer, and the
-        # base-set k-means (its N x 300 float64 scores are 6 units at R = 100)
-        # runs beside the float64 Khat alone. The peaks read 10.2 and 11.9
-        # units; with each list kept alive as long as its name, 11.5 and 16.0.
+        # kernels and E, A per view, B and Khat, 8 units. The kernels are
+        # written in column blocks, the landmark, bandwidth and graph steps
+        # work in row blocks, the kernels and E are dropped as soon as recover
+        # returns, and the base-set k-means (whose N x 300 float64 scores
+        # would be 6 units at R = 100) scores in blocks too. The peaks read
+        # 9.2 and 9.25 units, the sweep state beside the graphs and one
+        # block; a scratch R x N buffer in the sweep and whole float64
+        # kernels would make them 10.2 and 11.9.
         small = dataset.synth_multiview(3, 20, (4, 4), seed=1)
         fast = dict(hp=HyperParams(P=16, outer_iters=2), alm_cfg=ALMConfig(max_iters=3))
         # imports scipy and fills numpy's lazy caches before tracing starts
+        hash_trainer.train(small, **fast, **small_train_kwargs())
+        ds = dataset.synth_multiview(10, 400, (16, 16), seed=0)
+        tracemalloc.start()
+        try:
+            hash_trainer.train(
+                ds, **fast, graph_cfg=GraphConfig(L=R, k=3),
+                kernel_cfg=KernelSelectConfig(R=R), oos_cfg=oos_cfg,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (R * ds.n_samples * 4) < bound
+
+    @pytest.mark.parametrize("R, oos_cfg, bound", [
+        (200, None, 6.5),
+        (100, OosConfig(Z=300, k_oos=25), 8.0),
+    ], ids=["R200", "R100-base-set"])
+    def test_no_recovery_peak_is_the_view_average(self, R, oos_cfg, bound):
+        # In units of one float32 R x N array: without recovery train holds
+        # the float64 view average K-bar, built a column block at a time, and
+        # update_Wb's centred copy of it while it runs, 4 units. The peaks
+        # read 6.11 and 7.04 units; the float64 kernel list kept alive beside
+        # K-bar through the outer loop and the base set would make them 9.19
+        # and 15.95.
+        small = dataset.synth_multiview(3, 20, (4, 4), seed=1)
+        fast = dict(hp=HyperParams(P=16, outer_iters=2), recovery=False)
         hash_trainer.train(small, **fast, **small_train_kwargs())
         ds = dataset.synth_multiview(10, 400, (16, 16), seed=0)
         tracemalloc.start()

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,32 @@ class TestSelfTuningSigma:
         d = np.sqrt(core_math.sq_dists(view.T, z))
         want = float(np.median(np.partition(d, k_st - 1, axis=1)[:, k_st - 1]))
         assert kernel_sim.self_tuning_sigma(view, z, k_st) == want
+
+
+    @pytest.mark.parametrize("block", [1, 18, 50])
+    def test_sigma_does_not_depend_on_block_size(self, monkeypatch, block):
+        # the k-th distances are found a block of samples at a time: 1, 2
+        # and 5 samples at R = 9 (a block of one sample may round its
+        # distances differently in the last bit)
+        rng = np.random.default_rng(5)
+        view, z = rng.normal(size=(5, 60)), rng.normal(size=(9, 5))
+        want = kernel_sim.self_tuning_sigma(view, z, 3)
+        monkeypatch.setattr(core_math, "_BLOCK", block)
+        assert kernel_sim.self_tuning_sigma(view, z, 3) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_peak_below_one_distance_array(self):
+        # N = 4,000 samples, R = 200 landmarks in each of two views: the
+        # R x N float64 distances (6.4 MB) and their partition are never held
+        # whole, so the peak stays below half of one
+        ds = make_ds(seed=3, dims=(16, 16), n=4000)
+        lm = kernel_sim.KernelLandmarks(blocks=tuple(v[:, :200].T.copy() for v in ds.views))
+        tracemalloc.start()
+        try:
+            kernel_sim.tune_config(ds, lm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 4000 * 200 * 8
 
 
 class TestBuildKernelMatrix:
@@ -164,6 +191,21 @@ class TestInvariants:
             ds.views[0][:, perm], lm.blocks[0], cfg.sigmas[0]
         )
         np.testing.assert_allclose(Kp, K[:, perm], atol=1e-14)
+
+    def test_view_kernels_written_in_slices(self, monkeypatch):
+        ds = make_ds(seed=11, n=25)
+        lm = kernel_sim.select_kernel_landmarks(ds, 6, seed=0)
+        cfg = kernel_sim.tune_config(ds, lm)
+        whole = [
+            kernel_sim.build_kernel_matrix(v, z, s)
+            for v, z, s in zip(ds.views, lm.blocks, cfg.sigmas)
+        ]
+        monkeypatch.setattr(kernel_sim, "_CHUNK", 4)   # slices of 4 columns, the last of 5
+        K64 = kernel_sim.build_view_kernels(ds, lm, cfg)
+        K32 = kernel_sim.build_view_kernels(ds, lm, cfg, dtype=np.float32)
+        assert K64.shape == (2, 6, 25) and K32.dtype == np.float32
+        np.testing.assert_allclose(K64, whole, rtol=1e-13, atol=1e-300)
+        np.testing.assert_array_equal(K32, K64.astype(np.float32))
 
     def test_stored_sum_consistency(self):
         ds = make_ds(seed=10, dims=(3, 4, 5), n=25)

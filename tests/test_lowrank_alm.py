@@ -266,9 +266,10 @@ class TestSweepMemory:
 
     def test_recover_peak_is_the_sweep_state(self):
         # In units of one float32 R x N array, M = 2: the sweep holds E and A
-        # per view, B, Khat and work, 7 units. A, B and work are released
-        # before Khat's float64 copy (2 units) is made, so the peak stays near
-        # 7 (7.5 here); kept until the return, they would make it 9.4.
+        # per view, B and Khat, 6 units, and forms Khat + B/mu in E[0] and the
+        # violations in row blocks. A and B are released before Khat's float64
+        # copy (2 units) is made, so the peak stays near 6 (6.54 here); one
+        # more R x N scratch buffer in the state would make it 7.5.
         rng = np.random.default_rng(33)
         Kstar = planted_nonneg_lowrank(rng, 40, 8000, 3)
         K_list = [
@@ -282,7 +283,7 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert Khat.dtype == np.float64 and diag.svd_fallbacks == 0
-        assert peak / K_list[0].nbytes < 8.5
+        assert peak / K_list[0].nbytes < 7.0
 
 
 class TestSvdFallback:
@@ -469,6 +470,20 @@ class TestUpdateMultipliers:
         want = mu * b0 + mu * (state.Khat - np.matmul(*state.Q))
         np.testing.assert_allclose(state.B * state.mu, want, rtol=1e-13, atol=1e-15 * mu)
 
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # at 3 rows a block the 7 rows of make_state are walked as 3 and 4:
+        # the multipliers are the one-block step's, bit for bit, and only the
+        # residuals' sums of squares are ordered differently
+        whole, cfg = make_state(seed=26, M=2, shape=(7, 20))
+        blocked, _ = make_state(seed=26, M=2, shape=(7, 20))
+        want = lowrank_alm.update_multipliers(whole, cfg)
+        monkeypatch.setattr(core_math, "_BLOCK", 3 * 20)
+        assert [r.stop for r in core_math.blocks(7, 20)] == [3, 7]
+        got = lowrank_alm.update_multipliers(blocked, cfg)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
+        for x, x0 in zip((*blocked.A, blocked.B), (*whole.A, whole.B)):
+            np.testing.assert_array_equal(x, x0)
+
     def test_mu_cap(self):
         state, cfg = make_state(seed=22)
         state.mu = lowrank_alm._MU_MAX / 1.01
@@ -542,7 +557,7 @@ class TestFloat32:
                   for _ in range(3)]
         cfg = ALMConfig(alpha=0.05, lam=0.3)
         state = lowrank_alm.init_state(K_list)
-        arrays = [*state.K_list, *state.E, *state.A, state.B, state.Khat, state.work]
+        arrays = [*state.K_list, *state.E, *state.A, state.B, state.Khat]
         assert all(x.dtype == np.float32 for x in arrays)
         assert state.mu.dtype == np.float32
         assert all(K is K0 for K, K0 in zip(state.K_list, K_list))
@@ -574,7 +589,7 @@ class TestFloat32:
     ])
     def test_other_input_runs_in_float64(self, K_list):
         state = lowrank_alm.init_state(K_list)
-        assert all(x.dtype == np.float64 for x in (*state.K_list, state.Khat, state.work))
+        assert all(x.dtype == np.float64 for x in (*state.K_list, state.Khat))
 
     def test_planted_recovery_in_float32(self):
         # criterion 2's planted settings, handed float32 kernels
