@@ -44,8 +44,8 @@ def _as_float(x):
 
 
 # Entries per block where a routine walks an array it does not hold whole
-# (k-means scores, nearest-landmark distances, the ALM's column norms and
-# violations): 2^15 float64 entries are 256 KB.
+# (k-means scores, nearest-landmark distances, the ALM's violations): 2^15
+# float64 entries are 256 KB.
 _BLOCK = 1 << 15
 
 
@@ -142,17 +142,14 @@ def col_l21_prox(c, kappa, out=None):
 
     Column i is scaled by max(0, 1 - kappa/||c_i||); columns with norm <= kappa
     (including zero columns) are zeroed. The result goes to out when given,
-    which may be c itself. The column norms are those of
-    np.linalg.norm(c, axis=0), with the squares taken one block of columns at
-    a time (see blocks), so no array of c's size is made.
+    which may be c itself. The squared column norms come from one einsum,
+    which adds each column's squares down its rows as np.linalg.norm(c,
+    axis=0) does for a C-ordered c, and makes no array of c's size.
     """
     if kappa < 0:
         raise ValueError(f"kappa must be nonnegative, got {kappa}")
     c = _as_float(c)
-    norms = np.empty(c.shape[1], c.dtype)
-    for cols in blocks(c.shape[1], c.shape[0]):
-        np.add.reduce(np.square(c[:, cols]), axis=0, out=norms[cols])
-    np.sqrt(norms, out=norms)
+    norms = np.sqrt(np.einsum("ij,ij->j", c, c))
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(0.0, 1.0 - kappa / norms[nz])
@@ -265,12 +262,11 @@ def kmeans(points, L, seed=0):
     chosen among clusters that hold at least two points (lowest index on
     ties); those distances come from sq_dists, on the rare iteration that
     empties a cluster. Every center is then the mean of its members, summed in
-    index order by one one-hot sparse product. An empty or non-finite point
+    index order by one np.bincount per feature. An empty or non-finite point
     set, squared norms past a quarter of the largest float (a squared distance
     between two points could overflow) and L outside 1..n are rejected with
     ValueError before seeding.
     """
-    import scipy.sparse as sp  # here, so that only training loads scipy
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
     if n == 0:
@@ -286,8 +282,8 @@ def kmeans(points, L, seed=0):
                          "below a quarter of the largest float")
     centers = _kmeanspp_init(points, points_sq, L, np.random.default_rng(seed))
     assignments = np.zeros(n, dtype=int)
-    # the sparse product would copy a non-C-ordered points on every iteration
-    rows = np.ascontiguousarray(points)
+    # one contiguous line per feature, for the per-feature sums
+    features = np.ascontiguousarray(points.T)
     lifted = np.column_stack((points, np.ones(n)))
     for _ in range(_KMEANS_ITERS):
         weights = np.column_stack((-2.0 * centers, np.sum(centers ** 2, axis=1)))
@@ -304,12 +300,9 @@ def kmeans(points, L, seed=0):
             counts[new_assign[worst]] -= 1
             new_assign[worst] = j
             counts[j] = 1
-        onehot = sp.csr_matrix(
-            (np.ones(n), np.argsort(new_assign, kind="stable"),
-             np.concatenate(([0], np.cumsum(counts)))),
-            shape=(L, n),
+        centers = np.column_stack(
+            [np.bincount(new_assign, weights=f, minlength=L) for f in features]
         )
-        centers = onehot @ rows
         centers /= counts[:, None]
         if np.array_equal(new_assign, assignments):
             break

@@ -125,8 +125,9 @@ def _solve_view_codes(graph, Y, gamma):
     c = 2 + gamma, Woodbury gives (c I - 2 H H^T)^{-1} =
     (I + H V diag(2 / (c - 2 sigma)) V^T H^T) / c."""
     c = 2.0 + gamma
-    coef = (graph.V.T @ (graph.H.T @ Y)) * (2.0 / (c - 2.0 * graph.sigma))[:, None]
-    return (gamma / c) * (Y + graph.H @ (graph.V @ coef))
+    proj = anchor_graph.factor_transpose_apply(graph.cols, graph.H, Y, len(graph.sigma))
+    coef = (graph.V.T @ proj) * (2.0 / (c - 2.0 * graph.sigma))[:, None]
+    return (gamma / c) * (Y + anchor_graph.factor_apply(graph.cols, graph.H, graph.V @ coef))
 
 
 def _orthogonalize(Y):
@@ -167,12 +168,15 @@ def spectral_code_init(graphs, p, seed=0):
     or, with fell_back True, a seeded random orthonormal basis when fewer than
     p eigenvalues are usable. The top eigenvalues are degenerate, so the codes
     are rotated to the canonical basis Y Q_c of their span, Q_c the sign-fixed
-    QR factor of Y^T G, G seeded."""
-    import scipy.sparse as sp  # here, so that only training loads scipy
+    QR factor of Y^T G, G seeded. The reduced factor is the views' H tables
+    side by side, each multiplied by 1/sqrt(M), over the views' landmarks in
+    view order."""
     m = len(graphs)
     n = graphs[0].n_samples
-    H = sp.hstack([g.H / np.sqrt(m) for g in graphs], format="csr")
-    evals, evecs = np.linalg.eigh((H.T @ H).toarray())
+    offsets = np.cumsum([0] + [len(g.sigma) for g in graphs])
+    cols = np.hstack([g.cols + off for g, off in zip(graphs, offsets)])
+    H = np.hstack([g.H * (1.0 / np.sqrt(m)) for g in graphs])
+    evals, evecs = np.linalg.eigh(anchor_graph.factor_gram(cols, H, int(offsets[-1])))
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
     good = evals > 1e-10 * evals[0]
@@ -180,7 +184,7 @@ def spectral_code_init(graphs, p, seed=0):
         rng = np.random.default_rng(seed)
         q, _ = np.linalg.qr(rng.normal(size=(n, p)))
         return q * np.sqrt(n), True
-    U = H @ evecs[:, :p]
+    U = anchor_graph.factor_apply(cols, H, evecs[:, :p])
     U /= np.sqrt(evals[:p])
     Y = U / np.linalg.norm(U, axis=0) * np.sqrt(n)
     q, r = np.linalg.qr(Y.T @ np.random.default_rng(seed).normal(size=(n, p)))

@@ -17,6 +17,13 @@ def sample_landmarks(view, L, seed):
     return view[:, idx].T.copy()
 
 
+def dense(g, table):
+    """The (N, L) matrix that the graph holds as the (N, k) table of values."""
+    out = np.zeros((g.n_samples, len(g.sigma)))
+    np.put_along_axis(out, g.cols, table, axis=1)
+    return out
+
+
 def dense_affinity_oracle(view, landmarks, k):
     """Direct implementation of the truncated-affinity formula, with the
     bandwidth t the mean squared distance to the k-th nearest landmark."""
@@ -63,37 +70,37 @@ class TestTruncatedAffinity:
         view = toy_view(seed=4, n=8)
         lm = view.T[:1].copy()
         g = anchor_graph.build_truncated_affinity(view, lm, k=1)
-        np.testing.assert_allclose(g.F.toarray(), np.ones((8, 1)))
+        np.testing.assert_allclose(dense(g, g.F), np.ones((8, 1)))
 
     def test_equidistant_split(self):
         view = np.array([[0.0], [0.0]])  # one sample at the origin
         lm = np.array([[1.0, 0.0], [-1.0, 0.0]])
         g = anchor_graph.build_truncated_affinity(view, lm, k=2)
-        np.testing.assert_allclose(g.F.toarray()[0], [0.5, 0.5])
+        np.testing.assert_allclose(dense(g, g.F)[0], [0.5, 0.5])
 
     def test_matches_dense_oracle(self):
         view = toy_view(seed=5, d=3, n=12)
         lm = sample_landmarks(view, 4, seed=1)
         g = anchor_graph.build_truncated_affinity(view, lm, k=2)
         oracle = dense_affinity_oracle(view, lm, 2)
-        np.testing.assert_allclose(g.F.toarray(), oracle, atol=1e-14)
+        np.testing.assert_allclose(dense(g, g.F), oracle, atol=1e-14)
 
     def test_zero_distances_take_unit_bandwidth(self):
         # every sample sits on its k nearest landmarks: t = 1, equal weights
         view = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, 5.0]])
         lm = np.array([[0.0, 0.0], [5.0, 5.0]])
         g = anchor_graph.build_truncated_affinity(view, lm, k=1)
-        np.testing.assert_array_equal(g.F.toarray(), [[1, 0], [1, 0], [0, 1]])
-        np.testing.assert_array_equal(g.F.toarray(), dense_affinity_oracle(view, lm, 1))
+        np.testing.assert_array_equal(dense(g, g.F), [[1, 0], [1, 0], [0, 1]])
+        np.testing.assert_array_equal(dense(g, g.F), dense_affinity_oracle(view, lm, 1))
 
     def test_row_stochastic_exact_k_nonzeros(self):
         view = toy_view(seed=6, d=5, n=40)
         lm = core_math.kmeans(view.T, 8, seed=2)
         g = anchor_graph.build_truncated_affinity(view, lm, k=3)
-        F = g.F.toarray()
+        F = dense(g, g.F)
         np.testing.assert_allclose(F.sum(axis=1), 1.0, atol=1e-10)
         assert np.all(np.count_nonzero(F, axis=1) == 3)
-        assert np.all(g.F.sum(axis=0) > 0)
+        assert np.all(F.sum(axis=0) > 0)
 
     def test_far_sample_graph_finite(self):
         # the far sample's unshifted weights all underflow to 0
@@ -102,7 +109,7 @@ class TestTruncatedAffinity:
         view[:, 0] = 5.0
         lm = view[:, 1:11].T
         g = anchor_graph.build_truncated_affinity(view, lm, k=3)
-        F = g.F.toarray()
+        F = dense(g, g.F)
         assert np.all(np.isfinite(F)) and np.all(np.isfinite(g.sigma))
         np.testing.assert_allclose(F.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         d2 = np.sum((lm - view[:, 0]) ** 2, axis=1)
@@ -121,8 +128,9 @@ class TestTruncatedAffinity:
         view = toy_view(seed=8, d=2, n=10)
         lm = np.vstack([view.T[:3], [[1e6, 1e6]]])
         g = anchor_graph.build_truncated_affinity(view, lm, k=2)
-        assert g.F.shape[1] == 3
-        assert np.all(g.F.sum(axis=0) > 0)
+        F = dense(g, g.F)
+        assert F.shape[1] == 3
+        assert np.all(F.sum(axis=0) > 0)
 
     def test_drop_path_matches_graph_on_survivors(self):
         # dropping the dead landmarks' columns gives the graph built directly
@@ -133,10 +141,11 @@ class TestTruncatedAffinity:
         g = anchor_graph.build_truncated_affinity(view, lm, k=3)
         survivors = np.vstack([view.T[:2], view.T[5:9]])
         direct = anchor_graph.build_truncated_affinity(view, survivors, k=3)
-        assert g.F.shape[1] == 6
-        np.testing.assert_allclose(g.F.toarray(), direct.F.toarray(), rtol=0, atol=1e-14)
+        F = dense(g, g.F)
+        assert F.shape[1] == 6
+        np.testing.assert_allclose(F, dense(direct, direct.F), rtol=0, atol=1e-14)
         np.testing.assert_allclose(
-            g.F.toarray(), dense_affinity_oracle(view, survivors, 3), rtol=0, atol=1e-14
+            F, dense_affinity_oracle(view, survivors, 3), rtol=0, atol=1e-14
         )
         np.testing.assert_allclose(g.sigma, direct.sigma, rtol=0, atol=1e-14)
 
@@ -144,19 +153,21 @@ class TestTruncatedAffinity:
     def test_dead_landmark_picked_with_weight_0(self):
         # the far sample's second pick, (150, 0), gets weight exp(-2500 / t) = 0
         # and no other sample picks it; its column goes, and the sample keeps
-        # one stored entry. Its distance still counts towards t, so F is the
-        # oracle over all four landmarks without that all-zero column
+        # one nonzero entry, beside the slot of weight 0. Its distance still
+        # counts towards t, so F is the oracle over all four landmarks without
+        # that all-zero column
         rng = np.random.default_rng(0)
         view = np.hstack([rng.normal(scale=0.01, size=(2, 1000)), [[100.0], [0.0]]])
         lm = np.array([[0.0, 0.0], [0.02, 0.0], [100.0, 0.0], [150.0, 0.0]])
         g = anchor_graph.build_truncated_affinity(view, lm, k=2)
-        F = g.F.toarray()
+        F = dense(g, g.F)
         assert F.shape == (1001, 3)
         np.testing.assert_allclose(F.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         oracle = dense_affinity_oracle(view, lm, 2)
         assert not oracle[:, 3].any()
         np.testing.assert_allclose(F, oracle[:, :3], rtol=0, atol=1e-14)
-        assert g.F[1000].nnz == 1
+        assert np.count_nonzero(F[1000]) == 1
+        assert g.F[1000].tolist() == [0.0, 1.0]
 
 
 class TestBlocks:
@@ -171,9 +182,8 @@ class TestBlocks:
         want = anchor_graph.build_truncated_affinity(view, lm, 3)
         monkeypatch.setattr(core_math, "_BLOCK", block)
         got = anchor_graph.build_truncated_affinity(view, lm, 3)
-        np.testing.assert_array_equal(got.F.indptr, want.F.indptr)
-        np.testing.assert_array_equal(got.F.indices, want.F.indices)
-        np.testing.assert_allclose(got.F.data, want.F.data, rtol=1e-13, atol=0)
+        np.testing.assert_array_equal(got.cols, want.cols)
+        np.testing.assert_allclose(dense(got, got.F), dense(want, want.F), rtol=1e-13, atol=0)
         np.testing.assert_allclose(got.sigma, want.sigma, rtol=0, atol=1e-13)
 
     def test_peak_below_one_distance_array(self):
@@ -183,7 +193,7 @@ class TestBlocks:
         rng = np.random.default_rng(0)
         view = rng.normal(size=(16, 4000))
         lm = sample_landmarks(view, 200, seed=1)
-        anchor_graph.build_truncated_affinity(view[:, :50], lm, 3)   # imports scipy first
+        anchor_graph.build_truncated_affinity(view[:, :50], lm, 3)   # fills numpy's caches first
         tracemalloc.start()
         try:
             anchor_graph.build_truncated_affinity(view, lm, 3)
@@ -235,7 +245,7 @@ class TestApply:
         assert brute == pytest.approx(2.0 * np.sum(v * lap), abs=1e-10)
 
     def test_spectral_factor(self):
-        H = self.g.H.toarray()
+        H = dense(self.g, self.g.H)
         np.testing.assert_allclose(H @ H.T, self.S, atol=1e-12)
         V, sigma = self.g.V, self.g.sigma
         np.testing.assert_allclose(V @ np.diag(sigma) @ V.T, H.T @ H, atol=1e-12)

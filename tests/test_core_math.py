@@ -114,7 +114,7 @@ def distance_calls(monkeypatch, points, L, seed):
 
 def kmeans_peak(points):
     """The tracemalloc peak of kmeans(points, 200, seed=0), in bytes."""
-    core_math.kmeans(points[:50], 3)   # imports scipy outside the trace
+    core_math.kmeans(points[:50], 3)   # fills numpy's caches outside the trace
     tracemalloc.start()
     try:
         core_math.kmeans(points, 200, seed=0)

@@ -420,7 +420,7 @@ class TestTrain:
         # kernels would make them 10.2 and 11.9.
         small = dataset.synth_multiview(3, 20, (4, 4), seed=1)
         fast = dict(hp=HyperParams(P=16, outer_iters=2), alm_cfg=ALMConfig(max_iters=3))
-        # imports scipy and fills numpy's lazy caches before tracing starts
+        # fills numpy's lazy caches before tracing starts
         hash_trainer.train(small, **fast, **small_train_kwargs())
         ds = dataset.synth_multiview(10, 400, (16, 16), seed=0)
         tracemalloc.start()
