@@ -16,8 +16,6 @@ from . import anchor_graph, kernel_sim, lowrank_alm, oos_encoder
 from .core_math import NumericError, check_range
 from .lowrank_alm import ALMConfig
 
-# Columns per kernel block in embed: 1024 x R float64 stays a few MB.
-_CHUNK = 1024
 
 @dataclass
 class HyperParams:
@@ -221,11 +219,11 @@ def train(
     as model.base_set, which no command reads or saves.
 
     The view kernels, and without recovery their average, are written a
-    slice of columns at a time (see kernel_sim.kernel_slices), and the
-    kernels and E are dropped as soon as recover returns, so train never
-    holds more R x N arrays than the ALM sweep's 3M+2; the landmark,
-    bandwidth and anchor-graph steps hold no N x L or R x N array at all
-    (see core_math.blocks).
+    slice of columns at a time (see kernel_sim.kernel_slices, which embed
+    walks too), and the kernels and E are dropped as soon as recover
+    returns, so train never holds more R x N arrays than the ALM sweep's
+    3M+2; the landmark, bandwidth and anchor-graph steps hold no N x L or
+    R x N array at all (see core_math.blocks).
     """
     hp = hp or HyperParams()
     graph_cfg = graph_cfg or GraphConfig()
@@ -317,16 +315,13 @@ def encode_database(model, Khat):
 def embed(model, points):
     """(n, P) pre-sign projections W^T k(x) + b of the columns of a (d, n)
     block of concatenated points, k(x) the mean over views of the kernel vectors
-    that Khat is recovered from, built _CHUNK columns at a time."""
+    that Khat is recovered from, in train's slices (kernel_sim.kernel_slices):
+    without recovery, a training item's k(x) is its Khat column bit for bit."""
     blocks = model.landmarks.blocks
     views = np.split(points, np.cumsum([z.shape[1] for z in blocks])[:-1])
     out = np.empty((points.shape[1], model.code_length))
-    for start in range(0, points.shape[1], _CHUNK):
-        K = sum(
-            kernel_sim.build_kernel_matrix(v[:, start:start + _CHUNK], z, s)
-            for v, z, s in zip(views, blocks, model.kernel_config.sigmas)
-        ) / len(blocks)
-        out[start:start + _CHUNK] = K.T @ model.W + model.b
+    for cols, parts in kernel_sim.kernel_slices(views, blocks, model.kernel_config.sigmas):
+        out[cols] = (sum(parts) / len(parts)).T @ model.W + model.b
     return out
 
 

@@ -105,11 +105,11 @@ _CHUNK = 1024
 def kernel_slices(views, landmarks, sigmas):
     """(columns, kernels) for each core_math.spans slice of _CHUNK columns of
     the (d_m, n) views, in order: the build_kernel_matrix of every view, with
-    its (R, d_m) landmarks and sigma, over those columns."""
+    its (R, d_m) landmarks and sigma, over those columns. The one walk of the
+    kernel map, in training and serving; unequal counts raise ValueError."""
     for cols in core_math.spans(views[0].shape[1], _CHUNK):
-        yield cols, [
-            build_kernel_matrix(v[:, cols], z, s) for v, z, s in zip(views, landmarks, sigmas)
-        ]
+        yield cols, [build_kernel_matrix(v[:, cols], z, s)
+                     for v, z, s in zip(views, landmarks, sigmas, strict=True)]
 
 
 def build_view_kernels(ds, landmarks, cfg, dtype=float):

@@ -608,7 +608,7 @@ class TestEncodeQueries:
             np.testing.assert_array_equal(codes[i], np.where(pre >= 0, 1, -1))
 
     def test_subset_rows_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(hash_trainer, "_CHUNK", 7)
+        monkeypatch.setattr(kernel_sim, "_CHUNK", 7)
         full = hash_trainer.encode_queries(self.model, self.ds)
         idx = np.random.default_rng(18).permutation(60)[:23]
         np.testing.assert_array_equal(
@@ -690,6 +690,24 @@ class TestInvariance:
         model_io.save_model(model, tmp_path / "m.rmvm")
         back, _ = model_io.load_model(tmp_path / "m.rmvm")
         np.testing.assert_array_equal(hash_trainer.encode_queries(back, queries), q_codes)
+
+    @pytest.mark.parametrize("order", [np.ascontiguousarray, np.asfortranarray])
+    @pytest.mark.parametrize("n", [1025, 1600])
+    def test_plain_served_map_is_khat_column(self, n, order):
+        # without recovery, a training item served through embed walks the
+        # slices train built Khat from: 1,025 items end in a joined last slice
+        ds = dataset.synth_multiview(4, n // 4 + 1, (8, 12), seed=n)
+        ds = self.mapped(ds.subset(np.arange(n)), order)
+        model, _, Khat, _ = hash_trainer.train(
+            ds, HyperParams(P=8, outer_iters=5), graph_cfg=GraphConfig(L=20, k=3),
+            kernel_cfg=KernelSelectConfig(R=20), seed=0, recovery=False,
+        )
+        np.testing.assert_array_equal(
+            hash_trainer.embed(model, ds.concatenated()), Khat.T @ model.W + model.b
+        )
+        np.testing.assert_array_equal(
+            hash_trainer.encode_queries(model, ds), hash_trainer.encode_database(model, Khat)
+        )
 
 
 @pytest.mark.slow

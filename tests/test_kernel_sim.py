@@ -207,6 +207,20 @@ class TestInvariants:
         np.testing.assert_allclose(K64, whole, rtol=1e-13, atol=1e-300)
         np.testing.assert_array_equal(K32, K64.astype(np.float32))
 
+    @pytest.mark.parametrize("part", ["blocks", "sigmas"])
+    def test_unequal_counts_rejected(self, part):
+        # one sigma (or one landmark block) for two views must not broadcast
+        # view 0's kernel into view 1's slot
+        ds = make_ds(seed=12, n=25)
+        lm = kernel_sim.select_kernel_landmarks(ds, 6, seed=0)
+        cfg = kernel_sim.tune_config(ds, lm)
+        if part == "sigmas":
+            cfg = kernel_sim.KernelConfig(cfg.sigmas[:1])
+        else:
+            lm = kernel_sim.KernelLandmarks(blocks=lm.blocks[:1])
+        with pytest.raises(ValueError):
+            kernel_sim.build_view_kernels(ds, lm, cfg)
+
     def test_stored_sum_consistency(self):
         ds = make_ds(seed=10, dims=(3, 4, 5), n=25)
         lm = kernel_sim.select_kernel_landmarks(ds, 7, seed=3)
